@@ -273,8 +273,8 @@ def _cmd_oracle(args, out) -> int:
 
 def _compare_one(path: str, all_entrances: bool, budget: int) -> RunReport:
     emb = _load(path)
-    rep = validate(emb)
     t0 = time.perf_counter()
+    rep = validate(emb)
     if emb.edge_count <= _CUT_ENUMERATION_EDGE_LIMIT:
         cuts = enumerate_3_edge_cuts(emb)
     else:

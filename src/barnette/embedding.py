@@ -21,7 +21,7 @@ class EmbeddingError(ValueError):
 
 
 class NonPlanarError(EmbeddingError):
-    """Face count fails the Euler identity, so the map is not a sphere."""
+    """The map fails the Euler identity or is disconnected, so it is not one sphere."""
 
 
 class RotationFormatError(ValueError):
@@ -147,7 +147,8 @@ class PlanarEmbedding:
     def faces(self) -> tuple[Face, ...]:
         """All facial walks, in deterministic discovery order.
 
-        Raises NonPlanarError unless V - E + F = 2.
+        Raises NonPlanarError unless the map is connected and
+        V - E + F = 2.
         """
         faces: list[Face] = []
         seen: set[Dart] = set()
@@ -170,6 +171,10 @@ class PlanarEmbedding:
                 f"Euler identity fails: V={self.vertex_count} E={self.edge_count} F={f} "
                 f"gives {self.vertex_count - self.edge_count + f}, expected 2"
             )
+        # Euler alone admits a sphere map beside a torus map (2 + 0 = 2).
+        components = len(_components_without(self))
+        if components != 1:
+            raise NonPlanarError(f"map is disconnected: {components} components")
         return tuple(faces)
 
     @cached_property
@@ -302,7 +307,9 @@ def parse_embedding(text: str) -> PlanarEmbedding:
 
     if n is None:
         raise RotationFormatError("missing 'n' directive")
-    missing = [v for v in range(n) if v not in rows]
+    # At most len(rows) ids are present, so the first 8 missing ones lie
+    # below len(rows) + 8 whatever n is.
+    missing = [v for v in range(min(n, len(rows) + 8)) if v not in rows]
     if missing:
         raise RotationFormatError(f"missing rotation line for vertices {missing[:8]}")
 
@@ -317,19 +324,27 @@ def parse_embedding(text: str) -> PlanarEmbedding:
 
 
 def _match_outer_face(emb: PlanarEmbedding, cycle: list[int]) -> int:
-    """Find the traced face equal to ``cycle`` up to rotation and reversal."""
-    k = len(cycle)
-    want = set()
-    doubled = cycle + cycle
-    for i in range(k):
-        want.add(tuple(doubled[i : i + k]))
-    rev = cycle[::-1]
-    doubled = rev + rev
-    for i in range(k):
-        want.add(tuple(doubled[i : i + k]))
-    for face in emb.faces:
-        if face.length == k and face.vertices in want:
-            return face.id
+    """Find the traced face equal to ``cycle`` up to rotation and reversal.
+
+    A face that walks ``cycle`` forward holds the dart (c0, c1), and one
+    that walks it backward holds (c1, c0).  Each dart lies on one face,
+    so two lookups and two O(k) comparisons decide.  When both match (a
+    bare cycle graph) the lower face id wins.
+    """
+    c0, c1 = cycle[0], cycle[1]
+    walks = (((c0, c1), tuple(cycle)), ((c1, c0), (c1, c0) + tuple(cycle[:1:-1])))
+    matches = []
+    for dart, walk in walks:
+        fid = emb._dart_face.get(dart)
+        if fid is None:
+            continue
+        face = emb.faces[fid]
+        if face.length == len(walk):
+            i = face.darts.index(dart)
+            if face.vertices[i:] + face.vertices[:i] == walk:
+                matches.append(fid)
+    if matches:
+        return min(matches)
     raise RotationFormatError(f"outer directive {cycle} matches no traced face")
 
 
@@ -363,37 +378,41 @@ def two_coloring(emb: PlanarEmbedding) -> tuple[int, ...] | None:
     return tuple(color)
 
 
-def _connected(adj: Sequence[Sequence[int]], skip: frozenset[int] = frozenset()) -> bool:
-    n = len(adj)
-    alive = n - len(skip)
-    if alive <= 0:
-        return True
-    start = next(v for v in range(n) if v not in skip)
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen and u not in skip:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == alive
+def _components_without(
+    emb: PlanarEmbedding, banned: frozenset[Edge] = frozenset()
+) -> list[list[int]]:
+    """Vertex sets of the components left after deleting ``banned`` edges."""
+    rotations = emb.rotations
+    seen = [False] * emb.vertex_count
+    comps: list[list[int]] = []
+    for s in range(emb.vertex_count):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp = [s]
+        for v in comp:  # the component list doubles as the BFS queue
+            for u in rotations[v]:
+                if not seen[u] and edge_key(v, u) not in banned:
+                    seen[u] = True
+                    comp.append(u)
+        comps.append(comp)
+    return comps
 
 
-def _three_connected_exhaustive(emb: PlanarEmbedding) -> bool:
-    n = emb.vertex_count
-    if n < 4:
-        return False
-    adj = emb.rotations
-    if not _connected(adj):
-        return False
-    for v in range(n):
-        if not _connected(adj, frozenset((v,))):
+def _three_connected_cubic(emb: PlanarEmbedding) -> bool:
+    """Connected cubic sphere map: 3-connected iff the dual has no loop
+    and no 2-cycle.
+
+    Vertex and edge connectivity agree on cubic graphs, and the minimal
+    edge cuts of a connected plane graph are the cycles of its dual.  A
+    dual loop is an edge with both darts on one face (a bridge); a dual
+    2-cycle is two faces sharing two edges (a 2-edge cut).
+    """
+    pairs: set[tuple[int, ...]] = set()
+    for fids in emb.edge_faces.values():  # ids ascend: faces are walked in id order
+        if fids[0] == fids[1] or fids in pairs:
             return False
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not _connected(adj, frozenset((u, v))):
-                return False
+        pairs.add(fids)
     return True
 
 
@@ -447,7 +466,7 @@ def _three_connected_flow(emb: PlanarEmbedding) -> bool:
     n = emb.vertex_count
     if n < 4:
         return False
-    if not _connected(emb.rotations):
+    if len(_components_without(emb)) != 1:
         return False
     if any(len(nbrs) < 3 for nbrs in emb.rotations):
         return False
@@ -470,28 +489,24 @@ def _three_connected_flow(emb: PlanarEmbedding) -> bool:
     return True
 
 
-EXHAUSTIVE_CONNECTIVITY_LIMIT = 200
-
-
 def validate(emb: PlanarEmbedding) -> ValidationReport:
     """Check the four membership flags independently.
 
-    Planarity is the Euler check of face tracing.  3-connectivity uses
-    exhaustive 2-vertex removal up to n = 200 and vertex-capacity
-    max-flow beyond.
+    Planarity is face tracing: the map is connected and V - E + F = 2.
+    On a cubic sphere map 3-connectivity is read off the dual in one pass
+    (no dual loop, no dual 2-cycle); every other input takes
+    vertex-capacity max-flow.
     """
     coloring = two_coloring(emb)
+    cubic = emb.is_cubic()
     try:
         trace_faces(emb)
         planar = True
     except NonPlanarError:
         planar = False
-    if emb.vertex_count <= EXHAUSTIVE_CONNECTIVITY_LIMIT:
-        three_conn = _three_connected_exhaustive(emb)
-    else:
-        three_conn = _three_connected_flow(emb)
+    three_conn = _three_connected_cubic(emb) if planar and cubic else _three_connected_flow(emb)
     return ValidationReport(
-        is_cubic=emb.is_cubic(),
+        is_cubic=cubic,
         is_bipartite=coloring is not None,
         is_planar_embedding=planar,
         vertex_connectivity_at_least_3=three_conn,
@@ -500,27 +515,6 @@ def validate(emb: PlanarEmbedding) -> ValidationReport:
 
 
 # -- 3-edge-cuts ----------------------------------------------------------
-
-def _components_without(emb: PlanarEmbedding, banned: frozenset[Edge]) -> list[list[int]]:
-    n = emb.vertex_count
-    seen = [False] * n
-    comps: list[list[int]] = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in emb.rotations[v]:
-                if not seen[u] and edge_key(v, u) not in banned:
-                    seen[u] = True
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(comp)
-    return comps
-
 
 @dataclass(frozen=True)
 class EdgeCut:
@@ -542,7 +536,7 @@ def enumerate_3_edge_cuts(emb: PlanarEmbedding) -> list[EdgeCut]:
     """
     if not emb.is_cubic():
         raise EmbeddingError("3-edge-cut enumeration expects a cubic graph")
-    if not _connected(emb.rotations):
+    if len(_components_without(emb)) != 1:
         raise EmbeddingError("3-edge-cut enumeration expects a connected graph")
     shared: dict[tuple[int, int], list[Edge]] = {}
     for e, fids in emb.edge_faces.items():

@@ -23,9 +23,11 @@ from barnette.corpus import (
 )
 from barnette.embedding import (
     enumerate_3_edge_cuts,
+    parse_embedding,
     serialize_embedding,
     trace_faces,
     two_coloring,
+    validate,
 )
 from barnette.oracle import (
     enumerate_hamiltonian_cycles,
@@ -292,3 +294,21 @@ def test_criterion_9_byte_identical_traces(tmp_path):
             second = subprocess.run(cmd, capture_output=True, check=True)
             assert first.stdout == second.stdout, name
             assert first.stdout  # not vacuous
+
+
+def test_criterion_10_front_end_linear_scaling():
+    with criterion(10, "front-end linear scaling", 120.0):
+        per_vertex_us = []
+        for k in (250, 2500):  # n = 1000 and 10000
+            doc = serialize_embedding(generate_prism(k).embedding)
+            best = float("inf")
+            for _ in range(3):
+                t0 = time.perf_counter()
+                rep = validate(parse_embedding(doc))
+                best = min(best, time.perf_counter() - t0)
+            assert rep.is_barnette
+            per_vertex_us.append(best / (4 * k) * 1e6)
+        ratio = per_vertex_us[1] / per_vertex_us[0]
+        print(f"\nfront-end-report: parse+validate per-vertex us = "
+              f"{[round(u, 2) for u in per_vertex_us]} ratio={ratio:.2f}")
+        assert ratio <= 2.0

@@ -2,10 +2,12 @@
 
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from barnette import cli
 from barnette.cli import bench_scaling, main, parse_machine_records, to_dot
 from barnette.carve import carve
 from barnette.corpus import build_named
@@ -106,6 +108,17 @@ class TestSubcommands:
         recs = parse_machine_records(out)
         assert code == 0 and len(recs) == 2
         assert all(r["agreement"] == "true" for r in recs)
+
+    def test_compare_times_validate(self, monkeypatch):
+        real_validate = cli.validate
+
+        def slow_validate(emb):
+            time.sleep(0.05)
+            return real_validate(emb)
+
+        monkeypatch.setattr(cli, "validate", slow_validate)
+        report = cli._compare_one(str(SAMPLES / "cube.rot"), False, 10**6)
+        assert report.seconds["validate"] >= 0.05
 
     def test_chambers(self, capsys, rot_file):
         path = rot_file("cube")

@@ -1,5 +1,6 @@
 """Rotation systems, face tracing, validation, 3-edge-cuts."""
 
+import time
 from collections import Counter
 from itertools import combinations
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barnette.corpus import build_named, generate_prism
+from barnette.corpus import build_named, dual_embedding, generate_prism, truncate_embedding
 from barnette.embedding import (
     NonPlanarError,
     PlanarEmbedding,
@@ -33,6 +34,52 @@ n 8
 6: 2 7 5
 7: 6 3 4
 """
+
+
+def three_connected_by_removal(emb):
+    """Reference: at least 4 vertices, and deleting any 0, 1 or 2 of them
+    leaves the rest connected."""
+    n = emb.vertex_count
+    if n < 4:
+        return False
+
+    def connected_without(gone):
+        start = next(v for v in range(n) if v not in gone)
+        seen = {start, *gone}
+        stack = [start]
+        while stack:
+            for u in emb.rotations[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return len(seen) == n
+
+    return all(connected_without(gone) for r in range(3) for gone in combinations(range(n), r))
+
+
+def cubic_with_bridge():
+    """Two K4s, each with edge 0-1 subdivided, subdivision vertices 4 and 9 joined."""
+    return PlanarEmbedding([
+        [4, 2, 3], [2, 4, 3], [3, 0, 1], [1, 0, 2], [0, 1, 9],
+        [9, 7, 8], [7, 9, 8], [8, 5, 6], [6, 5, 7], [5, 6, 4],
+    ])
+
+
+def cubic_with_2_edge_cut():
+    """Two cubes, each minus edge 0-1, joined by 0-8 and 1-9."""
+    cube = build_named("cube").embedding.rotations
+    rots = [list(r) for r in cube] + [[u + 8 for u in r] for r in cube]
+    rots[0] = [8 if u == 1 else u for u in rots[0]]
+    rots[1] = [9 if u == 0 else u for u in rots[1]]
+    rots[8] = [0 if u == 9 else u for u in rots[8]]
+    rots[9] = [1 if u == 8 else u for u in rots[9]]
+    return PlanarEmbedding(rots)
+
+
+def cube_beside_torus_k33():
+    """The cube plus a torus-embedded K_{3,3} on vertices 8..13: V - E + F = 2."""
+    cube = build_named("cube").embedding.rotations
+    return PlanarEmbedding(list(cube) + [[11, 12, 13]] * 3 + [[8, 9, 10]] * 3)
 
 
 def brute_force_3_edge_cuts(emb):
@@ -87,6 +134,13 @@ class TestParse:
         with pytest.raises(RotationFormatError, match="missing rotation line"):
             parse_embedding("n 2\n0: 1\n")
 
+    def test_missing_lines_cost_follows_rows_not_n(self):
+        t0 = time.perf_counter()
+        with pytest.raises(RotationFormatError) as err:
+            parse_embedding("n 1000000000\n0: 1\n")
+        assert time.perf_counter() - t0 < 1.0
+        assert "missing rotation line for vertices [1, 2, 3, 4, 5, 6, 7, 8]" in str(err.value)
+
     def test_comments_and_blank_lines(self):
         emb = parse_embedding("# header\n\n" + CUBE_DOC)
         assert emb.vertex_count == 8
@@ -98,6 +152,36 @@ class TestParse:
 
     def test_outer_directive_no_match(self):
         doc = CUBE_DOC.replace("n 8", "n 8\nouter 0 1 6 7")
+        with pytest.raises(RotationFormatError, match="matches no traced face"):
+            parse_embedding(doc)
+
+    @pytest.mark.parametrize("name", ["cube", "prism_6", "tutte_graph"])
+    def test_outer_line_names_each_face(self, name):
+        emb = build_named(name).embedding
+        lines = serialize_embedding(emb).splitlines()
+        for face in trace_faces(emb):
+            verts = list(face.vertices)
+            for cycle in (verts, verts[::-1]):
+                for i in range(len(cycle)):
+                    lines[1] = "outer " + " ".join(map(str, cycle[i:] + cycle[:i]))
+                    again = parse_embedding("\n".join(lines))
+                    assert again.outer_face_id == face.id, (name, lines[1])
+
+    @pytest.mark.parametrize("outer", ["0 1 2 3", "3 2 1 0", "1 0 3 2"])
+    def test_outer_line_on_bare_cycle_takes_lower_face(self, outer):
+        doc = f"n 4\nouter {outer}\n0: 1 3\n1: 2 0\n2: 3 1\n3: 0 2\n"
+        assert parse_embedding(doc).outer_face_id == 0
+
+    @pytest.mark.parametrize(
+        "outer",
+        [
+            "0 1 2 6 7 4",  # a 6-cycle of the cube that bounds no face
+            "0 1 2 7",  # 2-7 is not an edge
+            "0 2 3 1",  # 0-2 is not an edge
+        ],
+    )
+    def test_outer_line_not_a_face(self, outer):
+        doc = CUBE_DOC.replace("n 8", f"n 8\nouter {outer}")
         with pytest.raises(RotationFormatError, match="matches no traced face"):
             parse_embedding(doc)
 
@@ -154,6 +238,14 @@ class TestFaces:
         with pytest.raises(NonPlanarError):
             trace_faces(PlanarEmbedding(rots))
 
+    def test_disconnected_rejected_when_euler_holds(self):
+        emb = cube_beside_torus_k33()
+        with pytest.raises(NonPlanarError, match="disconnected"):
+            trace_faces(emb)
+        rep = validate(emb)
+        assert not rep.is_planar_embedding
+        assert not rep.vertex_connectivity_at_least_3
+
     def test_outer_default_longest_then_lexicographic(self, hex_prism):
         # Two hexagonal faces tie on length; the smaller vertex set wins.
         assert sorted(hex_prism.outer_face.vertices) == [0, 1, 2, 3, 4, 5]
@@ -183,19 +275,36 @@ class TestValidate:
         assert not rep.is_bipartite
         assert not rep.is_barnette
 
-    def test_flow_based_connectivity_matches_exhaustive(self):
-        # Same verdicts from both 3-connectivity routes on small graphs.
-        from barnette.embedding import _three_connected_exhaustive, _three_connected_flow
-
-        for name in ["cube", "prism_6", "two_cubes_bridge", "tutte_graph"]:
-            emb = build_named(name).embedding
-            assert _three_connected_exhaustive(emb) == _three_connected_flow(emb), name
-        path = PlanarEmbedding([[1], [0, 2], [1, 3], [2]])
-        assert not _three_connected_flow(path)
-
-    def test_large_prism_uses_flow_route(self):
-        emb = generate_prism(60).embedding  # n = 240 > exhaustive limit
-        assert validate(emb).is_barnette
+    def test_connectivity_matches_removal_reference(self, corpus_graphs):
+        graphs = {name: g.embedding for name, g in corpus_graphs.items()}
+        graphs.update((f"prism_k{k}", generate_prism(k).embedding) for k in range(2, 26))
+        leapfrog = build_named("cube").embedding
+        for n in (24, 72):
+            leapfrog = truncate_embedding(dual_embedding(leapfrog))
+            assert leapfrog.vertex_count == n
+            graphs[f"leapfrog_{n}"] = leapfrog
+        negatives = {
+            "bridge": cubic_with_bridge(),
+            "two_edge_cut": cubic_with_2_edge_cut(),
+            "disconnected": cube_beside_torus_k33(),
+        }
+        graphs.update(negatives)
+        # Non-cubic inputs take the flow route.
+        graphs["path"] = PlanarEmbedding([[1], [0, 2], [1, 3], [2]])
+        graphs["cycle_6"] = PlanarEmbedding([[(v + 1) % 6, (v - 1) % 6] for v in range(6)])
+        graphs["wheel_6"] = PlanarEmbedding(
+            [[1, 2, 3, 4, 5, 6]]
+            + [[v % 6 + 1, 0, (v - 2) % 6 + 1] for v in range(1, 7)]
+        )
+        for name, emb in graphs.items():
+            want = three_connected_by_removal(emb)
+            assert validate(emb).vertex_connectivity_at_least_3 == want, name
+        assert not any(three_connected_by_removal(emb) for emb in negatives.values())
+        # The bridge and the 2-edge cut trace cleanly, so they reach the cubic rule.
+        assert validate(negatives["bridge"]).is_planar_embedding
+        assert validate(negatives["two_edge_cut"]).is_planar_embedding
+        assert three_connected_by_removal(graphs["wheel_6"])
+        assert validate(generate_prism(60).embedding).is_barnette  # n = 240
 
 
 class TestEdgeCuts:
