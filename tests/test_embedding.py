@@ -304,7 +304,26 @@ class TestValidate:
         assert validate(negatives["bridge"]).is_planar_embedding
         assert validate(negatives["two_edge_cut"]).is_planar_embedding
         assert three_connected_by_removal(graphs["wheel_6"])
-        assert validate(generate_prism(60).embedding).is_barnette  # n = 240
+
+    def test_flow_based_connectivity_matches_exhaustive(self):
+        # The flow route agrees with the removal reference and the cubic rule.
+        from barnette.embedding import _three_connected_cubic, _three_connected_flow
+
+        for name in ["cube", "prism_6", "two_cubes_bridge", "tutte_graph"]:
+            emb = build_named(name).embedding
+            assert three_connected_by_removal(emb) == _three_connected_flow(emb), name
+            assert _three_connected_cubic(emb) == _three_connected_flow(emb), name
+        path = PlanarEmbedding([[1], [0, 2], [1, 3], [2]])
+        assert not _three_connected_flow(path)
+
+    def test_large_prism_uses_flow_route(self):
+        # Both routes accept the 240-vertex prism; validate reports it Barnette.
+        from barnette.embedding import _three_connected_cubic, _three_connected_flow
+
+        emb = generate_prism(60).embedding
+        assert _three_connected_flow(emb)
+        assert _three_connected_cubic(emb)
+        assert validate(emb).is_barnette
 
 
 class TestEdgeCuts:
