@@ -8,11 +8,18 @@ When a face cannot be alternated but borders the outer-Hamiltonian
 region, the door itself is promoted into the cycle and the face is
 closed.  There is no backtracking: a labeling conflict ends the run, and
 that ending is reported as evidence, never raised as a crash.
+
+A carve costs one pass per opened face.  Set-up touches the outer edges
+only: the faces that hold an outer-Hamiltonian edge are read off their
+``edge_faces`` and stay fixed for the run, since that role is never
+assigned later.  The promotion and bridge tests are answered from per-carve
+sets built from them once per face, so no door rescans its face or the map.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -149,9 +156,18 @@ class ChamberState:
         self._parent = list(range(n))
         self._size = [1] * n
         self.entrances = entrances
-        # Faces that hold at least one outer-Hamiltonian edge, fixed at
-        # init time; this is what the door-promotion rule consults.
+        # Faces that hold at least one outer-Hamiltonian edge.  That role
+        # is only assigned at set-up, so the set is fixed for the run and
+        # the promotion and bridge rules below are answered per face,
+        # once, from the caches that follow it.
         self._outer_ham_faces: set[int] = set()
+        self._borders_outer_ham: dict[int, bool] = {}
+        self._face_edges: dict[int, tuple[Edge, ...]] = {}
+        # face id -> (first walk position of each edge, (position, edge,
+        # far face id) of the edges whose far face is outer-Hamiltonian)
+        self._bridge_candidates: dict[
+            int, tuple[dict[Edge, int], list[tuple[int, Edge, int]]]
+        ] = {}
 
     # -- union-find over cycle edges ---------------------------------
 
@@ -204,7 +220,13 @@ class ChamberState:
         j[key].setdefault(v, table[v])
         table[v] += delta
 
-    def add_ham_edge(self, j: dict, e: Edge, role: EdgeRole = EdgeRole.INNER_HAMILTONIAN) -> None:
+    def add_ham_edge(
+        self,
+        j: dict,
+        e: Edge,
+        role: EdgeRole = EdgeRole.INNER_HAMILTONIAN,
+        short_cycle_ok: bool = False,
+    ) -> None:
         u, v = e
         old = self.roles[e]
         if old in _HAM_ROLES:
@@ -212,7 +234,7 @@ class ChamberState:
         if self.deg_h[u] >= 2 or self.deg_h[v] >= 2:
             raise RoleConflictError(f"edge {e} would give a vertex three cycle edges")
         ru, rv = self._find(u), self._find(v)
-        if ru == rv and self.h_count + 1 != self.embedding.vertex_count:
+        if ru == rv and not short_cycle_ok and self.h_count + 1 != self.embedding.vertex_count:
             raise RoleConflictError(f"edge {e} would close a cycle shorter than n")
         if old in _DOOR_ROLES:
             self._bump(j, self.deg_door, "deg_door", u, -1)
@@ -247,13 +269,42 @@ class ChamberState:
             return None
         return self.embedding.faces[ids[0]]
 
+    def edges_of(self, fid: int) -> tuple[Edge, ...]:
+        edges = self._face_edges.get(fid)
+        if edges is None:
+            edges = self._face_edges[fid] = self.embedding.faces[fid].edges
+        return edges
+
     def face_borders_outer_ham(self, face: Face) -> bool:
         """The promotion test: does any edge of the face lie on a face
         that carries an outer-Hamiltonian edge?"""
-        edge_faces = self.embedding.edge_faces
-        return any(
-            fid in self._outer_ham_faces for e in face.edges for fid in edge_faces[e]
-        )
+        hit = self._borders_outer_ham.get(face.id)
+        if hit is None:
+            edge_faces = self.embedding.edge_faces
+            ham_faces = self._outer_ham_faces
+            hit = any(fid in ham_faces for e in self.edges_of(face.id) for fid in edge_faces[e])
+            self._borders_outer_ham[face.id] = hit
+        return hit
+
+    def bridge_candidates(
+        self, fid: int
+    ) -> tuple[dict[Edge, int], list[tuple[int, Edge, int]]]:
+        """The edges of face ``fid`` whose far face is outer-Hamiltonian,
+        in walk order, with the walk position of every edge of the face."""
+        cached = self._bridge_candidates.get(fid)
+        if cached is None:
+            edge_faces = self.embedding.edge_faces
+            ham_faces = self._outer_ham_faces
+            position: dict[Edge, int] = {}
+            entries: list[tuple[int, Edge, int]] = []
+            for i, e in enumerate(self.edges_of(fid)):
+                position.setdefault(e, i)
+                for other in edge_faces[e]:
+                    if other != fid and other in ham_faces:
+                        entries.append((i, e, other))
+            cached = (position, entries)
+            self._bridge_candidates[fid] = cached
+        return cached
 
     def copy(self) -> "ChamberState":
         out = ChamberState.__new__(ChamberState)
@@ -269,12 +320,16 @@ class ChamberState:
         out._size = list(self._size)
         out.entrances = self.entrances
         out._outer_ham_faces = set(self._outer_ham_faces)
+        out._borders_outer_ham = dict(self._borders_outer_ham)
+        out._face_edges = dict(self._face_edges)
+        out._bridge_candidates = dict(self._bridge_candidates)
         return out
 
 
 def _init_state(embedding: PlanarEmbedding, entrances: tuple[Edge, ...]) -> ChamberState:
     state = ChamberState(embedding, entrances)
     outer = embedding.outer_face
+    edge_faces = embedding.edge_faces
     j = state._journal_start()
     for e in outer.edges:
         if e in entrances:
@@ -284,10 +339,8 @@ def _init_state(embedding: PlanarEmbedding, entrances: tuple[Edge, ...]) -> Cham
             state.deg_door[v] += 1
         else:
             state.add_ham_edge(j, e, EdgeRole.OUTER_HAMILTONIAN)
+            state._outer_ham_faces.update(edge_faces[e])
     state.entered_faces.add(outer.id)
-    for fid, face in enumerate(embedding.faces):
-        if any(state.roles[e] is EdgeRole.OUTER_HAMILTONIAN for e in face.edges):
-            state._outer_ham_faces.add(fid)
     for i, e in enumerate(entrances):
         state.frontier.append((e, i))
     return state
@@ -379,26 +432,23 @@ def detect_bridge_face(
 ) -> tuple[Edge, Edge] | None:
     """Double-cut escape: look for an unassigned edge e of the door's
     face whose far face carries both an outer-Hamiltonian edge and a
-    different inner door d_j.  Returns (e, d_j) or None."""
+    different inner door d_j.  Returns (e, d_j) or None.
+
+    Edges are tried in the walk order from the door, and only those whose
+    far face is one of the state's outer-Hamiltonian faces can qualify.
+    """
     door = edge_key(*door)
-    edge_faces = embedding.edge_faces
-    for fid in edge_faces[door]:
-        face = embedding.faces[fid]
-        for e in _face_walk_from(face, door, left_walk=False)[1:]:
-            if state.roles[e] is not EdgeRole.UNASSIGNED:
+    roles = state.roles
+    for fid in embedding.edge_faces[door]:
+        position, entries = state.bridge_candidates(fid)
+        start = position[door]
+        split = bisect_right(entries, start, key=lambda entry: entry[0])
+        for i, e, other in entries[split:] + entries[:split]:
+            if i == start or roles[e] is not EdgeRole.UNASSIGNED:
                 continue
-            for other_fid in edge_faces[e]:
-                if other_fid == fid:
-                    continue
-                other = embedding.faces[other_fid]
-                has_outer = any(
-                    state.roles[x] is EdgeRole.OUTER_HAMILTONIAN for x in other.edges
-                )
-                if not has_outer:
-                    continue
-                for x in other.edges:
-                    if x != door and state.roles[x] is EdgeRole.INNER_DOOR:
-                        return e, x
+            for x in state.edges_of(other):
+                if x != door and roles[x] is EdgeRole.INNER_DOOR:
+                    return e, x
     return None
 
 
@@ -441,21 +491,28 @@ def _ham_components(state: ChamberState) -> tuple[list[list[int]], list[int]]:
 
 
 def _extract_cycle(state: ChamberState) -> tuple[int, ...] | None:
-    """Order the cycle-role edges into one spanning cycle, if they form one."""
+    """Order the cycle-role edges into one spanning cycle, if they form one.
+
+    Every vertex must have two cycle edges, and the walk from vertex 0
+    must return to it only after visiting all n vertices.
+    """
     n = state.embedding.vertex_count
-    comps, degs = _ham_components(state)
-    if len(comps) != 1 or len(comps[0]) != n or any(d != 2 for d in degs):
-        return None
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for e, r in state.roles.items():
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for (u, v), r in state.roles.items():
         if r in _HAM_ROLES:
-            adj[e[0]].append(e[1])
-            adj[e[1]].append(e[0])
+            adj[u].append(v)
+            adj[v].append(u)
+    if any(len(nbrs) != 2 for nbrs in adj):
+        return None
     seq = [0, min(adj[0])]
-    while len(seq) < n:
+    while True:
         a, b = seq[-2], seq[-1]
-        seq.append(adj[b][0] if adj[b][0] != a else adj[b][1])
-    return tuple(seq)
+        nbrs = adj[b]
+        c = nbrs[0] if nbrs[0] != a else nbrs[1]
+        if c == 0:
+            break
+        seq.append(c)
+    return tuple(seq) if len(seq) == n else None
 
 
 def _near_cycle(state: ChamberState) -> tuple[int, ...] | None:
@@ -474,10 +531,9 @@ def _near_cycle(state: ChamberState) -> tuple[int, ...] | None:
     if len(ends) == 2 and state.embedding.has_edge(*ends):
         e = edge_key(*ends)
         if state.roles[e] is EdgeRole.UNASSIGNED or state.roles[e] in _DOOR_ROLES:
-            # Close the open path directly: the cycle-shorter-than-n guard
-            # does not apply, a sub-spanning cycle is the goal here.
-            state.roles[e] = EdgeRole.INNER_HAMILTONIAN
-            state.h_count += 1
+            # Close the open path: the cycle-shorter-than-n guard does not
+            # apply, a sub-spanning cycle is the goal here.
+            state.add_ham_edge(state._journal_start(), e, short_cycle_ok=True)
             return _cycle_order(state, comp)
     return None
 
@@ -524,7 +580,7 @@ def _finish(state: ChamberState, reason: str | None) -> CarveResult:
             return CarveResult(
                 status=CarveStatus.HAMILTONIAN_CYCLE,
                 cycle=cycle,
-                roles=dict(state.roles),
+                roles=state.roles,
                 trace=tuple(state.trace),
                 entrances=state.entrances,
             )
@@ -536,7 +592,7 @@ def _finish(state: ChamberState, reason: str | None) -> CarveResult:
             return CarveResult(
                 status=CarveStatus.NEAR_CYCLE,
                 cycle=near,
-                roles=dict(state.roles),
+                roles=state.roles,
                 trace=tuple(state.trace),
                 entrances=state.entrances,
             )
@@ -550,7 +606,7 @@ def _finish(state: ChamberState, reason: str | None) -> CarveResult:
     return CarveResult(
         status=CarveStatus.FAILURE,
         cycle=(),
-        roles=dict(state.roles),
+        roles=state.roles,
         trace=tuple(state.trace),
         entrances=state.entrances,
         failure_reason=reason,

@@ -213,7 +213,20 @@ class PlanarEmbedding:
         return {d: f.id for f in self.faces for d in f.darts}
 
     def with_outer_face(self, outer_face_id: int) -> "PlanarEmbedding":
-        return PlanarEmbedding(self.rotations, outer_face_id=outer_face_id)
+        """The same map rooted at another face.
+
+        The rotations were checked when this map was built, and the
+        faces and edge indexes do not depend on the outer face, so the
+        copy shares whatever of them is already computed.
+        """
+        out = PlanarEmbedding.__new__(PlanarEmbedding)
+        out.rotations = self.rotations
+        out.vertex_count = self.vertex_count
+        out._explicit_outer = outer_face_id
+        for name in _OUTER_INDEPENDENT_CACHES:
+            if name in self.__dict__:
+                out.__dict__[name] = self.__dict__[name]
+        return out
 
     # -- equality / hashing ----------------------------------------------
 
@@ -227,6 +240,9 @@ class PlanarEmbedding:
 
     def __repr__(self) -> str:
         return f"PlanarEmbedding(n={self.vertex_count}, m={self.edge_count})"
+
+
+_OUTER_INDEPENDENT_CACHES = ("edges", "faces", "_dart_face", "edge_faces")
 
 
 def trace_faces(embedding: PlanarEmbedding) -> tuple[Face, ...]:

@@ -13,7 +13,6 @@ import sys
 import time
 from contextlib import contextmanager
 from barnette.carve import CarveStatus, carve, chamber_count, select_entrance
-from barnette.cli import bench_scaling
 from barnette.corpus import (
     bipartite_fragment_family,
     build_fragment,
@@ -269,14 +268,37 @@ def test_criterion_7_chamber_analysis():
         assert min(counts) == 1
 
 
+def interleaved_carve_us_per_vertex(cases, rounds: int) -> list[float]:
+    """Best carve time per vertex of each ``(embedding, entrance)`` case.
+
+    A shared host drifts in speed over seconds.  So each timed sample
+    carves a case as often as it takes to cover as many vertices as one
+    carve of the largest case (both see the drift over the same span),
+    every round times all cases in turn, and each case keeps its best
+    sample over the rounds.  Every carve must end in a Hamiltonian cycle.
+    """
+    largest = max(emb.vertex_count for emb, _ in cases)
+    for emb, _ in cases:
+        emb.faces, emb.edge_faces, emb.outer_edges  # index outside the timing
+    best = [float("inf")] * len(cases)
+    for _ in range(rounds):
+        for i, (emb, entrance) in enumerate(cases):
+            batch = largest // emb.vertex_count
+            t0 = time.perf_counter()
+            results = [carve(emb, entrance) for _ in range(batch)]
+            best[i] = min(best[i], (time.perf_counter() - t0) / (batch * emb.vertex_count))
+            assert all(r.status is CarveStatus.HAMILTONIAN_CYCLE for r in results), emb
+    return [b * 1e6 for b in best]
+
+
 def test_criterion_8_linear_scaling():
     with criterion(8, "linear-time scaling", 120.0):
-        rows = bench_scaling([250, 2500, 25000], repeats=3)
-        assert [r["n"] for r in rows] == [1000, 10000, 100000]
-        assert all(r["status"] == "HamiltonianCycle" for r in rows)
-        ratio = rows[-1]["per_vertex_us"] / rows[0]["per_vertex_us"]
+        cases = [(generate_prism(k).embedding, (0, 1)) for k in (250, 2500, 25000)]
+        assert [emb.vertex_count for emb, _ in cases] == [1000, 10000, 100000]
+        per_vertex_us = interleaved_carve_us_per_vertex(cases, rounds=3)
+        ratio = per_vertex_us[-1] / per_vertex_us[0]
         print(f"\nscaling-report: per-vertex us = "
-              f"{[round(r['per_vertex_us'], 2) for r in rows]} ratio={ratio:.2f}")
+              f"{[round(u, 2) for u in per_vertex_us]} ratio={ratio:.2f}")
         assert ratio <= 2.0
 
 
@@ -310,5 +332,27 @@ def test_criterion_10_front_end_linear_scaling():
             per_vertex_us.append(best / (4 * k) * 1e6)
         ratio = per_vertex_us[1] / per_vertex_us[0]
         print(f"\nfront-end-report: parse+validate per-vertex us = "
+              f"{[round(u, 2) for u in per_vertex_us]} ratio={ratio:.2f}")
+        assert ratio <= 2.0
+
+
+def square_rooted_prism(k):
+    """The prism C_{2k} x K_2 rooted at a square face, with a ring edge of
+    that square as the entrance: the spiral then runs along both rings."""
+    base = generate_prism(k).embedding
+    square = next(f for f in base.faces if f.length == 4)
+    emb = base.with_outer_face(square.id)
+    ring = [e for e in sorted(square.edges)
+            if any(emb.faces[f].length > 4 for f in emb.edge_faces[e])]
+    return emb, ring[0]
+
+
+def test_criterion_11_short_outer_linear_scaling():
+    with criterion(11, "short-outer carve scaling", 120.0):
+        cases = [square_rooted_prism(k) for k in (250, 1000)]
+        assert [emb.vertex_count for emb, _ in cases] == [1000, 4000]
+        per_vertex_us = interleaved_carve_us_per_vertex(cases, rounds=3)
+        ratio = per_vertex_us[1] / per_vertex_us[0]
+        print(f"\nshort-outer-report: per-vertex us = "
               f"{[round(u, 2) for u in per_vertex_us]} ratio={ratio:.2f}")
         assert ratio <= 2.0

@@ -1,5 +1,7 @@
 """Chamber expansion: entrance choice, face openings, full runs, chambers."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from barnette.carve import (
     open_face,
     select_entrance,
 )
-from barnette.corpus import build_named, generate_prism
+from barnette.corpus import build_named, dual_embedding, generate_prism, truncate_embedding
 from barnette.embedding import PlanarEmbedding, edge_key, enumerate_3_edge_cuts
 from barnette.oracle import (
     enumerate_hamiltonian_cycles,
@@ -289,6 +291,7 @@ class TestBridgeRule:
         outer = set(emb.outer_face.edges)
         for e in outer:
             state.roles[e] = EdgeRole.OUTER_HAMILTONIAN
+            state._outer_ham_faces.update(emb.edge_faces[e])
         setup = None
         for f in emb.faces:
             if f.id == emb.outer_face_id or not any(e in outer for e in f.edges):
@@ -325,6 +328,7 @@ class TestBridgeRule:
         state = ChamberState(cube, ())
         for e in sorted(cube.outer_face.edges)[1:]:
             state.roles[e] = EdgeRole.OUTER_HAMILTONIAN
+            state._outer_ham_faces.update(cube.edge_faces[e])
         state.roles[(4, 5)] = EdgeRole.INNER_DOOR
         assert detect_bridge_face(state, (4, 5), cube) is None
 
@@ -345,6 +349,26 @@ class TestNearCycle:
         assert len(res.cycle) == 3
         cert = verify_cycle(k4, res.cycle)
         assert cert.is_cycle and not cert.is_hamiltonian
+
+    @pytest.mark.parametrize("closing_role", [EdgeRole.UNASSIGNED, EdgeRole.INNER_DOOR])
+    def test_closing_edge_updates_degree_counts(self, closing_role):
+        # The closing edge joins the cycle like any other cycle edge: its
+        # ends gain a cycle edge and lose the door they held, if any.
+        from barnette.carve import _near_cycle
+
+        k4 = PlanarEmbedding([[1, 2, 3], [2, 0, 3], [3, 0, 1], [1, 0, 2]])
+        state = ChamberState(k4, ())
+        j = state._journal_start()
+        state.add_ham_edge(j, (1, 2))
+        state.add_ham_edge(j, (2, 3))
+        if closing_role is EdgeRole.INNER_DOOR:
+            state.add_door_edge(j, (1, 3))
+            assert state.deg_door == [0, 1, 0, 1]
+        assert _near_cycle(state) == (1, 2, 3)
+        assert state.roles[(1, 3)] is EdgeRole.INNER_HAMILTONIAN
+        assert state.h_count == 3
+        assert state.deg_h == [0, 2, 2, 2]
+        assert state.deg_door == [0, 0, 0, 0]
 
     def test_ready_made_short_cycle_reported(self):
         # Same state shape but the (n-1)-cycle already closed.
@@ -411,3 +435,45 @@ def test_prism_family_carve_properties(k, entrance_index, left):
     assert chamber_count(emb, res.cycle) == 1
     # determinism, byte for byte
     assert carve(emb, entrance, left_walk=left) == res
+
+
+# SHA-256 over every (status, cycle, trace records, failure reason) of the
+# runs in test_trace_digest_is_pinned.  Any change to a carve outcome or to
+# one trace byte changes it.
+TRACE_DIGEST = "c69c50792726c6e8b23f4a086486bc36b63929363644c170586801259f4a0808"
+
+
+def test_trace_digest_is_pinned(corpus_graphs):
+    """Golden outcome of carve (both walk directions, every outer edge) and
+    carve_double (every disjoint outer pair) with every face as the outer
+    face of the corpus, prisms k = 3..13 and the first two cube leapfrogs."""
+    bases = [g.embedding for g in corpus_graphs.values()]
+    bases += [generate_prism(k).embedding for k in range(3, 14)]
+    leapfrog = build_named("cube").embedding
+    for _ in range(2):
+        leapfrog = truncate_embedding(dual_embedding(leapfrog))
+        bases.append(leapfrog)
+    digest = hashlib.sha256()
+    runs = 0
+    for base in bases:
+        for face in base.faces:
+            emb = base.with_outer_face(face.id)
+            outer = sorted(emb.outer_edges)
+            results = [carve(emb, e, left_walk=lw) for e in outer for lw in (False, True)]
+            results += [
+                carve_double(emb, (a, b))
+                for i, a in enumerate(outer)
+                for b in outer[i + 1:]
+                if not set(a) & set(b)
+            ]
+            for res in results:
+                record = (
+                    res.status.value,
+                    res.cycle,
+                    [ev.record() for ev in res.trace],
+                    res.failure_reason,
+                )
+                digest.update(repr(record).encode())
+            runs += len(results)
+    assert runs == 7998
+    assert digest.hexdigest() == TRACE_DIGEST

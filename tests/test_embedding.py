@@ -155,6 +155,38 @@ class TestParse:
         with pytest.raises(RotationFormatError, match="matches no traced face"):
             parse_embedding(doc)
 
+    def test_outer_line_reuses_traced_faces(self, monkeypatch):
+        # Matching the outer line traces the faces once; the re-rooted
+        # embedding parse returns keeps that same tuple.
+        matched = []
+        real_with_outer_face = PlanarEmbedding.with_outer_face
+
+        def recording(self, outer_face_id):
+            matched.append(self)
+            return real_with_outer_face(self, outer_face_id)
+
+        monkeypatch.setattr(PlanarEmbedding, "with_outer_face", recording)
+        emb = parse_embedding(CUBE_DOC.replace("n 8", "n 8\nouter 0 4 5 1"))
+        assert len(matched) == 1
+        assert emb.faces is matched[0].faces
+        assert emb._dart_face is matched[0]._dart_face
+        assert set(emb.outer_face.vertices) == {0, 4, 5, 1}
+
+    def test_with_outer_face_shares_outer_independent_indexes(self):
+        base = generate_prism(3).embedding
+        cold = base.with_outer_face(2)  # nothing cached yet: traced on use
+        base.edge_faces, base.face_of_dart((0, 1))
+        for face in base.faces:
+            rooted = base.with_outer_face(face.id)
+            assert rooted.outer_face_id == face.id
+            assert rooted.faces is base.faces
+            assert rooted.edges is base.edges
+            assert rooted.edge_faces is base.edge_faces
+            assert rooted._dart_face is base._dart_face
+            assert rooted.outer_edges == frozenset(face.edges)
+        assert cold.faces is not base.faces
+        assert cold.faces == base.faces and cold.outer_face_id == 2
+
     @pytest.mark.parametrize("name", ["cube", "prism_6", "tutte_graph"])
     def test_outer_line_names_each_face(self, name):
         emb = build_named(name).embedding
