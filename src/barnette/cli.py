@@ -275,13 +275,13 @@ def _compare_one(path: str, all_entrances: bool, budget: int) -> RunReport:
     emb = _load(path)
     t0 = time.perf_counter()
     rep = validate(emb)
-    if emb.edge_count <= _CUT_ENUMERATION_EDGE_LIMIT:
-        cuts = enumerate_3_edge_cuts(emb)
-    else:
-        cuts = []
     if all_entrances:
         entrances = sorted(emb.outer_face.edges)
     else:
+        if emb.edge_count <= _CUT_ENUMERATION_EDGE_LIMIT:
+            cuts = enumerate_3_edge_cuts(emb)
+        else:
+            cuts = []
         entrances = [select_entrance(emb, cuts).edge]
     t_carve0 = time.perf_counter()
     outcomes: list[tuple[Edge, str, int]] = []
@@ -451,7 +451,6 @@ _DOT_STYLE = {
     EdgeRole.OUTER_HAMILTONIAN: ' [style=bold penwidth=2.5]',
     EdgeRole.INNER_HAMILTONIAN: ' [style=bold penwidth=2.5]',
     EdgeRole.INNER_DOOR: ' [style=dashed]',
-    EdgeRole.OUTER_DOOR: ' [style=dashed]',
     EdgeRole.ENTRANCE_DOOR: ' [color="black:invis:black"]',
     EdgeRole.UNASSIGNED: "",
 }

@@ -1,6 +1,7 @@
 """Chamber expansion: entrance choice, face openings, full runs, chambers."""
 
 import hashlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +15,13 @@ from barnette.carve import (
     EdgeRole,
     OddFaceError,
     RoleConflictError,
+    _apply_opening,
     _init_state,
+    _run_one,
     carve,
     carve_double,
     chamber_count,
     detect_bridge_face,
-    open_face,
     select_entrance,
 )
 from barnette.corpus import build_named, dual_embedding, generate_prism, truncate_embedding
@@ -31,7 +33,6 @@ from barnette.oracle import (
 )
 
 HAM = (EdgeRole.OUTER_HAMILTONIAN, EdgeRole.INNER_HAMILTONIAN)
-DOORS = (EdgeRole.OUTER_DOOR, EdgeRole.INNER_DOOR, EdgeRole.ENTRANCE_DOOR)
 
 
 def assert_partition(emb, res):
@@ -45,7 +46,26 @@ def assert_partition(emb, res):
     assert union == set(emb.edges)
     assert total == emb.edge_count
     assert not classes[EdgeRole.UNASSIGNED]
-    assert not classes[EdgeRole.OUTER_DOOR]
+
+
+def assert_path_forest(res):
+    """The cycle-role edges form vertex-disjoint simple paths: no vertex
+    has three of them, and they close no cycle (a forest has as many
+    edges as covered vertices minus components)."""
+    edges = [e for e, r in res.roles.items() if r in HAM]
+    degree = Counter(v for e in edges for v in e)
+    assert max(degree.values(), default=0) <= 2
+    parent = {v: v for v in degree}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    components = sum(1 for v in parent if parent[v] == v)
+    assert len(edges) == len(degree) - components
 
 
 def assert_cycle_counts(emb, res):
@@ -94,48 +114,64 @@ class TestOpenFace:
     def entrance_state(self, emb, entrance):
         return _init_state(emb, (edge_key(*entrance),))
 
+    @staticmethod
+    def snapshot(state):
+        return (
+            dict(state.roles), list(state.deg_h), list(state.deg_door),
+            list(state._end), state.h_count, set(state.entered_faces),
+            list(state.frontier), list(state.trace),
+        )
+
+    @staticmethod
+    def inner_doors(state):
+        return [e for e, r in state.roles.items() if r is EdgeRole.INNER_DOOR]
+
     def test_four_face_alternation(self, cube):
         state = self.entrance_state(cube, (0, 1))
-        face = state.unentered_face((0, 1))
-        assert face.length == 4
-        out = open_face(state, (0, 1), face)
-        new_h = [e for e, r in out.roles.items() if r is EdgeRole.INNER_HAMILTONIAN]
-        new_d = [e for e, r in out.roles.items() if r is EdgeRole.INNER_DOOR]
+        assert state.unentered_face((0, 1)).length == 4
+        assert state.h_count == 3
+        assert _run_one(state, False) is None
+        new_h = [e for e, r in state.roles.items() if r is EdgeRole.INNER_HAMILTONIAN]
+        new_d = self.inner_doors(state)
         assert len(new_h) == 2 and len(new_d) == 1
         door = new_d[0]
         # the new door is opposite the entrance: disjoint from it
         assert not set(door) & {0, 1}
-        # input state untouched
-        assert state.h_count == 3 and out.h_count == 5
+        assert state.h_count == 5
+        assert list(state.frontier) == [(door, 0)]
+        assert [ev.kind for ev in state.trace] == ["open"]
 
     def test_six_face_alternation(self, hex_prism):
         state = self.entrance_state(hex_prism, (0, 1))
-        first = state.unentered_face((0, 1))
-        state = open_face(state, (0, 1), first)
-        door = next(e for e, r in state.roles.items() if r is EdgeRole.INNER_DOOR)
+        _run_one(state, False)
+        door = self.inner_doors(state)[0]
         face = state.unentered_face(door)
         assert face.length == 6
-        out = open_face(state, door, face)
+        new_h, new_doors = _apply_opening(state, door, face)
+        assert len(new_h) == 3 and len(new_doors) == 2
         h_new = sum(
-            1 for e in face.edges if out.roles[e] is EdgeRole.INNER_HAMILTONIAN
+            1 for e in face.edges if state.roles[e] is EdgeRole.INNER_HAMILTONIAN
         )
-        d_new = sum(1 for e in face.edges if out.roles[e] is EdgeRole.INNER_DOOR)
+        d_new = sum(1 for e in face.edges if state.roles[e] is EdgeRole.INNER_DOOR)
         assert h_new == 3
         assert d_new == 2 + 1  # two fresh doors plus the opened one
+        assert face.id in state.entered_faces
 
-    def test_degree_conflict_raises(self, cube):
-        # Opening the face across from a door whose alternation would give
-        # an outer vertex a third cycle edge must fail atomically.
-        state = self.entrance_state(cube, (0, 1))
-        state = open_face(state, (0, 1), state.unentered_face((0, 1)))
-        door = next(e for e, r in state.roles.items() if r is EdgeRole.INNER_DOOR)
-        state = open_face(state, door, state.unentered_face(door))
-        last_door = next(e for e, r in state.roles.items()
-                         if r is EdgeRole.INNER_DOOR and state.unentered_face(e))
-        before = dict(state.roles)
-        with pytest.raises(RoleConflictError):
-            open_face(state, last_door, state.unentered_face(last_door))
-        assert state.roles == before
+    def test_degree_conflict_raises(self):
+        # On the bridge gadget entered at (0, 4), the walk around the third
+        # door's hexagon labels one cycle edge and one door before it meets
+        # a vertex that would get a third cycle edge.  The opening must
+        # fail atomically: every write before the conflict is undone.
+        emb = build_named("two_cubes_bridge").embedding
+        state = self.entrance_state(emb, (0, 4))
+        _run_one(state, False)
+        _run_one(state, False)
+        door, _ = state.frontier[0]
+        face = state.unentered_face(door)
+        before = self.snapshot(state)
+        with pytest.raises(RoleConflictError, match="three cycle edges"):
+            _apply_opening(state, door, face)
+        assert self.snapshot(state) == before
 
     def test_odd_face_rejected(self):
         emb = build_named("dodecahedron").embedding
@@ -144,20 +180,24 @@ class TestOpenFace:
         face = state.unentered_face(entrance)
         assert face.length == 5
         with pytest.raises(OddFaceError):
-            open_face(state, entrance, face)
+            _apply_opening(state, entrance, face)
+        assert _run_one(state, False).startswith("cannot open the entrance face: face")
 
     def test_door_adjacency_guard(self, cube):
         state = self.entrance_state(cube, (0, 1))
-        j = state._journal_start()
-        state.add_door_edge(j, (4, 5))
+        state.add_door_edge((4, 5))
         with pytest.raises(DoorAdjacencyError):
-            state.add_door_edge(j, (4, 7))
+            state.add_door_edge((4, 7))
 
     def test_non_door_rejected(self, cube):
+        # A frontier entry whose edge has since joined the cycle is stale:
+        # the pop skips it without opening a face or tracing a step.
         state = self.entrance_state(cube, (0, 1))
-        face = state.unentered_face((0, 1))
-        with pytest.raises(RoleConflictError):
-            open_face(state, (1, 2), face)
+        assert state.roles[(1, 2)] is EdgeRole.OUTER_HAMILTONIAN
+        before = self.snapshot(state)
+        state.frontier.appendleft(((1, 2), 0))
+        assert _run_one(state, False) is None
+        assert self.snapshot(state) == before
 
 
 class TestCarve:
@@ -341,9 +381,8 @@ class TestNearCycle:
 
         k4 = PlanarEmbedding([[1, 2, 3], [2, 0, 3], [3, 0, 1], [1, 0, 2]])
         state = ChamberState(k4, ())
-        j = state._journal_start()
-        state.add_ham_edge(j, (1, 2))
-        state.add_ham_edge(j, (2, 3))
+        state.add_ham_edge((1, 2))
+        state.add_ham_edge((2, 3))
         res = _finish(state, None)
         assert res.status is CarveStatus.NEAR_CYCLE
         assert len(res.cycle) == 3
@@ -358,30 +397,16 @@ class TestNearCycle:
 
         k4 = PlanarEmbedding([[1, 2, 3], [2, 0, 3], [3, 0, 1], [1, 0, 2]])
         state = ChamberState(k4, ())
-        j = state._journal_start()
-        state.add_ham_edge(j, (1, 2))
-        state.add_ham_edge(j, (2, 3))
+        state.add_ham_edge((1, 2))
+        state.add_ham_edge((2, 3))
         if closing_role is EdgeRole.INNER_DOOR:
-            state.add_door_edge(j, (1, 3))
+            state.add_door_edge((1, 3))
             assert state.deg_door == [0, 1, 0, 1]
         assert _near_cycle(state) == (1, 2, 3)
         assert state.roles[(1, 3)] is EdgeRole.INNER_HAMILTONIAN
         assert state.h_count == 3
         assert state.deg_h == [0, 2, 2, 2]
         assert state.deg_door == [0, 0, 0, 0]
-
-    def test_ready_made_short_cycle_reported(self):
-        # Same state shape but the (n-1)-cycle already closed.
-        from barnette.carve import _finish
-
-        k4 = PlanarEmbedding([[1, 2, 3], [2, 0, 3], [3, 0, 1], [1, 0, 2]])
-        state = ChamberState(k4, ())
-        for e in ((1, 2), (2, 3), (1, 3)):
-            state.roles[e] = EdgeRole.INNER_HAMILTONIAN
-        state.h_count = 3
-        res = _finish(state, None)
-        assert res.status is CarveStatus.NEAR_CYCLE
-        assert sorted(res.cycle) == [1, 2, 3]
 
     def test_two_missing_vertices_is_plain_failure(self):
         from barnette.carve import _finish
@@ -467,6 +492,8 @@ def test_trace_digest_is_pinned(corpus_graphs):
                 if not set(a) & set(b)
             ]
             for res in results:
+                if res.status is not CarveStatus.HAMILTONIAN_CYCLE:
+                    assert_path_forest(res)
                 record = (
                     res.status.value,
                     res.cycle,

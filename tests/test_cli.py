@@ -120,6 +120,18 @@ class TestSubcommands:
         report = cli._compare_one(str(SAMPLES / "cube.rot"), False, 10**6)
         assert report.seconds["validate"] >= 0.05
 
+    def test_compare_all_entrances_skips_cut_enumeration(self, capsys, monkeypatch):
+        # The cuts only serve select_entrance, which --all-entrances skips.
+        def no_cuts(emb):
+            raise AssertionError("cut enumeration ran")
+
+        monkeypatch.setattr(cli, "enumerate_3_edge_cuts", no_cuts)
+        code, out = run_cli(capsys, "compare", "--machine", "--all-entrances",
+                            str(SAMPLES / "cube.rot"))
+        recs = parse_machine_records(out)
+        assert code == 0 and len(recs) == 4
+        assert all(r["carve"] == "HamiltonianCycle" for r in recs)
+
     def test_chambers(self, capsys, rot_file):
         path = rot_file("cube")
         res = carve(build_named("cube").embedding, (0, 1))
