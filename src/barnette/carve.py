@@ -8,14 +8,26 @@ When a face cannot be alternated but borders the outer-Hamiltonian
 region, the door itself is promoted into the cycle and the face is
 closed.  There is no backtracking: a labeling conflict ends the run, and
 that ending is reported as evidence, never raised as a crash.  A failed
-opening only undoes its own writes, from a trail that holds the writes
-of the current frontier pop.
+opening only undoes its own moves, from a trail that holds the moves of
+the current frontier pop.
+
+The carve runs on integer ids.  The graph is cubic, so the dart from
+``u`` to ``rotations[u][i]`` has id ``3u + i``, and an edge is named by
+the dart leaving its smaller end: edge ``(u, v)``, ``u < v``, is
+``3u + rotations[u].index(v)``.  Roles are a ``bytearray`` indexed by
+edge id, the frontier and the trail hold ids, and a face's walk is the
+tuple of its edge ids, built the first time the face is used.  Edges are
+``(u, v)`` pairs only where the embedding's face index is read and in
+trace events and failure reasons.
 
 A carve costs one pass per opened face.  Set-up touches the outer edges
 only: the faces that hold an outer-Hamiltonian edge are read off their
 ``edge_faces`` and stay fixed for the run, since that role is never
 assigned later.  The promotion and bridge tests are answered from per-carve
 sets built from them once per face, so no door rescans its face or the map.
+``CarveResult`` keeps the role bytes and builds its ``roles`` map the first
+time it is read, so a carve that stops after a few events does Python work
+only on the outer face and the faces it touched.
 """
 
 from __future__ import annotations
@@ -23,9 +35,13 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress, repeat
+from operator import is_
+from typing import NamedTuple
 
-from .embedding import Edge, Face, PlanarEmbedding, _components_without, edge_key
+from .embedding import Edge, Face, PlanarEmbedding, edge_key
 
 __all__ = [
     "EdgeRole",
@@ -55,8 +71,21 @@ class EdgeRole(enum.Enum):
     UNASSIGNED = "-"
 
 
-_HAM_ROLES = (EdgeRole.OUTER_HAMILTONIAN, EdgeRole.INNER_HAMILTONIAN)
-_DOOR_ROLES = (EdgeRole.INNER_DOOR, EdgeRole.ENTRANCE_DOOR)
+# Role codes of the role bytes.  The order is load-bearing: 0 is
+# unassigned, 1 and 2 are the cycle roles and 3 and up the door roles, so
+# each test is one comparison.
+_ROLES = (
+    EdgeRole.UNASSIGNED,
+    EdgeRole.OUTER_HAMILTONIAN,
+    EdgeRole.INNER_HAMILTONIAN,
+    EdgeRole.INNER_DOOR,
+    EdgeRole.ENTRANCE_DOOR,
+)
+_UNASSIGNED, _H_O, _H_I, _D_I, _D_E = range(5)
+# Translate tables over role codes: 1 on the cycle roles, 0 elsewhere; and
+# unassigned to inner door, every other code kept.
+_IS_HAM = bytes(_H_O <= c <= _H_I for c in range(256))
+_SWEEP = bytes((_D_I,)) + bytes(range(1, 256))
 
 
 class CarveStatus(enum.Enum):
@@ -85,9 +114,12 @@ class AdjacentEntrancesError(ValueError):
     """Double mode needs two disjoint outer edges."""
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One frontier step.  kind: open, promote, bridge, drop, close."""
+class TraceEvent(NamedTuple):
+    """One frontier step.  kind: open, promote, bridge, drop, close.
+
+    A named tuple, not a frozen dataclass: a carve builds one per door,
+    and the dataclass took two to three times as long to build.
+    """
 
     step: int
     kind: str
@@ -108,21 +140,36 @@ class TraceEvent:
         )
 
 
+def _role_map(embedding: PlanarEmbedding, codes) -> dict[Edge, EdgeRole]:
+    """Edge -> role from role bytes, in ``embedding.edges`` order."""
+    rot, roles, edges = embedding.rotations, _ROLES, embedding.edges
+    return dict(zip(edges, [roles[codes[3 * u + rot[u].index(v)]] for u, v in edges]))
+
+
 @dataclass(frozen=True)
 class CarveResult:
+    """One carve's outcome.  ``role_bytes`` holds a role code per edge id;
+    the ``roles`` map is built from it on first read."""
+
     status: CarveStatus
     cycle: tuple[int, ...]
-    roles: dict[Edge, EdgeRole]
+    role_bytes: bytes
     trace: tuple[TraceEvent, ...]
     entrances: tuple[Edge, ...]
+    embedding: PlanarEmbedding = field(repr=False)
     failure_reason: str | None = None
 
     @property
     def ok(self) -> bool:
         return self.status is CarveStatus.HAMILTONIAN_CYCLE
 
+    @cached_property
+    def roles(self) -> dict[Edge, EdgeRole]:
+        return _role_map(self.embedding, self.role_bytes)
+
     def role_class(self, role: EdgeRole) -> frozenset[Edge]:
-        return frozenset(e for e, r in self.roles.items() if r is role)
+        roles = self.roles
+        return frozenset(compress(roles, map(is_, roles.values(), repeat(role))))
 
 
 @dataclass(frozen=True)
@@ -136,31 +183,31 @@ class EntranceChoice:
 
 
 class ChamberState:
-    """Mutable expansion state over one immutable embedding.
+    """Mutable expansion state over one immutable cubic embedding.
 
-    Tracks the role map, the FIFO door frontier and per-vertex cycle and
+    Tracks the role codes (a ``bytearray`` indexed by edge id), the FIFO
+    door frontier of ``(edge id, side)`` pairs and per-vertex cycle and
     door degrees.  Cycle edges always form vertex-disjoint paths until the
     n-th one closes the spanning cycle, since ``add_ham_edge`` refuses an
     earlier closing; ``_end`` holds, for each path end, the path's other
-    end.  The moves write roles, degrees and path ends through ``_write``,
-    which records the old value on ``trail`` so a failed move can be undone.
+    end.  Each move pushes the ints that undo it onto ``trail``:
+    ``(a, b, e, old role)`` for a cycle edge joining path ends ``a`` and
+    ``b``, and ``(e, -1)`` for a door.
     """
 
     def __init__(self, embedding: PlanarEmbedding, entrances: tuple[Edge, ...]):
         self.embedding = embedding
+        self.rotations = embedding.rotations
         n = embedding.vertex_count
-        self.roles: dict[Edge, EdgeRole] = dict.fromkeys(embedding.edges, EdgeRole.UNASSIGNED)
+        self.roles = bytearray(3 * n)
         self.entered_faces: set[int] = set()
-        self.frontier: deque[tuple[Edge, int]] = deque()  # (door, side tag)
+        self.frontier: deque[tuple[int, int]] = deque()  # (door id, side tag)
         self.h_count = 0
         self.trace: list[TraceEvent] = []
         self.deg_h = [0] * n
         self.deg_door = [0] * n
         self._end = list(range(n))
-        # (table, key, old) of each write, flattened into one list: a tuple
-        # per write is a container the cyclic garbage collector tracks, and
-        # on a 50000-vertex prism those tuples doubled its collections.
-        self.trail: list = []
+        self.trail: list[int] = []
         self.entrances = entrances
         # Faces that hold at least one outer-Hamiltonian edge.  That role
         # is only assigned at set-up, so the set is fixed for the run and
@@ -168,79 +215,106 @@ class ChamberState:
         # once, from the caches that follow it.
         self._outer_ham_faces: set[int] = set()
         self._borders_outer_ham: dict[int, bool] = {}
-        self._face_edges: dict[int, tuple[Edge, ...]] = {}
-        # face id -> (first walk position of each edge, (position, edge,
-        # far face id) of the edges whose far face is outer-Hamiltonian)
+        self._walks: dict[int, tuple[int, ...]] = {}
+        # face id -> (first walk position of each edge id, (position, edge
+        # id, far face id) of the edges whose far face is outer-Hamiltonian)
         self._bridge_candidates: dict[
-            int, tuple[dict[Edge, int], list[tuple[int, Edge, int]]]
+            int, tuple[dict[int, int], list[tuple[int, int, int]]]
         ] = {}
+
+    def edge_id(self, u: int, v: int) -> int:
+        """Id of edge {u, v}: the dart from its smaller end."""
+        if u > v:
+            u, v = v, u
+        return 3 * u + self.rotations[u].index(v)
+
+    def edge_of(self, e: int) -> Edge:
+        u = e // 3
+        return (u, self.rotations[u][e - 3 * u])
 
     # -- undoable primitive moves ---------------------------------------
 
-    def _write(self, table: dict | list, key, value) -> None:
-        self.trail.extend((table, key, table[key]))
-        table[key] = value
-
     def _undo_to(self, mark: int, h_count: int) -> None:
-        """Restore every write made since the trail held ``mark`` entries."""
-        trail = self.trail
+        """Undo every move made since the trail held ``mark`` entries."""
+        trail, roles, rot = self.trail, self.roles, self.rotations
+        deg_h, deg_door, end = self.deg_h, self.deg_door, self._end
         while len(trail) > mark:
-            old, key, table = trail.pop(), trail.pop(), trail.pop()
-            table[key] = old
+            old, e = trail.pop(), trail.pop()
+            u = e // 3
+            v = rot[u][e - 3 * u]
+            if old < 0:
+                roles[e] = _UNASSIGNED
+                deg_door[u] -= 1
+                deg_door[v] -= 1
+                continue
+            b, a = trail.pop(), trail.pop()
+            roles[e] = old
+            deg_h[u] -= 1
+            deg_h[v] -= 1
+            if old:
+                deg_door[u] += 1
+                deg_door[v] += 1
+            # Before the move, a and b were the far ends of the paths that
+            # ended at u and v.
+            end[a] = u
+            end[b] = v
         self.h_count = h_count
 
-    def add_ham_edge(
-        self,
-        e: Edge,
-        role: EdgeRole = EdgeRole.INNER_HAMILTONIAN,
-        short_cycle_ok: bool = False,
-    ) -> None:
+    def add_ham_edge(self, e: int, short_cycle_ok: bool = False) -> None:
         """Raises before any write when the edge cannot join the cycle."""
-        u, v = e
-        old = self.roles[e]
-        deg_h, deg_door, end = self.deg_h, self.deg_door, self._end
-        if old in _HAM_ROLES:
-            raise RoleConflictError(f"edge {e} already has a cycle role")
+        u = e // 3
+        v = self.rotations[u][e - 3 * u]
+        roles, deg_h, end = self.roles, self.deg_h, self._end
+        old = roles[e]
+        if _H_O <= old <= _H_I:
+            raise RoleConflictError(f"edge {(u, v)} already has a cycle role")
         if deg_h[u] >= 2 or deg_h[v] >= 2:
-            raise RoleConflictError(f"edge {e} would give a vertex three cycle edges")
-        if end[u] == v and not short_cycle_ok and self.h_count + 1 != self.embedding.vertex_count:
-            raise RoleConflictError(f"edge {e} would close a cycle shorter than n")
-        write = self._write
-        if old in _DOOR_ROLES:
-            write(deg_door, u, deg_door[u] - 1)
-            write(deg_door, v, deg_door[v] - 1)
-        write(self.roles, e, role)
-        write(deg_h, u, deg_h[u] + 1)
-        write(deg_h, v, deg_h[v] + 1)
+            raise RoleConflictError(f"edge {(u, v)} would give a vertex three cycle edges")
         a, b = end[u], end[v]
-        write(end, a, b)
-        write(end, b, a)
+        if a == v and not short_cycle_ok and self.h_count + 1 != self.embedding.vertex_count:
+            raise RoleConflictError(f"edge {(u, v)} would close a cycle shorter than n")
+        self.trail.extend((a, b, e, old))
+        if old:  # a door joins the cycle
+            self.deg_door[u] -= 1
+            self.deg_door[v] -= 1
+        roles[e] = _H_I
+        deg_h[u] += 1
+        deg_h[v] += 1
+        end[a] = b
+        end[b] = a
         self.h_count += 1
 
-    def add_door_edge(self, e: Edge, role: EdgeRole = EdgeRole.INNER_DOOR) -> None:
-        u, v = e
+    def add_door_edge(self, e: int) -> None:
+        u = e // 3
+        v = self.rotations[u][e - 3 * u]
         deg_door = self.deg_door
-        if self.roles[e] is not EdgeRole.UNASSIGNED:
-            raise RoleConflictError(f"edge {e} already holds a role")
+        if self.roles[e]:
+            raise RoleConflictError(f"edge {(u, v)} already holds a role")
         if deg_door[u] or deg_door[v]:
-            raise DoorAdjacencyError(f"door {e} would touch another door edge")
-        self._write(self.roles, e, role)
-        self._write(deg_door, u, deg_door[u] + 1)
-        self._write(deg_door, v, deg_door[v] + 1)
+            raise DoorAdjacencyError(f"door {(u, v)} would touch another door edge")
+        self.trail.extend((e, -1))
+        self.roles[e] = _D_I
+        deg_door[u] += 1
+        deg_door[v] += 1
 
     # -- queries -------------------------------------------------------
 
     def unentered_face(self, e: Edge) -> Face | None:
-        ids = [fid for fid in self.embedding.edge_faces[e] if fid not in self.entered_faces]
-        if not ids:
-            return None
-        return self.embedding.faces[ids[0]]
+        for fid in self.embedding.edge_faces[e]:
+            if fid not in self.entered_faces:
+                return self.embedding.faces[fid]
+        return None
 
-    def edges_of(self, fid: int) -> tuple[Edge, ...]:
-        edges = self._face_edges.get(fid)
-        if edges is None:
-            edges = self._face_edges[fid] = self.embedding.faces[fid].edges
-        return edges
+    def walk(self, fid: int) -> tuple[int, ...]:
+        """The edge ids of face ``fid`` in traced dart order."""
+        walk = self._walks.get(fid)
+        if walk is None:
+            rot = self.rotations
+            walk = self._walks[fid] = tuple([
+                3 * u + rot[u].index(v) if u < v else 3 * v + rot[v].index(u)
+                for u, v in self.embedding.faces[fid].darts
+            ])
+        return walk
 
     def face_borders_outer_ham(self, face: Face) -> bool:
         """The promotion test: does any edge of the face lie on a face
@@ -249,24 +323,29 @@ class ChamberState:
         if hit is None:
             edge_faces = self.embedding.edge_faces
             ham_faces = self._outer_ham_faces
-            hit = any(fid in ham_faces for e in self.edges_of(face.id) for fid in edge_faces[e])
+            hit = face.id in ham_faces or any(
+                fid in ham_faces
+                for u, v in face.darts
+                for fid in edge_faces[(u, v) if u < v else (v, u)]
+            )
             self._borders_outer_ham[face.id] = hit
         return hit
 
     def bridge_candidates(
         self, fid: int
-    ) -> tuple[dict[Edge, int], list[tuple[int, Edge, int]]]:
+    ) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
         """The edges of face ``fid`` whose far face is outer-Hamiltonian,
         in walk order, with the walk position of every edge of the face."""
         cached = self._bridge_candidates.get(fid)
         if cached is None:
             edge_faces = self.embedding.edge_faces
             ham_faces = self._outer_ham_faces
-            position: dict[Edge, int] = {}
-            entries: list[tuple[int, Edge, int]] = []
-            for i, e in enumerate(self.edges_of(fid)):
+            position: dict[int, int] = {}
+            entries: list[tuple[int, int, int]] = []
+            walk = self.walk(fid)
+            for i, (e, pair) in enumerate(zip(walk, self.embedding.faces[fid].edges)):
                 position.setdefault(e, i)
-                for other in edge_faces[e]:
+                for other in edge_faces[pair]:
                     if other != fid and other in ham_faces:
                         entries.append((i, e, other))
             cached = (position, entries)
@@ -275,65 +354,83 @@ class ChamberState:
 
 
 def _init_state(embedding: PlanarEmbedding, entrances: tuple[Edge, ...]) -> ChamberState:
+    """Commit the outer cycle minus the entrances and queue the entrances.
+
+    Nothing before the first frontier pop is ever undone, so these writes
+    bypass the trail.  On a simple outer cycle the non-entrance edges form
+    one path per entrance, from the head of one entrance to the tail of
+    the next, so no cycle-edge guard can fire.
+    """
     state = ChamberState(embedding, entrances)
     outer = embedding.outer_face
-    edge_faces = embedding.edge_faces
-    for e in outer.edges:
-        if e in entrances:
-            state.roles[e] = EdgeRole.ENTRANCE_DOOR
-            u, v = e
-            state.deg_door[u] += 1
-            state.deg_door[v] += 1
-        else:
-            state.add_ham_edge(e, EdgeRole.OUTER_HAMILTONIAN)
-            state._outer_ham_faces.update(edge_faces[e])
+    verts = outer.vertices
+    k = len(verts)
+    if len(set(verts)) != k:
+        raise RoleConflictError(f"outer face {outer.id} is not a simple cycle")
+    ids = [state.edge_id(*e) for e in entrances]
+    walk = state.walk(outer.id)
+    roles, deg_h, deg_door, end = state.roles, state.deg_h, state.deg_door, state._end
+    for e in walk:
+        roles[e] = _H_O
+    for v in verts:
+        deg_h[v] = 2
+    positions = []
+    for e, pair in zip(ids, entrances):
+        roles[e] = _D_E
+        for v in pair:
+            deg_h[v] -= 1
+            deg_door[v] += 1
+        positions.append(walk.index(e))
+    positions.sort()
+    for j, p in enumerate(positions):
+        head, tail = verts[(positions[j - 1] + 1) % k], verts[p]
+        end[head], end[tail] = tail, head
+    state.h_count = k - len(entrances)
+    edge_faces, ham_faces = embedding.edge_faces, state._outer_ham_faces
+    for u, v in outer.darts:
+        e = (u, v) if u < v else (v, u)
+        if e not in entrances:
+            ham_faces.update(edge_faces[e])
     state.entered_faces.add(outer.id)
-    for i, e in enumerate(entrances):
-        state.frontier.append((e, i))
+    state.frontier.extend(zip(ids, range(len(ids))))
     return state
-
-
-def _face_walk_from(face: Face, door: Edge, left_walk: bool) -> list[Edge]:
-    """Boundary edges in walk order, the door first.
-
-    The default direction follows the traced darts; left_walk reverses
-    it.  Alternation parity is direction independent on even faces, so
-    the flag only changes the order new doors reach the frontier.
-    """
-    darts = face.darts
-    pos = next(i for i, d in enumerate(darts) if edge_key(*d) == door)
-    ordered = [edge_key(*darts[(pos + k) % len(darts)]) for k in range(len(darts))]
-    if left_walk:
-        ordered = [ordered[0]] + ordered[1:][::-1]
-    return ordered
 
 
 def _apply_opening(
     state: ChamberState,
-    door: Edge,
+    door: int,
     face: Face,
     left_walk: bool = False,
-) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
-    """Alternate the face boundary from the door; atomic, raises on conflict."""
+) -> tuple[list[int], list[int]]:
+    """Alternate the face boundary from the door; atomic, raises on conflict.
+
+    The walk follows the traced darts from the door; left_walk reverses
+    it.  Alternation parity is direction independent on even faces, so
+    the flag only changes the order new doors reach the frontier.
+    """
     if face.length % 2:
         raise OddFaceError(f"face {face.id} has odd length {face.length}")
-    walk = _face_walk_from(face, door, left_walk)
+    walk = state.walk(face.id)
+    pos = walk.index(door)
+    if left_walk:
+        rest = walk[pos - 1::-1] + walk[:pos:-1] if pos else walk[:0:-1]
+    else:
+        rest = walk[pos + 1:] + walk[:pos]
     mark, h_count = len(state.trail), state.h_count
-    new_h: list[Edge] = []
-    new_doors: list[Edge] = []
+    roles = state.roles
+    new_h: list[int] = []
+    new_doors: list[int] = []
     try:
-        for i, e in enumerate(walk[1:], start=1):
-            want_ham = bool(i % 2)
-            role = state.roles[e]
-            if role in _HAM_ROLES:
-                if not want_ham:
-                    raise RoleConflictError(f"edge {e} is in the cycle but lands on a door slot")
+        for i, e in enumerate(rest, start=1):
+            role = roles[e]
+            if role:
+                if (role <= _H_I) != (i & 1):
+                    edge = state.edge_of(e)
+                    if role <= _H_I:
+                        raise RoleConflictError(f"edge {edge} is in the cycle but lands on a door slot")
+                    raise RoleConflictError(f"edge {edge} is a door but lands on a cycle slot")
                 continue
-            if role in _DOOR_ROLES:
-                if want_ham:
-                    raise RoleConflictError(f"edge {e} is a door but lands on a cycle slot")
-                continue
-            if want_ham:
+            if i & 1:
                 state.add_ham_edge(e)
                 new_h.append(e)
             else:
@@ -343,30 +440,29 @@ def _apply_opening(
         state._undo_to(mark, h_count)
         raise
     state.entered_faces.add(face.id)
-    return tuple(new_h), tuple(new_doors)
+    return new_h, new_doors
 
 
 def detect_bridge_face(
-    state: ChamberState, door: Edge, embedding: PlanarEmbedding
-) -> tuple[Edge, Edge] | None:
+    state: ChamberState, door: int, embedding: PlanarEmbedding
+) -> tuple[int, int] | None:
     """Double-cut escape: look for an unassigned edge e of the door's
     face whose far face carries both an outer-Hamiltonian edge and a
-    different inner door d_j.  Returns (e, d_j) or None.
+    different inner door d_j.  Takes and returns edge ids: (e, d_j) or None.
 
     Edges are tried in the walk order from the door, and only those whose
     far face is one of the state's outer-Hamiltonian faces can qualify.
     """
-    door = edge_key(*door)
     roles = state.roles
-    for fid in embedding.edge_faces[door]:
+    for fid in embedding.edge_faces[state.edge_of(door)]:
         position, entries = state.bridge_candidates(fid)
         start = position[door]
         split = bisect_right(entries, start, key=lambda entry: entry[0])
         for i, e, other in entries[split:] + entries[:split]:
-            if i == start or roles[e] is not EdgeRole.UNASSIGNED:
+            if i == start or roles[e]:
                 continue
-            for x in state.edges_of(other):
-                if x != door and roles[x] is EdgeRole.INNER_DOOR:
+            for x in state.walk(other):
+                if x != door and roles[x] == _D_I:
                     return e, x
     return None
 
@@ -384,20 +480,26 @@ def _run(state: ChamberState, left_walk: bool) -> str | None:
 def _walk_cycle(state: ChamberState) -> tuple[int, ...]:
     """The cycle-role edges, which form one cycle here, in walk order from
     the least covered vertex toward its smaller neighbour."""
-    adj: list[list[int]] = [[] for _ in range(state.embedding.vertex_count)]
-    for (u, v), r in state.roles.items():
-        if r in _HAM_ROLES:
-            adj[u].append(v)
-            adj[v].append(u)
-    start = next(v for v, nbrs in enumerate(adj) if nbrs)
-    seq = [start, min(adj[start])]
+    rot, roles = state.rotations, state.roles
+    # nbr[2v] and nbr[2v + 1]: the two cycle neighbours of v, in flat
+    # lists so that the walk allocates no per-vertex container.
+    nbr = [-1] * (2 * state.embedding.vertex_count)
+    for e in compress(range(len(roles)), roles.translate(_IS_HAM)):
+        u = e // 3
+        v = rot[u][e - 3 * u]
+        nbr[2 * u + (nbr[2 * u] >= 0)] = v
+        nbr[2 * v + (nbr[2 * v] >= 0)] = u
+    start = next(v for v, d in enumerate(state.deg_h) if d)
+    seq = [start, min(nbr[2 * start], nbr[2 * start + 1])]
+    a, b = seq
     while True:
-        a, b = seq[-2], seq[-1]
-        nbrs = adj[b]
-        c = nbrs[0] if nbrs[0] != a else nbrs[1]
+        c = nbr[2 * b]
+        if c == a:
+            c = nbr[2 * b + 1]
         if c == start:
             return tuple(seq)
         seq.append(c)
+        a, b = b, c
 
 
 def _near_cycle(state: ChamberState) -> tuple[int, ...] | None:
@@ -411,7 +513,7 @@ def _near_cycle(state: ChamberState) -> tuple[int, ...] | None:
         return None
     # The cycle-shorter-than-n guard does not apply: a sub-spanning cycle
     # is the goal here.
-    state.add_ham_edge(edge_key(*ends), short_cycle_ok=True)
+    state.add_ham_edge(state.edge_id(*ends), short_cycle_ok=True)
     return _walk_cycle(state)
 
 
@@ -433,18 +535,15 @@ def _finish(state: ChamberState, reason: str | None) -> CarveResult:
             reason = f"frontier exhausted at {state.h_count} of {n} cycle edges"
     if reason is not None:
         reason += _NO_CYCLE_IN_ROLES
-    # Enum members bound to locals: reading EdgeRole.X through its class on
-    # every edge made this sweep about eight times slower on 78000 edges.
-    roles, unassigned, door = state.roles, EdgeRole.UNASSIGNED, EdgeRole.INNER_DOOR
-    for e, r in roles.items():
-        if r is unassigned:
-            roles[e] = door
+    # Every unassigned edge becomes an inner door.  Ids of no edge (the
+    # darts from a larger end) are 0 as well and are never read.
     return CarveResult(
         status=status,
         cycle=cycle,
-        roles=roles,
+        role_bytes=bytes(state.roles).translate(_SWEEP),
         trace=tuple(state.trace),
         entrances=state.entrances,
+        embedding=state.embedding,
         failure_reason=reason,
     )
 
@@ -513,11 +612,13 @@ def _run_interleaved(state: ChamberState, left_walk: bool) -> str | None:
 def _run_one(state: ChamberState, left_walk: bool) -> str | None:
     """One frontier pop with the same rules as the main loop."""
     embedding = state.embedding
-    state.trail.clear()  # only this pop's writes can be undone
+    state.trail.clear()  # only this pop's moves can be undone
     door, side = state.frontier.popleft()
-    if state.roles[door] not in _DOOR_ROLES:
+    if state.roles[door] < _D_I:
         return None
-    face = state.unentered_face(door)
+    edge_of = state.edge_of
+    door_pair = edge_of(door)
+    face = state.unentered_face(door_pair)
     if face is None:
         hit = detect_bridge_face(state, door, embedding)
         if hit is not None:
@@ -528,9 +629,12 @@ def _run_one(state: ChamberState, left_walk: bool) -> str | None:
                 state.add_ham_edge(dj)
             except CarveError as exc:
                 state._undo_to(mark, h_count)
-                return f"bridge promotion failed at door {door}: {exc}"
+                return f"bridge promotion failed at door {door_pair}: {exc}"
             state.trace.append(
-                TraceEvent(len(state.trace), "bridge", door, -1, ham_edges=(e, dj), side=side)
+                TraceEvent(
+                    len(state.trace), "bridge", door_pair, -1,
+                    ham_edges=(edge_of(e), edge_of(dj)), side=side,
+                )
             )
             return None
         # A door into fully explored territory is promoted when it still
@@ -539,7 +643,7 @@ def _run_one(state: ChamberState, left_walk: bool) -> str | None:
         # strands the two endpoints one cycle edge short.
         if any(
             state.face_borders_outer_ham(embedding.faces[fid])
-            for fid in embedding.edge_faces[door]
+            for fid in embedding.edge_faces[door_pair]
         ):
             try:
                 state.add_ham_edge(door)
@@ -548,34 +652,39 @@ def _run_one(state: ChamberState, left_walk: bool) -> str | None:
             else:
                 state.trace.append(
                     TraceEvent(
-                        len(state.trace), "promote", door, -1, ham_edges=(door,), side=side
+                        len(state.trace), "promote", door_pair, -1,
+                        ham_edges=(door_pair,), side=side,
                     )
                 )
                 return None
-        state.trace.append(TraceEvent(len(state.trace), "drop", door, -1, side=side))
+        state.trace.append(TraceEvent(len(state.trace), "drop", door_pair, -1, side=side))
         return None
     try:
         new_h, new_doors = _apply_opening(state, door, face, left_walk)
     except CarveError as open_err:
-        if state.roles[door] is EdgeRole.ENTRANCE_DOOR:
+        if state.roles[door] == _D_E:
             return f"cannot open the entrance face: {open_err}"
         if not state.face_borders_outer_ham(face):
-            return f"door {door} face {face.id}: {open_err}"
+            return f"door {door_pair} face {face.id}: {open_err}"
         try:
             state.add_ham_edge(door)
         except CarveError as exc:
-            return f"door {door} face {face.id}: promotion failed: {exc}"
+            return f"door {door_pair} face {face.id}: promotion failed: {exc}"
         state.entered_faces.add(face.id)
         state.trace.append(
-            TraceEvent(len(state.trace), "promote", door, face.id, ham_edges=(door,), side=side)
+            TraceEvent(
+                len(state.trace), "promote", door_pair, face.id,
+                ham_edges=(door_pair,), side=side,
+            )
         )
         return None
-    for e in new_doors:
-        state.frontier.append((e, side))
+    state.frontier.extend([(e, side) for e in new_doors])
     state.trace.append(
         TraceEvent(
-            len(state.trace), "open", door, face.id,
-            ham_edges=new_h, door_edges=new_doors, side=side,
+            len(state.trace), "open", door_pair, face.id,
+            ham_edges=tuple(map(edge_of, new_h)),
+            door_edges=tuple(map(edge_of, new_doors)),
+            side=side,
         )
     )
     return None
@@ -626,9 +735,41 @@ def chamber_count(embedding: PlanarEmbedding, cycle) -> int:
     cert = verify_cycle(embedding, cycle)
     if not cert.is_hamiltonian:
         raise ValueError("chamber analysis needs a verified Hamiltonian cycle")
-    seq = cert.vertices
-    cyc_edges = {edge_key(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq))}
-    # Chamber edges: the interior cycle edges and the outer edges the
-    # cycle skips, so every other edge is banned.
-    banned = frozenset(embedding.edges).difference(cyc_edges ^ embedding.outer_edges)
-    return sum(len(comp) > 1 for comp in _components_without(embedding, banned))
+    # A graph with a Hamiltonian cycle is 2-connected, so its outer face
+    # is a simple cycle too.  An edge lies on either cycle exactly when
+    # its ends are consecutive on it, read off the vertex positions.
+    n = embedding.vertex_count
+    pos = [0] * n
+    for i, v in enumerate(cert.vertices):
+        pos[v] = i
+    outer = embedding.outer_face.vertices
+    k = len(outer)
+    outer_pos = [-1] * n
+    for i, v in enumerate(outer):
+        outer_pos[v] = i
+    rotations = embedding.rotations
+    seen = [False] * n
+    stack: list[int] = []  # one search stack for every component
+    chambers = 0
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        stack.append(s)
+        size = 0
+        while stack:
+            v = stack.pop()
+            size += 1
+            pv, ov = pos[v], outer_pos[v]
+            for u in rotations[v]:
+                if seen[u]:
+                    continue
+                # Chamber edges: interior cycle edges and skipped outer edges.
+                on_cycle = (pv - pos[u]) % n in (1, n - 1)
+                ou = outer_pos[u]
+                on_outer = ov >= 0 and ou >= 0 and (ov - ou) % k in (1, k - 1)
+                if on_cycle != on_outer:
+                    seen[u] = True
+                    stack.append(u)
+        chambers += size > 1
+    return chambers

@@ -396,16 +396,37 @@ def _cmd_corpus(args, out) -> int:
     raise SystemExit(f"error: unknown corpus action {args.action!r}")
 
 
-def bench_scaling(sizes: list[int], repeats: int = 3) -> list[dict[str, float]]:
-    """Carve wall time per prism size; the construction is not timed."""
+BENCH_FAMILIES = ("prism", "leapfrog")
+
+
+def _bench_graph(family: str, k: int) -> PlanarEmbedding:
+    if family == "prism":
+        return corpus.generate_prism(k).embedding
+    emb = corpus.build_named("cube").embedding
+    for _ in range(k):
+        emb = corpus.truncate_embedding(corpus.dual_embedding(emb))
+    return emb
+
+
+def bench_scaling(
+    sizes: list[int], repeats: int = 3, family: str = "prism"
+) -> list[dict[str, float]]:
+    """Carve wall time per graph size; the construction is not timed.
+
+    ``prism``: C_2k x K_2 (n = 4k), a long-outer spiral through every face.
+    ``leapfrog``: the cube leapfrogged k times (n = 8 * 3^k); past n = 24
+    these carves fail within a few events, so they time the fail-fast
+    path.  Each carve enters at the least outer edge.
+    """
     rows = []
     for k in sizes:
-        emb = corpus.generate_prism(k).embedding
+        emb = _bench_graph(family, k)
         trace_faces(emb)  # cache the face structure outside the first rep
+        entrance = min(emb.outer_edges)
         best = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()
-            res = carve(emb, (0, 1))
+            res = carve(emb, entrance)
             t1 = time.perf_counter()
             best = min(best, t1 - t0)
         n = emb.vertex_count
@@ -422,16 +443,16 @@ def bench_scaling(sizes: list[int], repeats: int = 3) -> list[dict[str, float]]:
 
 
 def _cmd_bench(args, out) -> int:
-    if args.family != "prism":
+    if args.family not in BENCH_FAMILIES:
         raise SystemExit(f"error: unknown bench family {args.family!r}")
     sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else []
-    rows = bench_scaling(sizes)
+    rows = bench_scaling(sizes, family=args.family)
     for row in rows:
         if args.machine:
             emit_record(
                 out,
                 record="bench",
-                family="prism",
+                family=args.family,
                 k=row["k"],
                 n=row["n"],
                 status=row["status"],
@@ -534,7 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("name", nargs="?")
 
     sp = add("bench", _cmd_bench, help="linear-scaling measurement")
-    sp.add_argument("--family", default="prism")
+    sp.add_argument("--family", default="prism",
+                    help="prism (n = 4k, long spiral) or leapfrog (n = 8 * 3^k, fail-fast)")
     sp.add_argument("--sizes", help="comma-separated k values")
 
     sp = add("dot", _cmd_dot, help="DOT export, optionally carve-annotated")

@@ -132,7 +132,7 @@ class PlanarEmbedding:
         return v in self.rotations[u]
 
     def is_cubic(self) -> bool:
-        return all(len(nbrs) == 3 for nbrs in self.rotations)
+        return set(map(len, self.rotations)) == {3}
 
     # -- face tracing ----------------------------------------------------
 

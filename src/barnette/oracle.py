@@ -16,7 +16,6 @@ Budgets are counted in branch expansions, never wall clock.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -93,7 +92,6 @@ class _EdgeStateSearch:
 
     def __init__(self, adj: list[list[int]]):
         self.n = len(adj)
-        self.adj = adj
         edges = sorted({edge_key(u, v) for u in range(self.n) for v in adj[u]})
         self.edges = edges
         self.eid = {e: i for i, e in enumerate(edges)}
@@ -101,6 +99,8 @@ class _EdgeStateSearch:
         for i, (u, v) in enumerate(edges):
             self.incident[u].append(i)
             self.incident[v].append(i)
+        # (neighbour, edge id) of every vertex, for the connectivity test.
+        self.links = [[(u, self.eid[edge_key(v, u)]) for u in adj[v]] for v in range(self.n)]
 
     def run(
         self,
@@ -132,12 +132,7 @@ class _EdgeStateSearch:
             for e in forced_in:
                 ok = ok and self._assign(self.eid[edge_key(*e)], self.IN)
             if ok:
-                old_limit = sys.getrecursionlimit()
-                sys.setrecursionlimit(max(old_limit, 4 * m + 100))
-                try:
-                    self._search()
-                finally:
-                    sys.setrecursionlimit(old_limit)
+                self._search()
         except _BudgetExceeded:
             return self.solutions, True, self.expansions
         return self.solutions, False, self.expansions
@@ -221,12 +216,11 @@ class _EdgeStateSearch:
         seen[0] = 1
         stack = [0]
         count = 1
-        state = self.state
-        eid_map = self.eid
+        state, links, out = self.state, self.links, self.OUT
         while stack:
             v = stack.pop()
-            for u in self.adj[v]:
-                if not seen[u] and state[eid_map[edge_key(v, u)]] != self.OUT:
+            for u, f in links[v]:
+                if not seen[u] and state[f] != out:
                     seen[u] = 1
                     count += 1
                     stack.append(u)
@@ -250,26 +244,45 @@ class _EdgeStateSearch:
         return -1
 
     def _search(self) -> bool:
-        """Returns True when the search should stop (first-solution mode)."""
-        if self.in_count == self.n:
-            self.solutions.append(
-                frozenset(self.edges[e] for e in range(len(self.edges)) if self.state[e] == self.IN)
-            )
-            return not self.count_all
-        if not self._connected_without_out():
-            return False
-        e = self._pick_edge()
-        if e < 0:
-            return False
-        self.expansions += 1
-        if self.expansions > self.budget:
-            raise _BudgetExceeded
-        for s in (self.IN, self.OUT):
-            mark = len(self.trail)
-            if self._assign(e, s) and self._search():
-                return True
-            self._undo_to(mark)
-        return False
+        """Depth-first over edge decisions, on an explicit stack so the
+        depth is not bounded by the interpreter's recursion limit.
+
+        Each frame is [edge, next state index, trail mark]: the edge is
+        tried IN, then OUT, each from the trail mark.  Returns True when
+        the search should stop (first-solution mode).
+        """
+        choices = (self.IN, self.OUT)
+        stack: list[list[int]] = []
+        while True:
+            # Expand the current node: record a solution or push a branch.
+            if self.in_count == self.n:
+                self.solutions.append(
+                    frozenset(
+                        self.edges[e] for e in range(len(self.edges)) if self.state[e] == self.IN
+                    )
+                )
+                if not self.count_all:
+                    return True
+            elif self._connected_without_out():
+                e = self._pick_edge()
+                if e >= 0:
+                    self.expansions += 1
+                    if self.expansions > self.budget:
+                        raise _BudgetExceeded
+                    stack.append([e, 0, len(self.trail)])
+            # Backtrack to the next untried branch and descend into it.
+            while stack:
+                frame = stack[-1]
+                e, i, mark = frame
+                self._undo_to(mark)
+                if i == len(choices):
+                    stack.pop()
+                    continue
+                frame[1] = i + 1
+                if self._assign(e, choices[i]):
+                    break
+            else:
+                return False
 
 
 def _edge_set_to_cycle(edges: frozenset[Edge]) -> tuple[int, ...]:

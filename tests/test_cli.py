@@ -162,6 +162,19 @@ class TestSubcommands:
         assert code == 0 and len(recs) == 2
         assert all(r["status"] == "HamiltonianCycle" for r in recs)
 
+    def test_bench_leapfrog(self, capsys):
+        code, out = run_cli(capsys, "bench", "--machine", "--family", "leapfrog",
+                            "--sizes", "1,2")
+        recs = parse_machine_records(out)
+        assert code == 0 and [r["n"] for r in recs] == ["24", "72"]
+        assert all(r["family"] == "leapfrog" for r in recs)
+        # Past 24 vertices the cube leapfrogs' carves fail (fail-fast).
+        assert recs[1]["status"] == "Failure"
+
+    def test_bench_unknown_family(self):
+        with pytest.raises(SystemExit, match="unknown bench family"):
+            main(["bench", "--family", "cube", "--sizes", "1"])
+
     def test_bench_empty_sizes(self, capsys):
         code, out = run_cli(capsys, "bench", "--machine", "--family", "prism")
         assert code == 0 and parse_machine_records(out) == []

@@ -1,12 +1,18 @@
 """Exact solver vs naive enumeration, certificates, path profiles."""
 
+import ast
+import inspect
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barnette.corpus import build_fragment, build_named, cycle_fragment, generate_prism
+from barnette import oracle
 from barnette.embedding import edge_key
 from barnette.oracle import (
+    _EdgeStateSearch,
     enumerate_hamiltonian_cycles,
     find_hamiltonian_cycle,
     hamiltonian_path_profile,
@@ -131,6 +137,35 @@ class TestFindCycle:
         # forcing every outer edge out strands the outer vertices
         r = find_hamiltonian_cycle(cube, forced_out=tuple(outer))
         assert r.certificate is None and r.proved_absent
+
+    def test_search_keeps_the_recursion_limit(self, monkeypatch):
+        # A search as deep as the edge count used to raise the
+        # process-wide recursion limit for its duration.
+        emb = generate_prism(170).embedding
+        assert emb.edge_count > 1000
+        limit = sys.getrecursionlimit()
+        during = []
+        pick_edge = _EdgeStateSearch._pick_edge
+
+        def spy(self):
+            during.append(sys.getrecursionlimit())
+            return pick_edge(self)
+
+        monkeypatch.setattr(_EdgeStateSearch, "_pick_edge", spy)
+        r = find_hamiltonian_cycle(emb)
+        assert r.certificate is not None and r.certificate.is_hamiltonian
+        assert during and set(during) == {limit}
+        assert sys.getrecursionlimit() == limit
+
+    def test_oracle_imports_no_carve_rule(self):
+        tree = ast.parse(inspect.getsource(oracle))
+        imported = {
+            node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        } | {
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names
+        }
+        assert not any("carve" in name for name in imported if name)
 
     def test_certificates_always_pass_verifier(self, corpus_graphs):
         for name, g in corpus_graphs.items():
