@@ -16,18 +16,21 @@ The carve runs on integer ids.  The graph is cubic, so the dart from
 the dart leaving its smaller end: edge ``(u, v)``, ``u < v``, is
 ``3u + rotations[u].index(v)``.  Roles are a ``bytearray`` indexed by
 edge id, the frontier and the trail hold ids, and a face's walk is the
-tuple of its edge ids, built the first time the face is used.  Edges are
-``(u, v)`` pairs only where the embedding's face index is read and in
-trace events and failure reasons.
+tuple of its edge ids, built the first time the face is used.  These ids
+are the embedding's own dart ids, so an edge's two faces are read off the
+embedding's dart arrays as ``dart_face[e]`` and ``dart_face[twin[e]]``;
+no edge-keyed index is built.  Edges are ``(u, v)`` pairs only in trace
+events, failure reasons and the result's role views.
 
 A carve costs one pass per opened face.  Set-up touches the outer edges
-only: the faces that hold an outer-Hamiltonian edge are read off their
-``edge_faces`` and stay fixed for the run, since that role is never
-assigned later.  The promotion and bridge tests are answered from per-carve
+only: the faces that hold an outer-Hamiltonian edge are read off the dart
+arrays and stay fixed for the run, since that role is never assigned
+later.  The promotion and bridge tests are answered from per-carve
 sets built from them once per face, so no door rescans its face or the map.
-``CarveResult`` keeps the role bytes and builds its ``roles`` map the first
-time it is read, so a carve that stops after a few events does Python work
-only on the outer face and the faces it touched.
+``CarveResult`` keeps the role bytes: ``role_class`` reads them directly
+and the ``roles`` map is built the first time it is read, so a carve that
+stops after a few events does Python work only on the outer face and the
+faces it touched.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, repeat
-from operator import is_
-from typing import NamedTuple
+from itertools import chain, compress, count, repeat
+from operator import floordiv
+from typing import Iterator, NamedTuple
 
 from .embedding import Edge, Face, PlanarEmbedding, edge_key
 
@@ -86,6 +89,8 @@ _UNASSIGNED, _H_O, _H_I, _D_I, _D_E = range(5)
 # unassigned to inner door, every other code kept.
 _IS_HAM = bytes(_H_O <= c <= _H_I for c in range(256))
 _SWEEP = bytes((_D_I,)) + bytes(range(1, 256))
+# Per role, a translate table that is 1 on that role's code only.
+_IS_ROLE = {role: bytes(c == code for c in range(256)) for code, role in enumerate(_ROLES)}
 
 
 class CarveStatus(enum.Enum):
@@ -168,8 +173,16 @@ class CarveResult:
         return _role_map(self.embedding, self.role_bytes)
 
     def role_class(self, role: EdgeRole) -> frozenset[Edge]:
-        roles = self.roles
-        return frozenset(compress(roles, map(is_, roles.values(), repeat(role))))
+        """The edges holding ``role``, read off the role bytes.  Dart ``3u +
+        i`` runs from ``u`` to ``rotations[u][i]``.  The sweep gave every
+        dart from an edge's larger end the inner-door code, so only that
+        class needs those darts skipped."""
+        hit = self.role_bytes.translate(_IS_ROLE[role])
+        tails = map(floordiv, compress(count(), hit), repeat(3))
+        darts = zip(tails, compress(chain.from_iterable(self.embedding.rotations), hit))
+        if role is not EdgeRole.INNER_DOOR:
+            return frozenset(darts)
+        return frozenset([e for e in darts if e[0] < e[1]])
 
 
 @dataclass(frozen=True)
@@ -198,6 +211,8 @@ class ChamberState:
     def __init__(self, embedding: PlanarEmbedding, entrances: tuple[Edge, ...]):
         self.embedding = embedding
         self.rotations = embedding.rotations
+        self._index = index = embedding.dart_index
+        self._twin, self._dart_face = index.twin, index.dart_face
         n = embedding.vertex_count
         self.roles = bytearray(3 * n)
         self.entered_faces: set[int] = set()
@@ -299,21 +314,33 @@ class ChamberState:
 
     # -- queries -------------------------------------------------------
 
-    def unentered_face(self, e: Edge) -> Face | None:
-        for fid in self.embedding.edge_faces[e]:
+    def faces_of(self, e: int) -> tuple[int, int]:
+        """Ids of the two faces edge ``e`` lies on, ascending."""
+        a, b = self._dart_face[e], self._dart_face[self._twin[e]]
+        return (a, b) if a <= b else (b, a)
+
+    def unentered_face(self, e: int) -> Face | None:
+        """The first of edge ``e``'s faces, ascending, not yet entered."""
+        a, b = self._dart_face[e], self._dart_face[self._twin[e]]
+        for fid in (a, b) if a <= b else (b, a):  # faces_of, inlined: one call a pop
             if fid not in self.entered_faces:
                 return self.embedding.faces[fid]
         return None
 
+    def far_faces(self, fid: int) -> Iterator[int]:
+        """For each dart of face ``fid`` in traced order, the face across."""
+        start = self._index.face_start
+        darts = self._index.face_darts[start[fid]:start[fid + 1]]
+        return map(self._dart_face.__getitem__, map(self._twin.__getitem__, darts))
+
     def walk(self, fid: int) -> tuple[int, ...]:
-        """The edge ids of face ``fid`` in traced dart order."""
+        """The edge ids of face ``fid`` in traced dart order: each dart or
+        its twin, whichever is smaller."""
         walk = self._walks.get(fid)
         if walk is None:
-            rot = self.rotations
-            walk = self._walks[fid] = tuple([
-                3 * u + rot[u].index(v) if u < v else 3 * v + rot[v].index(u)
-                for u, v in self.embedding.faces[fid].darts
-            ])
+            start, twin = self._index.face_start, self._twin
+            darts = self._index.face_darts[start[fid]:start[fid + 1]]
+            walk = self._walks[fid] = tuple([d if d < twin[d] else twin[d] for d in darts])
         return walk
 
     def face_borders_outer_ham(self, face: Face) -> bool:
@@ -321,13 +348,8 @@ class ChamberState:
         that carries an outer-Hamiltonian edge?"""
         hit = self._borders_outer_ham.get(face.id)
         if hit is None:
-            edge_faces = self.embedding.edge_faces
             ham_faces = self._outer_ham_faces
-            hit = face.id in ham_faces or any(
-                fid in ham_faces
-                for u, v in face.darts
-                for fid in edge_faces[(u, v) if u < v else (v, u)]
-            )
+            hit = face.id in ham_faces or any(map(ham_faces.__contains__, self.far_faces(face.id)))
             self._borders_outer_ham[face.id] = hit
         return hit
 
@@ -338,16 +360,13 @@ class ChamberState:
         in walk order, with the walk position of every edge of the face."""
         cached = self._bridge_candidates.get(fid)
         if cached is None:
-            edge_faces = self.embedding.edge_faces
             ham_faces = self._outer_ham_faces
             position: dict[int, int] = {}
             entries: list[tuple[int, int, int]] = []
-            walk = self.walk(fid)
-            for i, (e, pair) in enumerate(zip(walk, self.embedding.faces[fid].edges)):
+            for i, (e, other) in enumerate(zip(self.walk(fid), self.far_faces(fid))):
                 position.setdefault(e, i)
-                for other in edge_faces[pair]:
-                    if other != fid and other in ham_faces:
-                        entries.append((i, e, other))
+                if other != fid and other in ham_faces:
+                    entries.append((i, e, other))
             cached = (position, entries)
             self._bridge_candidates[fid] = cached
         return cached
@@ -386,11 +405,11 @@ def _init_state(embedding: PlanarEmbedding, entrances: tuple[Edge, ...]) -> Cham
         head, tail = verts[(positions[j - 1] + 1) % k], verts[p]
         end[head], end[tail] = tail, head
     state.h_count = k - len(entrances)
-    edge_faces, ham_faces = embedding.edge_faces, state._outer_ham_faces
-    for u, v in outer.darts:
-        e = (u, v) if u < v else (v, u)
-        if e not in entrances:
-            ham_faces.update(edge_faces[e])
+    # The outer face and the far face of every outer edge but the entrances.
+    far = list(state.far_faces(outer.id))
+    for p in positions:
+        far[p] = outer.id
+    state._outer_ham_faces.update(far)
     state.entered_faces.add(outer.id)
     state.frontier.extend(zip(ids, range(len(ids))))
     return state
@@ -454,7 +473,7 @@ def detect_bridge_face(
     far face is one of the state's outer-Hamiltonian faces can qualify.
     """
     roles = state.roles
-    for fid in embedding.edge_faces[state.edge_of(door)]:
+    for fid in state.faces_of(door):
         position, entries = state.bridge_candidates(fid)
         start = position[door]
         split = bisect_right(entries, start, key=lambda entry: entry[0])
@@ -618,7 +637,7 @@ def _run_one(state: ChamberState, left_walk: bool) -> str | None:
         return None
     edge_of = state.edge_of
     door_pair = edge_of(door)
-    face = state.unentered_face(door_pair)
+    face = state.unentered_face(door)
     if face is None:
         hit = detect_bridge_face(state, door, embedding)
         if hit is not None:
@@ -643,7 +662,7 @@ def _run_one(state: ChamberState, left_walk: bool) -> str | None:
         # strands the two endpoints one cycle edge short.
         if any(
             state.face_borders_outer_ham(embedding.faces[fid])
-            for fid in embedding.edge_faces[door_pair]
+            for fid in state.faces_of(door)
         ):
             try:
                 state.add_ham_edge(door)

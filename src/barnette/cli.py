@@ -397,6 +397,7 @@ def _cmd_corpus(args, out) -> int:
 
 
 BENCH_FAMILIES = ("prism", "leapfrog")
+BENCH_LAYERS = ("carve", "front")
 
 
 def _bench_graph(family: str, k: int) -> PlanarEmbedding:
@@ -409,50 +410,54 @@ def _bench_graph(family: str, k: int) -> PlanarEmbedding:
 
 
 def bench_scaling(
-    sizes: list[int], repeats: int = 3, family: str = "prism"
+    sizes: list[int], repeats: int = 3, family: str = "prism", layer: str = "carve"
 ) -> list[dict[str, float]]:
-    """Carve wall time per graph size; the construction is not timed.
+    """Best-of-``repeats`` wall time of one layer per graph size; building
+    the graph is not timed.
 
     ``prism``: C_2k x K_2 (n = 4k), a long-outer spiral through every face.
     ``leapfrog``: the cube leapfrogged k times (n = 8 * 3^k); past n = 24
     these carves fail within a few events, so they time the fail-fast
-    path.  Each carve enters at the least outer edge.
+    path.  Layer ``carve`` enters at the least outer edge of the traced
+    graph; layer ``front`` parses the graph's serialized document, whose
+    ``outer`` line makes the parse trace the faces.
     """
     rows = []
     for k in sizes:
         emb = _bench_graph(family, k)
-        trace_faces(emb)  # cache the face structure outside the first rep
-        entrance = min(emb.outer_edges)
+        if layer == "front":
+            text = serialize_embedding(emb)
+            run = lambda: trace_faces(parse_embedding(text))
+        else:
+            trace_faces(emb)  # cache the face structure outside the first rep
+            entrance = min(emb.outer_edges)
+            run = lambda: carve(emb, entrance)
         best = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()
-            res = carve(emb, entrance)
-            t1 = time.perf_counter()
-            best = min(best, t1 - t0)
+            res = run()
+            best = min(best, time.perf_counter() - t0)
+        status = res.status.value if layer == "carve" else "parsed"
         n = emb.vertex_count
-        rows.append(
-            {
-                "k": k,
-                "n": n,
-                "status": res.status.value,
-                "seconds": best,
-                "per_vertex_us": best / n * 1e6,
-            }
-        )
+        rows.append({"k": k, "n": n, "status": status, "seconds": best,
+                     "per_vertex_us": best / n * 1e6})
     return rows
 
 
 def _cmd_bench(args, out) -> int:
     if args.family not in BENCH_FAMILIES:
         raise SystemExit(f"error: unknown bench family {args.family!r}")
+    if args.layer not in BENCH_LAYERS:
+        raise SystemExit(f"error: unknown bench layer {args.layer!r}")
     sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else []
-    rows = bench_scaling(sizes, family=args.family)
+    rows = bench_scaling(sizes, family=args.family, layer=args.layer)
     for row in rows:
         if args.machine:
             emit_record(
                 out,
                 record="bench",
                 family=args.family,
+                layer=args.layer,
                 k=row["k"],
                 n=row["n"],
                 status=row["status"],
@@ -557,6 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("bench", _cmd_bench, help="linear-scaling measurement")
     sp.add_argument("--family", default="prism",
                     help="prism (n = 4k, long spiral) or leapfrog (n = 8 * 3^k, fail-fast)")
+    sp.add_argument("--layer", default="carve",
+                    help="carve, or front: parse of a document with its outer line")
     sp.add_argument("--sizes", help="comma-separated k values")
 
     sp = add("dot", _cmd_dot, help="DOT export, optionally carve-annotated")

@@ -9,6 +9,7 @@ replaced by standard constructions of the same class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 
 from .embedding import (
     EmbeddingError,
@@ -186,25 +187,26 @@ def _dodecahedron() -> PlanarEmbedding:
 
 def dual_embedding(emb: PlanarEmbedding) -> PlanarEmbedding:
     """Dual map: one vertex per face, adjacency across shared edges."""
-    dart_face = emb._dart_face
-    rots = [[dart_face[(v, u)] for (u, v) in f.darts] for f in emb.faces]
-    return PlanarEmbedding(rots)
+    index = emb.dart_index
+    far = list(map(index.dart_face.__getitem__, map(index.twin.__getitem__, index.face_darts)))
+    return PlanarEmbedding([far[a:b] for a, b in pairwise(index.face_start)])
 
 
 def truncate_embedding(emb: PlanarEmbedding) -> PlanarEmbedding:
-    """Cut every corner: one new vertex per dart, vertex stars become faces."""
-    ids: dict[tuple[int, int], int] = {}
-    for v in range(emb.vertex_count):
-        for i in range(len(emb.rotations[v])):
-            ids[(v, i)] = len(ids)
-    rots: list[list[int]] = [[] for _ in range(len(ids))]
-    for v in range(emb.vertex_count):
-        rot = emb.rotations[v]
-        d = len(rot)
+    """Cut every corner: one new vertex per dart, vertex stars become faces.
+
+    The corner of dart ``v -> rotations[v][i]`` is vertex ``off[v] + i``,
+    the dart's id, joined to its twin's corner and its two rotation
+    neighbours at ``v``.
+    """
+    rots = emb.rotations
+    off = list(accumulate(map(len, rots), initial=0))
+    out: list[list[int]] = []
+    for v, rot in enumerate(rots):
+        d, base = len(rot), off[v]
         for i, u in enumerate(rot):
-            j = emb.rotations[u].index(v)
-            rots[ids[(v, i)]] = [ids[(u, j)], ids[(v, (i + 1) % d)], ids[(v, (i - 1) % d)]]
-    return PlanarEmbedding(rots)
+            out.append([off[u] + rots[u].index(v), base + (i + 1) % d, base + (i - 1) % d])
+    return PlanarEmbedding(out)
 
 
 def delete_vertex(emb: PlanarEmbedding, v: int) -> Fragment:

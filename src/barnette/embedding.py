@@ -3,14 +3,22 @@
 A graph is stored as one counterclockwise neighbor ordering per vertex.
 Faces are derived walks, not stored data, so every consumer sees the same
 combinatorial map.  Edges are canonical ``(min, max)`` vertex pairs.
+
+Under the pairs lies one integer half-edge core, ``DartIndex``: the dart
+from ``v`` to ``rotations[v][i]`` has id ``off[v] + i`` (``3v + i`` on a
+cubic map), and an edge's id is the smaller of its two dart ids.  The one
+face trace walks ints only and leaves read-only int32 arrays behind;
+``Face.darts`` and ``edge_faces`` are views over them.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from itertools import accumulate, chain, pairwise, repeat
+from typing import NamedTuple, Sequence
 
 Edge = tuple[int, int]
 Dart = tuple[int, int]
@@ -78,6 +86,19 @@ class ValidationReport:
         )
 
 
+class DartIndex(NamedTuple):
+    """Read-only int32 arrays of a traced sphere map.  Dart ``v ->
+    rotations[v][i]`` has id ``off[v] + i``; ``twin[d]`` is its reverse
+    and ``dart_face[d]`` the face whose walk holds it.  Face ``f`` walks
+    ``face_darts[face_start[f]:face_start[f + 1]]`` in traced order."""
+
+    off: memoryview
+    twin: memoryview
+    dart_face: memoryview
+    face_darts: memoryview
+    face_start: memoryview
+
+
 class PlanarEmbedding:
     """Immutable combinatorial map over vertices ``0..n-1``.
 
@@ -116,11 +137,11 @@ class PlanarEmbedding:
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted({edge_key(v, u) for v, nbrs in enumerate(self.rotations) for u in nbrs}))
+        return tuple([(v, u) for v, nbrs in enumerate(self.rotations) for u in sorted(nbrs) if v < u])
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.rotations)) // 2
 
     def degree(self, v: int) -> int:
         return len(self.rotations[v])
@@ -132,16 +153,17 @@ class PlanarEmbedding:
         return v in self.rotations[u]
 
     def is_cubic(self) -> bool:
+        return self._cubic
+
+    @cached_property
+    def _cubic(self) -> bool:
         return set(map(len, self.rotations)) == {3}
 
     # -- face tracing ----------------------------------------------------
 
-    def next_dart(self, u: int, v: int) -> Dart:
-        """Face-successor rule: after dart (u, v) comes (v, w) with w the
-        neighbor immediately following u in the rotation at v."""
-        rot = self.rotations[v]
-        i = rot.index(u)
-        return (v, rot[(i + 1) % len(rot)])
+    @cached_property
+    def _traced(self) -> tuple[tuple[Face, ...], DartIndex]:
+        return _trace(self)
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
@@ -150,32 +172,18 @@ class PlanarEmbedding:
         Raises NonPlanarError unless the map is connected and
         V - E + F = 2.
         """
-        faces: list[Face] = []
-        seen: set[Dart] = set()
-        for v in range(self.vertex_count):
-            for u in self.rotations[v]:
-                start = (v, u)
-                if start in seen:
-                    continue
-                walk = [start]
-                seen.add(start)
-                cur = self.next_dart(*start)
-                while cur != start:
-                    walk.append(cur)
-                    seen.add(cur)
-                    cur = self.next_dart(*cur)
-                faces.append(Face(id=len(faces), darts=tuple(walk)))
-        f = len(faces)
-        if self.vertex_count - self.edge_count + f != 2:
-            raise NonPlanarError(
-                f"Euler identity fails: V={self.vertex_count} E={self.edge_count} F={f} "
-                f"gives {self.vertex_count - self.edge_count + f}, expected 2"
-            )
-        # Euler alone admits a sphere map beside a torus map (2 + 0 = 2).
-        components = len(_components_without(self))
-        if components != 1:
-            raise NonPlanarError(f"map is disconnected: {components} components")
-        return tuple(faces)
+        return self._traced[0]
+
+    @cached_property
+    def dart_index(self) -> DartIndex:
+        """The dart arrays, filled by the same trace as ``faces``."""
+        return self._traced[1]
+
+    def dart_id(self, u: int, v: int) -> int:
+        """Id of dart (u, v); KeyError when the map has no such dart."""
+        if 0 <= u < self.vertex_count and v in self.rotations[u]:
+            return self.dart_index.off[u] + self.rotations[u].index(v)
+        raise KeyError((u, v))
 
     @cached_property
     def outer_face_id(self) -> int:
@@ -197,20 +205,18 @@ class PlanarEmbedding:
         return frozenset(self.outer_face.edges)
 
     @cached_property
-    def edge_faces(self) -> dict[Edge, tuple[int, ...]]:
-        """Map edge -> ids of the (at most two) faces its darts lie on."""
-        out: dict[Edge, tuple[int, ...]] = {}
-        for face in self.faces:
-            for e in face.edges:
-                out[e] = out.get(e, ()) + (face.id,)
+    def edge_faces(self) -> dict[Edge, tuple[int, int]]:
+        """Map edge -> ids of the two faces its darts lie on, ascending.  A
+        view for callers that want pairs; the library reads the arrays."""
+        twin, dart_face = self.dart_index.twin, self.dart_index.dart_face
+        out: dict[Edge, tuple[int, int]] = {}
+        for e in self.edges:
+            d = self.dart_id(*e)
+            out[e] = tuple(sorted((dart_face[d], dart_face[twin[d]])))
         return out
 
     def face_of_dart(self, dart: Dart) -> int:
-        return self._dart_face[dart]
-
-    @cached_property
-    def _dart_face(self) -> dict[Dart, int]:
-        return {d: f.id for f in self.faces for d in f.darts}
+        return self.dart_index.dart_face[self.dart_id(*dart)]
 
     def with_outer_face(self, outer_face_id: int) -> "PlanarEmbedding":
         """The same map rooted at another face.
@@ -242,7 +248,61 @@ class PlanarEmbedding:
         return f"PlanarEmbedding(n={self.vertex_count}, m={self.edge_count})"
 
 
-_OUTER_INDEPENDENT_CACHES = ("edges", "faces", "_dart_face", "edge_faces")
+_OUTER_INDEPENDENT_CACHES = ("edges", "_cubic", "_traced", "faces", "dart_index", "edge_faces")
+
+
+def _trace(emb: PlanarEmbedding) -> tuple[tuple[Face, ...], DartIndex]:
+    """One pass over the darts: the face walks and the dart arrays."""
+    rots = emb.rotations
+    degrees = list(map(len, rots))
+    off = list(accumulate(degrees, initial=0))
+    darts = off[-1]
+    twin = [off[u] + rots[u].index(v) for v, nbrs in enumerate(rots) for u in nbrs]
+    # Dart v -> u is followed on its face by the dart after u -> v in the
+    # rotation at u.
+    turn = list(range(1, darts + 1))
+    for a, b in pairwise(off):
+        if a < b:
+            turn[b - 1] = a
+    succ = list(map(turn.__getitem__, twin))
+    del turn
+    twin = _int32s(twin)
+    face = [-1] * darts
+    order: list[int] = []
+    append = order.append
+    starts = [0]
+    for d in range(darts):
+        if face[d] < 0:
+            f = len(starts) - 1
+            e = d
+            while face[e] < 0:
+                face[e] = f
+                append(e)
+                e = succ[e]
+            starts.append(len(order))
+    del succ
+    n, m, f = emb.vertex_count, darts // 2, len(starts) - 1
+    if n - m + f != 2:
+        raise NonPlanarError(
+            f"Euler identity fails: V={n} E={m} F={f} gives {n - m + f}, expected 2"
+        )
+    # Euler alone admits a sphere map beside a torus map (2 + 0 = 2).
+    components = len(_components_without(emb))
+    if components != 1:
+        raise NonPlanarError(f"map is disconnected: {components} components")
+    # Each dart's (tail, head) pair by id, then in face order.
+    tails = chain.from_iterable(map(repeat, range(n), degrees))
+    by_id = list(zip(tails, chain.from_iterable(rots)))
+    walked = list(map(by_id.__getitem__, order))
+    del by_id
+    faces = tuple([Face(i, tuple(walked[a:b])) for i, (a, b) in enumerate(pairwise(starts))])
+    index = DartIndex(_int32s(off), twin, _int32s(face), _int32s(order), _int32s(starts))
+    return faces, index
+
+
+def _int32s(values: list[int]) -> memoryview:
+    """A read-only column of C ints, four bytes an item."""
+    return memoryview(struct.pack(f"{len(values)}i", *values)).cast("i")
 
 
 def trace_faces(embedding: PlanarEmbedding) -> tuple[Face, ...]:
@@ -253,10 +313,6 @@ def trace_faces(embedding: PlanarEmbedding) -> tuple[Face, ...]:
 # -- parsing / serialization ----------------------------------------------
 
 _INT = re.compile(r"-?\d+")
-
-
-def _tokens(line: str) -> list[str]:
-    return line.split("#", 1)[0].split()
 
 
 def parse_embedding(text: str) -> PlanarEmbedding:
@@ -272,13 +328,14 @@ def parse_embedding(text: str) -> PlanarEmbedding:
     """
     n: int | None = None
     outer_cycle: list[int] | None = None
-    rows: dict[int, list[int]] = {}
+    rows: dict[int, Sequence[int]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokens(raw)
+        toks = raw.partition("#")[0].split()
         if not toks:
             continue
-        if toks[0] == "n":
+        head = toks[0]
+        if head == "n":
             if n is not None:
                 raise RotationFormatError("duplicate 'n' directive", lineno)
             if len(toks) != 2 or not _INT.fullmatch(toks[1]):
@@ -287,7 +344,7 @@ def parse_embedding(text: str) -> PlanarEmbedding:
             if n < 1:
                 raise RotationFormatError(f"vertex count {n} must be positive", lineno)
             continue
-        if toks[0] == "outer":
+        if head == "outer":
             if outer_cycle is not None:
                 raise RotationFormatError("duplicate 'outer' directive", lineno)
             if len(toks) < 4:
@@ -299,34 +356,38 @@ def parse_embedding(text: str) -> PlanarEmbedding:
             continue
         if n is None:
             raise RotationFormatError("vertex line before 'n' directive", lineno)
-        head = toks[0]
-        if not head.endswith(":"):
+        if head[-1] != ":":
             col = raw.index(head) + 1
             raise RotationFormatError(f"expected '<vertex>:' at {head!r}", lineno, col)
-        if not _INT.fullmatch(head[:-1]):
-            raise RotationFormatError(f"vertex id {head[:-1]!r} is not an integer", lineno)
-        v = int(head[:-1])
+        vid = head[:-1]
+        if not (vid.isdecimal() or _INT.fullmatch(vid)):
+            raise RotationFormatError(f"vertex id {vid!r} is not an integer", lineno)
+        v = int(vid)
         if not 0 <= v < n:
             raise RotationFormatError(f"vertex id {v} out of range 0..{n - 1}", lineno)
         if v in rows:
             raise RotationFormatError(f"duplicate rotation line for vertex {v}", lineno)
-        nbrs: list[int] = []
-        for tok in toks[1:]:
-            if not _INT.fullmatch(tok):
-                col = raw.index(tok) + 1
-                raise RotationFormatError(f"neighbor {tok!r} is not an integer", lineno, col)
-            u = int(tok)
-            if not 0 <= u < n:
-                raise RotationFormatError(f"neighbor {u} out of range 0..{n - 1}", lineno)
-            nbrs.append(u)
+        # ``re``'s \d and str.isdecimal accept the same code points, so a
+        # line whose neighbors join to one decimal string skips the token
+        # checks; its ints need only the range check, against their max.
+        body = toks[1:]
+        nbrs = tuple(map(int, body)) if "".join(body).isdecimal() else ()
+        if not nbrs or max(nbrs) >= n:
+            for tok in body:
+                if not _INT.fullmatch(tok):
+                    col = raw.index(tok) + 1
+                    raise RotationFormatError(f"neighbor {tok!r} is not an integer", lineno, col)
+                if not 0 <= (u := int(tok)) < n:
+                    raise RotationFormatError(f"neighbor {u} out of range 0..{n - 1}", lineno)
+            nbrs = tuple(map(int, body))
         rows[v] = nbrs
 
     if n is None:
         raise RotationFormatError("missing 'n' directive")
-    # At most len(rows) ids are present, so the first 8 missing ones lie
-    # below len(rows) + 8 whatever n is.
-    missing = [v for v in range(min(n, len(rows) + 8)) if v not in rows]
-    if missing:
+    if len(rows) < n:
+        # At most len(rows) ids are present, so the first 8 missing ones
+        # lie below len(rows) + 8 whatever n is.
+        missing = [v for v in range(min(n, len(rows) + 8)) if v not in rows]
         raise RotationFormatError(f"missing rotation line for vertices {missing[:8]}")
 
     try:
@@ -343,17 +404,22 @@ def _match_outer_face(emb: PlanarEmbedding, cycle: list[int]) -> int:
     """Find the traced face equal to ``cycle`` up to rotation and reversal.
 
     A face that walks ``cycle`` forward holds the dart (c0, c1), and one
-    that walks it backward holds (c1, c0).  Each dart lies on one face,
-    so two lookups and two O(k) comparisons decide.  When both match (a
-    bare cycle graph) the lower face id wins.
+    that walks it backward holds its twin (c1, c0).  Each dart lies on one
+    face, so one dart-id lookup and two O(k) comparisons decide.  When
+    both match (a bare cycle graph) the lower face id wins.
     """
     c0, c1 = cycle[0], cycle[1]
-    walks = (((c0, c1), tuple(cycle)), ((c1, c0), (c1, c0) + tuple(cycle[:1:-1])))
+    try:
+        d = emb.dart_id(c0, c1)
+    except KeyError:
+        raise RotationFormatError(f"outer directive {cycle} matches no traced face") from None
+    twin, dart_face = emb.dart_index.twin, emb.dart_index.dart_face
+    walks = (
+        ((c0, c1), dart_face[d], tuple(cycle)),
+        ((c1, c0), dart_face[twin[d]], (c1, c0) + tuple(cycle[:1:-1])),
+    )
     matches = []
-    for dart, walk in walks:
-        fid = emb._dart_face.get(dart)
-        if fid is None:
-            continue
+    for dart, fid, walk in walks:
         face = emb.faces[fid]
         if face.length == len(walk):
             i = face.darts.index(dart)
@@ -408,7 +474,7 @@ def _components_without(
         comp = [s]
         for v in comp:  # the component list doubles as the BFS queue
             for u in rotations[v]:
-                if not seen[u] and edge_key(v, u) not in banned:
+                if not seen[u] and not (banned and edge_key(v, u) in banned):
                     seen[u] = True
                     comp.append(u)
         comps.append(comp)
@@ -422,14 +488,12 @@ def _three_connected_cubic(emb: PlanarEmbedding) -> bool:
     Vertex and edge connectivity agree on cubic graphs, and the minimal
     edge cuts of a connected plane graph are the cycles of its dual.  A
     dual loop is an edge with both darts on one face (a bridge); a dual
-    2-cycle is two faces sharing two edges (a 2-edge cut).
+    2-cycle is two faces sharing two edges (a 2-edge cut).  Either one
+    gives two darts the same (face, far face) pair, and nothing else does.
     """
-    pairs: set[tuple[int, ...]] = set()
-    for fids in emb.edge_faces.values():  # ids ascend: faces are walked in id order
-        if fids[0] == fids[1] or fids in pairs:
-            return False
-        pairs.add(fids)
-    return True
+    twin, dart_face = emb.dart_index.twin, emb.dart_index.dart_face
+    far = map(dart_face.__getitem__, twin)
+    return len(set(zip(dart_face, far))) == len(dart_face)
 
 
 def _vertex_flow_at_least(emb: PlanarEmbedding, s: int, t: int, k: int) -> bool:
@@ -554,11 +618,16 @@ def enumerate_3_edge_cuts(emb: PlanarEmbedding) -> list[EdgeCut]:
         raise EmbeddingError("3-edge-cut enumeration expects a cubic graph")
     if len(_components_without(emb)) != 1:
         raise EmbeddingError("3-edge-cut enumeration expects a connected graph")
+    rots, twin, dart_face = emb.rotations, emb.dart_index.twin, emb.dart_index.dart_face
     shared: dict[tuple[int, int], list[Edge]] = {}
-    for e, fids in emb.edge_faces.items():
-        if len(fids) == 2 and fids[0] != fids[1]:
-            key = (fids[0], fids[1]) if fids[0] < fids[1] else (fids[1], fids[0])
-            shared.setdefault(key, []).append(e)
+    for d, t in enumerate(twin):
+        if d > t:
+            continue  # each edge once, from its smaller end
+        a, b = dart_face[d], dart_face[t]
+        if a != b:
+            u = d // 3
+            key = (a, b) if a < b else (b, a)
+            shared.setdefault(key, []).append((u, rots[u][d - 3 * u]))
     neighbors: dict[int, set[int]] = {}
     for f1, f2 in shared:
         neighbors.setdefault(f1, set()).add(f2)

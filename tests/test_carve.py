@@ -148,7 +148,7 @@ class TestOpenFace:
 
     def test_four_face_alternation(self, cube):
         state = self.entrance_state(cube, (0, 1))
-        assert state.unentered_face((0, 1)).length == 4
+        assert state.unentered_face(state.edge_id(0, 1)).length == 4
         assert state.h_count == 3
         assert _run_one(state, False) is None
         new_h = [e for e, r in role_map(state).items() if r is EdgeRole.INNER_HAMILTONIAN]
@@ -165,8 +165,8 @@ class TestOpenFace:
         state = self.entrance_state(hex_prism, (0, 1))
         _run_one(state, False)
         door = self.inner_doors(state)[0]
-        face = state.unentered_face(door)
         door = state.edge_id(*door)
+        face = state.unentered_face(door)
         assert face.length == 6
         new_h, new_doors = _apply_opening(state, door, face)
         assert len(new_h) == 3 and len(new_doors) == 2
@@ -189,7 +189,7 @@ class TestOpenFace:
         _run_one(state, False)
         _run_one(state, False)
         door, _ = state.frontier[0]
-        face = state.unentered_face(state.edge_of(door))
+        face = state.unentered_face(door)
         before = self.snapshot(state)
         with pytest.raises(RoleConflictError, match="three cycle edges"):
             _apply_opening(state, door, face)
@@ -198,8 +198,8 @@ class TestOpenFace:
     def test_odd_face_rejected(self):
         emb = build_named("dodecahedron").embedding
         state = self.entrance_state(emb, tuple(sorted(emb.outer_face.edges)[0]))
-        face = state.unentered_face(state.entrances[0])
         entrance = state.edge_id(*state.entrances[0])
+        face = state.unentered_face(entrance)
         assert face.length == 5
         with pytest.raises(OddFaceError):
             _apply_opening(state, entrance, face)
@@ -584,7 +584,8 @@ def golden_digests(corpus_graphs):
     face of the corpus, prisms k = 3..13 and the first two cube leapfrogs.
 
     Returns (runs, failed runs whose cycle edges are not a path forest,
-    trace digest, role digest)."""
+    trace digest, role digest, runs whose ``role_class`` answers differ
+    from the ``roles`` map or built that map)."""
     bases = [g.embedding for g in corpus_graphs.values()]
     bases += [generate_prism(k).embedding for k in range(3, 14)]
     leapfrog = build_named("cube").embedding
@@ -593,7 +594,7 @@ def golden_digests(corpus_graphs):
         bases.append(leapfrog)
     trace_digest, role_digest = hashlib.sha256(), hashlib.sha256()
     runs = 0
-    not_forest = []
+    not_forest, class_mismatch = [], []
     for base in bases:
         for face in base.faces:
             emb = base.with_outer_face(face.id)
@@ -606,6 +607,8 @@ def golden_digests(corpus_graphs):
                 if not set(a) & set(b)
             ]
             for res in results:
+                classes = {role: res.role_class(role) for role in EdgeRole}
+                built_map = "roles" in vars(res)
                 if res.status is not CarveStatus.HAMILTONIAN_CYCLE:
                     try:
                         assert_path_forest(res)
@@ -619,12 +622,15 @@ def golden_digests(corpus_graphs):
                 )
                 trace_digest.update(repr(record).encode())
                 role_digest.update(repr(sorted((e, r.value) for e, r in res.roles.items())).encode())
+                from_map = {role: {e for e, r in res.roles.items() if r is role} for role in EdgeRole}
+                if built_map or classes != from_map:
+                    class_mismatch.append((emb, res.entrances))
             runs += len(results)
-    return runs, not_forest, trace_digest.hexdigest(), role_digest.hexdigest()
+    return runs, not_forest, trace_digest.hexdigest(), role_digest.hexdigest(), class_mismatch
 
 
 def test_trace_digest_is_pinned(golden_digests):
-    runs, not_forest, trace_digest, _ = golden_digests
+    runs, not_forest, trace_digest = golden_digests[:3]
     assert runs == 7998
     assert not not_forest
     assert trace_digest == TRACE_DIGEST
@@ -632,3 +638,9 @@ def test_trace_digest_is_pinned(golden_digests):
 
 def test_role_digest_is_pinned(golden_digests):
     assert golden_digests[3] == ROLE_DIGEST
+
+
+def test_role_class_reads_role_bytes_on_golden_runs(golden_digests):
+    # Every class of every golden run equals the one derived from the
+    # roles map, and reading the classes did not build that map.
+    assert golden_digests[4] == []

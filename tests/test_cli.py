@@ -179,6 +179,25 @@ class TestSubcommands:
         code, out = run_cli(capsys, "bench", "--machine", "--family", "prism")
         assert code == 0 and parse_machine_records(out) == []
 
+    @pytest.mark.parametrize("family, sizes, ns", [("prism", "2,5", ["8", "20"]),
+                                                   ("leapfrog", "1,2", ["24", "72"])])
+    def test_bench_front_layer(self, capsys, family, sizes, ns):
+        code, out = run_cli(capsys, "bench", "--machine", "--layer", "front",
+                            "--family", family, "--sizes", sizes)
+        recs = parse_machine_records(out)
+        assert code == 0 and [r["n"] for r in recs] == ns
+        assert all(r["layer"] == "front" and r["status"] == "parsed" for r in recs)
+        assert all(float(r["per_vertex_us"]) > 0 for r in recs)
+
+    def test_bench_front_prints_ratio(self, capsys):
+        code, out = run_cli(capsys, "bench", "--layer", "front", "--sizes", "2,3")
+        assert code == 0 and out.count("parsed") == 2
+        assert "per-vertex ratio largest/smallest:" in out
+
+    def test_bench_unknown_layer(self):
+        with pytest.raises(SystemExit, match="unknown bench layer"):
+            main(["bench", "--layer", "oracle", "--sizes", "1"])
+
     def test_dot_plain_and_carved(self, capsys, rot_file):
         path = rot_file("cube")
         code, out = run_cli(capsys, "dot", path)
@@ -237,6 +256,9 @@ class TestBenchScaling:
         assert [r["n"] for r in rows] == [8, 20]
         assert all(r["seconds"] >= 0 for r in rows)
         assert all(r["status"] == "HamiltonianCycle" for r in rows)
+        front = bench_scaling([2, 5], repeats=1, layer="front")
+        assert [r["n"] for r in front] == [8, 20]
+        assert all(r["status"] == "parsed" and r["seconds"] >= 0 for r in front)
 
 
 def test_to_dot_contains_every_edge():

@@ -1,0 +1,283 @@
+"""The integer half-edge core: dart-array invariants, and the parser
+checked against the per-token regex parser it replaced."""
+
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from barnette.corpus import build_named, dual_embedding, generate_prism, truncate_embedding
+from barnette.embedding import (
+    EmbeddingError,
+    PlanarEmbedding,
+    RotationFormatError,
+    parse_embedding,
+    serialize_embedding,
+)
+
+# -- reference parser -----------------------------------------------------
+
+_REF_INT = re.compile(r"-?\d+")
+
+
+def reference_parse(text: str) -> PlanarEmbedding:
+    """The parser as it was before the all-decimal fast path and the dart
+    arrays: every token through the regex, the outer line matched through
+    a dict from dart pairs to face ids."""
+    n = None
+    outer_cycle = None
+    rows: dict[int, list[int]] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
+            continue
+        if toks[0] == "n":
+            if n is not None:
+                raise RotationFormatError("duplicate 'n' directive", lineno)
+            if len(toks) != 2 or not _REF_INT.fullmatch(toks[1]):
+                raise RotationFormatError("expected 'n <vertex_count>'", lineno)
+            n = int(toks[1])
+            if n < 1:
+                raise RotationFormatError(f"vertex count {n} must be positive", lineno)
+            continue
+        if toks[0] == "outer":
+            if outer_cycle is not None:
+                raise RotationFormatError("duplicate 'outer' directive", lineno)
+            if len(toks) < 4:
+                raise RotationFormatError("outer directive needs at least 3 vertices", lineno)
+            try:
+                outer_cycle = [int(t) for t in toks[1:]]
+            except ValueError:
+                raise RotationFormatError("outer directive takes integers", lineno) from None
+            continue
+        if n is None:
+            raise RotationFormatError("vertex line before 'n' directive", lineno)
+        head = toks[0]
+        if not head.endswith(":"):
+            col = raw.index(head) + 1
+            raise RotationFormatError(f"expected '<vertex>:' at {head!r}", lineno, col)
+        if not _REF_INT.fullmatch(head[:-1]):
+            raise RotationFormatError(f"vertex id {head[:-1]!r} is not an integer", lineno)
+        v = int(head[:-1])
+        if not 0 <= v < n:
+            raise RotationFormatError(f"vertex id {v} out of range 0..{n - 1}", lineno)
+        if v in rows:
+            raise RotationFormatError(f"duplicate rotation line for vertex {v}", lineno)
+        nbrs: list[int] = []
+        for tok in toks[1:]:
+            if not _REF_INT.fullmatch(tok):
+                col = raw.index(tok) + 1
+                raise RotationFormatError(f"neighbor {tok!r} is not an integer", lineno, col)
+            u = int(tok)
+            if not 0 <= u < n:
+                raise RotationFormatError(f"neighbor {u} out of range 0..{n - 1}", lineno)
+            nbrs.append(u)
+        rows[v] = nbrs
+    if n is None:
+        raise RotationFormatError("missing 'n' directive")
+    missing = [v for v in range(min(n, len(rows) + 8)) if v not in rows]
+    if missing:
+        raise RotationFormatError(f"missing rotation line for vertices {missing[:8]}")
+    try:
+        emb = PlanarEmbedding([rows[v] for v in range(n)])
+    except EmbeddingError as exc:
+        raise RotationFormatError(str(exc)) from exc
+    if outer_cycle is None:
+        return emb
+    dart_face = {d: f.id for f in emb.faces for d in f.darts}
+    c0, c1 = outer_cycle[0], outer_cycle[1]
+    walks = (((c0, c1), tuple(outer_cycle)),
+             ((c1, c0), (c1, c0) + tuple(outer_cycle[:1:-1])))
+    matches = []
+    for dart, walk in walks:
+        fid = dart_face.get(dart)
+        if fid is None:
+            continue
+        face = emb.faces[fid]
+        if face.length == len(walk):
+            i = face.darts.index(dart)
+            if face.vertices[i:] + face.vertices[:i] == walk:
+                matches.append(fid)
+    if not matches:
+        raise RotationFormatError(f"outer directive {outer_cycle} matches no traced face")
+    return emb.with_outer_face(min(matches))
+
+
+def outcome(parse, text: str):
+    """An equal embedding, or the same typed error with its line and column.
+    Anything else escapes and fails the test."""
+    try:
+        emb = parse(text)
+    except RotationFormatError as exc:
+        return ("format", str(exc), exc.line, exc.column)
+    except EmbeddingError as exc:  # the outer line needs a sphere map
+        return (type(exc).__name__, str(exc))
+    return ("ok", emb.rotations, emb._explicit_outer)
+
+
+# -- document strategies ----------------------------------------------------
+
+NOISE = ["0", "1", "2", "3", "5", "7", "8", "12", "+5", "1_0", "-0", "-1", "٣", "²", "x",
+         "0:", "1:", "3:", "٣:", ":", "#", "n", "outer", "\t", "# note"]
+BASES = {name: serialize_embedding(build_named(name).embedding).splitlines()
+         for name in ("cube", "prism_6", "prism_4")}
+
+
+@st.composite
+def edited_documents(draw):
+    """A corpus document with a few lines edited: a token replaced, a line
+    dropped, duplicated or moved, tabs for spaces, a comment, or the outer
+    line replaced (a face rotated or reversed, or any vertices)."""
+    name = draw(st.sampled_from(sorted(BASES)))
+    lines = list(BASES[name])
+    emb = build_named(name).embedding
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["token", "drop", "dup", "move", "tabs", "comment", "outer"]))
+        if kind == "token":
+            toks = lines[i].split(" ")
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(st.sampled_from(NOISE))
+            lines[i] = " ".join(toks)
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "dup":
+            lines.insert(i, lines[i])
+        elif kind == "move":
+            lines.insert(draw(st.integers(0, len(lines))), lines.pop(i))
+        elif kind == "tabs":
+            lines[i] = lines[i].replace(" ", "\t")
+        elif kind == "comment":
+            lines[i] += " # " + draw(st.sampled_from(NOISE))
+        else:
+            face = draw(st.sampled_from(emb.faces)).vertices
+            r = draw(st.integers(0, len(face) - 1))
+            cycle = list(face[r:] + face[:r])
+            if draw(st.booleans()):
+                cycle.reverse()
+            if draw(st.booleans()):
+                cycle = draw(st.lists(st.integers(-1, emb.vertex_count), min_size=3, max_size=8))
+            lines = [line for line in lines if not line.startswith("outer")]
+            lines.insert(min(i, len(lines)), "outer " + " ".join(map(str, cycle)))
+        if not lines:
+            break
+    return "\n".join(lines)
+
+
+noise_documents = st.lists(
+    st.lists(st.sampled_from(NOISE), max_size=5).map(" ".join), max_size=6
+).map(lambda ls: "n 3\n" + "\n".join(ls))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(edited_documents(), noise_documents))
+def test_parse_matches_reference_parser(text):
+    assert outcome(parse_embedding, text) == outcome(reference_parse, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(alphabet=st.sampled_from(list("0123456789 :\t#-+_n\nouter٣²x")), max_size=60))
+def test_parse_matches_reference_on_any_text(text):
+    assert outcome(parse_embedding, text) == outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("0: 1 +5 2", "neighbor '+5' is not an integer"),
+    ("0: 1_0 1 2", "neighbor '1_0' is not an integer"),
+    ("0: 1 ² 2", "neighbor '²' is not an integer"),
+    ("0: 9 x 2", "neighbor 9 out of range 0..3"),
+    ("0: 1 2 9", "neighbor 9 out of range 0..3"),
+    ("0: 1 4 2", "neighbor 4 out of range 0..3"),
+])
+def test_fallback_keeps_errors_and_columns(line, message):
+    doc = f"n 4\n{line}\n"
+    with pytest.raises(RotationFormatError) as err:
+        parse_embedding(doc)
+    assert str(err.value).startswith(message) and err.value.line == 2
+    assert outcome(parse_embedding, doc) == outcome(reference_parse, doc)
+
+
+def test_non_ascii_digits_and_negative_zero_parse_as_before():
+    # '٣' is a decimal digit to both \d and str.isdecimal; '-0' takes the
+    # per-token path.
+    doc = "n 4\n0: 1 ٣ 2\n1: 2 -0 3\n2: ٣ 0 1\n3: 0 2 1\n"
+    assert outcome(parse_embedding, doc) == outcome(reference_parse, doc)
+    assert parse_embedding(doc).rotations[0] == (1, 3, 2)
+
+
+# -- dart arrays --------------------------------------------------------------
+
+def reference_edge_faces(emb):
+    """edge_faces as defined before the dart arrays: faces in id order."""
+    out = {}
+    for face in emb.faces:
+        for e in face.edges:
+            out[e] = out.get(e, ()) + (face.id,)
+    return out
+
+
+def leapfrogs(count):
+    emb = build_named("cube").embedding
+    for _ in range(count):
+        emb = truncate_embedding(dual_embedding(emb))
+        yield emb
+
+
+def invariant_bases(corpus_graphs):
+    yield from (g.embedding for g in corpus_graphs.values())
+    yield from (generate_prism(k).embedding for k in range(2, 8))
+    yield from leapfrogs(2)
+
+
+def assert_dart_arrays(emb):
+    index, rots = emb.dart_index, emb.rotations
+    darts = sum(map(len, rots))
+    assert list(index.off) == [sum(map(len, rots[:v])) for v in range(emb.vertex_count + 1)]
+    twin = list(index.twin)
+    assert len(twin) == darts
+    assert all(twin[d] != d and twin[twin[d]] == d for d in range(darts))
+    for v, nbrs in enumerate(rots):
+        for i, u in enumerate(nbrs):
+            assert twin[index.off[v] + i] == index.off[u] + rots[u].index(v)
+    order = []
+    for face in emb.faces:
+        ids = [index.off[u] + rots[u].index(v) for u, v in face.darts]
+        assert all(index.dart_face[d] == face.id for d in ids)
+        assert list(index.face_darts[index.face_start[face.id]:index.face_start[face.id + 1]]) == ids
+        order += ids
+    assert sorted(order) == list(range(darts))
+    assert emb.edge_faces == reference_edge_faces(emb)
+    assert list(emb.edges) == sorted({tuple(sorted(e)) for e in emb.edge_faces})
+
+
+def test_dart_arrays_under_every_outer_face(corpus_graphs):
+    for base in invariant_bases(corpus_graphs):
+        for face in base.faces:
+            # A fresh parse traces again, here through the outer line.
+            emb = parse_embedding(serialize_embedding(base.with_outer_face(face.id)))
+            assert emb.outer_face_id == face.id
+            assert_dart_arrays(emb)
+
+
+def test_dart_arrays_are_read_only(cube):
+    with pytest.raises(TypeError):
+        cube.dart_index.twin[0] = 1
+
+
+def test_face_of_dart_and_dart_id(cube):
+    for face in cube.faces:
+        for u, v in face.darts:
+            assert cube.face_of_dart((u, v)) == face.id
+    for bad in ((0, 0), (0, 7), (-1, 0), (8, 0)):
+        with pytest.raises(KeyError):
+            cube.dart_id(*bad)
+
+
+def test_is_cubic_is_cached_and_shared_by_reroots(cube):
+    path = PlanarEmbedding([[1], [0, 2], [1]])
+    assert not path.is_cubic() and vars(path)["_cubic"] is False
+    rooted_path = path.with_outer_face(0)
+    assert vars(rooted_path)["_cubic"] is False and not rooted_path.is_cubic()
+    assert cube.is_cubic()
+    rooted = cube.with_outer_face(3)
+    assert vars(rooted)["_cubic"] is True and rooted.is_cubic()

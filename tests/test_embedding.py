@@ -169,7 +169,7 @@ class TestParse:
         emb = parse_embedding(CUBE_DOC.replace("n 8", "n 8\nouter 0 4 5 1"))
         assert len(matched) == 1
         assert emb.faces is matched[0].faces
-        assert emb._dart_face is matched[0]._dart_face
+        assert emb.dart_index is matched[0].dart_index
         assert set(emb.outer_face.vertices) == {0, 4, 5, 1}
 
     def test_with_outer_face_shares_outer_independent_indexes(self):
@@ -182,7 +182,7 @@ class TestParse:
             assert rooted.faces is base.faces
             assert rooted.edges is base.edges
             assert rooted.edge_faces is base.edge_faces
-            assert rooted._dart_face is base._dart_face
+            assert rooted.dart_index is base.dart_index
             assert rooted.outer_edges == frozenset(face.edges)
         assert cold.faces is not base.faces
         assert cold.faces == base.faces and cold.outer_face_id == 2
