@@ -15,20 +15,23 @@ The carve runs on integer ids.  The graph is cubic, so the dart from
 ``u`` to ``rotations[u][i]`` has id ``3u + i``, and an edge is named by
 the dart leaving its smaller end: edge ``(u, v)``, ``u < v``, is
 ``3u + rotations[u].index(v)``.  Roles are a ``bytearray`` indexed by
-edge id, the frontier and the trail hold ids, and a face's walk is the
-tuple of its edge ids, built the first time the face is used.  These ids
-are the embedding's own dart ids, so an edge's two faces are read off the
+edge id, the frontier and the trail hold ids, faces are named by id and
+measured off ``face_start``, and a face's walk is the tuple of its edge
+ids, built the first time the face is used.  These ids are the
+embedding's own dart ids, so an edge's two faces are read off the
 embedding's dart arrays as ``dart_face[e]`` and ``dart_face[twin[e]]``;
-no edge-keyed index is built.  Edges are ``(u, v)`` pairs only in trace
-events, failure reasons and the result's role views.
+no edge-keyed index is built and no ``Face`` but the outer one is read.
+Edges are ``(u, v)`` pairs only in trace events, failure reasons and the
+result's role views.
 
 A carve costs one pass per opened face.  Set-up touches the outer edges
 only: the faces that hold an outer-Hamiltonian edge are read off the dart
 arrays and stay fixed for the run, since that role is never assigned
 later.  The promotion and bridge tests are answered from per-carve
 sets built from them once per face, so no door rescans its face or the map.
-``CarveResult`` keeps the role bytes: ``role_class`` reads them directly
-and the ``roles`` map is built the first time it is read, so a carve that
+``CarveResult`` keeps the role bytes: a ``role_class`` view counts its
+size off them and builds its edge set only when the edges are read, and
+the ``roles`` map is built the first time it is read, so a carve that
 stops after a few events does Python work only on the outer face and the
 faces it touched.
 """
@@ -37,14 +40,15 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
-from collections import deque
+from collections import Counter, deque
+from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, count, repeat
 from operator import floordiv
 from typing import Iterator, NamedTuple
 
-from .embedding import Edge, Face, PlanarEmbedding, edge_key
+from .embedding import Edge, PlanarEmbedding, edge_key
 
 __all__ = [
     "EdgeRole",
@@ -172,17 +176,50 @@ class CarveResult:
     def roles(self) -> dict[Edge, EdgeRole]:
         return _role_map(self.embedding, self.role_bytes)
 
-    def role_class(self, role: EdgeRole) -> frozenset[Edge]:
-        """The edges holding ``role``, read off the role bytes.  Dart ``3u +
-        i`` runs from ``u`` to ``rotations[u][i]``.  The sweep gave every
-        dart from an edge's larger end the inner-door code, so only that
-        class needs those darts skipped."""
-        hit = self.role_bytes.translate(_IS_ROLE[role])
+    def role_class(self, role: EdgeRole) -> RoleClass:
+        """The edges holding ``role``, as a read-only set view over the
+        role bytes."""
+        return RoleClass(self, role)
+
+
+class RoleClass(Set):
+    """The edges of one carve result that hold one role: a read-only set
+    over its role bytes.  ``len`` counts role codes; iteration, membership
+    and set operations read the frozenset of edges, built once."""
+
+    def __init__(self, result: CarveResult, role: EdgeRole):
+        self._result = result
+        self._role = role
+
+    def __len__(self) -> int:
+        codes = self._result.role_bytes
+        size = codes.count(_ROLES.index(self._role))
+        if self._role is EdgeRole.INNER_DOOR:
+            # The sweep coded the dart from every edge's larger end as an
+            # inner door too: one byte per dart, two darts per edge.
+            size -= len(codes) // 2
+        return size
+
+    @cached_property
+    def _edges(self) -> frozenset[Edge]:
+        """Dart ``3u + i`` runs from ``u`` to ``rotations[u][i]``; only the
+        inner-door class holds darts from an edge's larger end."""
+        hit = self._result.role_bytes.translate(_IS_ROLE[self._role])
         tails = map(floordiv, compress(count(), hit), repeat(3))
-        darts = zip(tails, compress(chain.from_iterable(self.embedding.rotations), hit))
-        if role is not EdgeRole.INNER_DOOR:
+        darts = zip(tails, compress(chain.from_iterable(self._result.embedding.rotations), hit))
+        if self._role is not EdgeRole.INNER_DOOR:
             return frozenset(darts)
         return frozenset([e for e in darts if e[0] < e[1]])
+
+    def __iter__(self) -> Iterator[Edge]:
+        return iter(self._edges)
+
+    def __contains__(self, edge: object) -> bool:
+        return edge in self._edges
+
+    @classmethod
+    def _from_iterable(cls, edges) -> frozenset[Edge]:
+        return frozenset(edges)
 
 
 @dataclass(frozen=True)
@@ -319,12 +356,12 @@ class ChamberState:
         a, b = self._dart_face[e], self._dart_face[self._twin[e]]
         return (a, b) if a <= b else (b, a)
 
-    def unentered_face(self, e: int) -> Face | None:
-        """The first of edge ``e``'s faces, ascending, not yet entered."""
+    def unentered_face(self, e: int) -> int | None:
+        """Id of the first of edge ``e``'s faces, ascending, not yet entered."""
         a, b = self._dart_face[e], self._dart_face[self._twin[e]]
         for fid in (a, b) if a <= b else (b, a):  # faces_of, inlined: one call a pop
             if fid not in self.entered_faces:
-                return self.embedding.faces[fid]
+                return fid
         return None
 
     def far_faces(self, fid: int) -> Iterator[int]:
@@ -343,14 +380,14 @@ class ChamberState:
             walk = self._walks[fid] = tuple([d if d < twin[d] else twin[d] for d in darts])
         return walk
 
-    def face_borders_outer_ham(self, face: Face) -> bool:
-        """The promotion test: does any edge of the face lie on a face
+    def face_borders_outer_ham(self, fid: int) -> bool:
+        """The promotion test: does any edge of face ``fid`` lie on a face
         that carries an outer-Hamiltonian edge?"""
-        hit = self._borders_outer_ham.get(face.id)
+        hit = self._borders_outer_ham.get(fid)
         if hit is None:
             ham_faces = self._outer_ham_faces
-            hit = face.id in ham_faces or any(map(ham_faces.__contains__, self.far_faces(face.id)))
-            self._borders_outer_ham[face.id] = hit
+            hit = fid in ham_faces or any(map(ham_faces.__contains__, self.far_faces(fid)))
+            self._borders_outer_ham[fid] = hit
         return hit
 
     def bridge_candidates(
@@ -418,18 +455,21 @@ def _init_state(embedding: PlanarEmbedding, entrances: tuple[Edge, ...]) -> Cham
 def _apply_opening(
     state: ChamberState,
     door: int,
-    face: Face,
+    fid: int,
     left_walk: bool = False,
 ) -> tuple[list[int], list[int]]:
-    """Alternate the face boundary from the door; atomic, raises on conflict.
+    """Alternate the boundary of face ``fid`` from the door; atomic, raises
+    on conflict.
 
     The walk follows the traced darts from the door; left_walk reverses
     it.  Alternation parity is direction independent on even faces, so
     the flag only changes the order new doors reach the frontier.
     """
-    if face.length % 2:
-        raise OddFaceError(f"face {face.id} has odd length {face.length}")
-    walk = state.walk(face.id)
+    start = state._index.face_start
+    length = start[fid + 1] - start[fid]
+    if length % 2:
+        raise OddFaceError(f"face {fid} has odd length {length}")
+    walk = state.walk(fid)
     pos = walk.index(door)
     if left_walk:
         rest = walk[pos - 1::-1] + walk[:pos:-1] if pos else walk[:0:-1]
@@ -458,7 +498,7 @@ def _apply_opening(
     except CarveError:
         state._undo_to(mark, h_count)
         raise
-    state.entered_faces.add(face.id)
+    state.entered_faces.add(fid)
     return new_h, new_doors
 
 
@@ -637,8 +677,8 @@ def _run_one(state: ChamberState, left_walk: bool) -> str | None:
         return None
     edge_of = state.edge_of
     door_pair = edge_of(door)
-    face = state.unentered_face(door)
-    if face is None:
+    fid = state.unentered_face(door)
+    if fid is None:
         hit = detect_bridge_face(state, door, embedding)
         if hit is not None:
             e, dj = hit
@@ -660,10 +700,7 @@ def _run_one(state: ChamberState, left_walk: bool) -> str | None:
         # borders the outer-Hamiltonian region and the move is legal;
         # otherwise it keeps its door role.  Dropping unconditionally
         # strands the two endpoints one cycle edge short.
-        if any(
-            state.face_borders_outer_ham(embedding.faces[fid])
-            for fid in state.faces_of(door)
-        ):
+        if any(map(state.face_borders_outer_ham, state.faces_of(door))):
             try:
                 state.add_ham_edge(door)
             except CarveError:
@@ -679,20 +716,20 @@ def _run_one(state: ChamberState, left_walk: bool) -> str | None:
         state.trace.append(TraceEvent(len(state.trace), "drop", door_pair, -1, side=side))
         return None
     try:
-        new_h, new_doors = _apply_opening(state, door, face, left_walk)
+        new_h, new_doors = _apply_opening(state, door, fid, left_walk)
     except CarveError as open_err:
         if state.roles[door] == _D_E:
             return f"cannot open the entrance face: {open_err}"
-        if not state.face_borders_outer_ham(face):
-            return f"door {door_pair} face {face.id}: {open_err}"
+        if not state.face_borders_outer_ham(fid):
+            return f"door {door_pair} face {fid}: {open_err}"
         try:
             state.add_ham_edge(door)
         except CarveError as exc:
-            return f"door {door_pair} face {face.id}: promotion failed: {exc}"
-        state.entered_faces.add(face.id)
+            return f"door {door_pair} face {fid}: promotion failed: {exc}"
+        state.entered_faces.add(fid)
         state.trace.append(
             TraceEvent(
-                len(state.trace), "promote", door_pair, face.id,
+                len(state.trace), "promote", door_pair, fid,
                 ham_edges=(door_pair,), side=side,
             )
         )
@@ -700,7 +737,7 @@ def _run_one(state: ChamberState, left_walk: bool) -> str | None:
     state.frontier.extend([(e, side) for e in new_doors])
     state.trace.append(
         TraceEvent(
-            len(state.trace), "open", door_pair, face.id,
+            len(state.trace), "open", door_pair, fid,
             ham_edges=tuple(map(edge_of, new_h)),
             door_edges=tuple(map(edge_of, new_doors)),
             side=side,
@@ -718,30 +755,21 @@ def select_entrance(
     nontrivial 3-edge-cut (both endpoints in that side, not a cut
     member).  Being a cut member is allowed but flagged.  If everything
     is excluded, the least-excluded edge is returned with forced=True.
+
+    An edge outside a cut keeps its two ends connected once the cut is
+    removed, so it lies inside one side: an edge is excluded by exactly
+    the cuts that do not hold it, and no side is read.
     """
     outer = embedding.outer_face
     if outer.length < 4:
         raise ValueError(f"outer cycle has length {outer.length}, need at least 4")
     cuts = cuts or []
-    scored: list[tuple[int, Edge]] = []
-    for e in sorted(outer.edges):
-        excluded = 0
-        for cut in cuts:
-            if e in cut.edges:
-                continue
-            u, v = e
-            for side in (cut.side_a, cut.side_b):
-                s = set(side)
-                if u in s and v in s:
-                    excluded += 1
-                    break
-        scored.append((excluded, e))
-    best_excl, best_edge = min(scored)
-    cut_member = any(best_edge in cut.edges for cut in cuts)
+    members = Counter(e for cut in cuts for e in cut.edges)
+    best_excl, best_edge = min((len(cuts) - members[e], e) for e in outer.edges)
     return EntranceChoice(
         edge=best_edge,
         excluded_by=best_excl,
-        cut_member=cut_member,
+        cut_member=members[best_edge] > 0,
         forced=best_excl > 0,
     )
 

@@ -38,8 +38,9 @@ from .embedding import (
 )
 from .oracle import find_hamiltonian_cycle, longest_cycle, verify_cycle
 
-# Cut enumeration is quadratic in edges; past this size the CLI asks for
-# an explicit entrance instead of guessing admissibility.
+# Cut enumeration runs one breadth-first search per candidate dual
+# triangle, O(cuts * n); past this size the CLI enters at the least outer
+# edge instead of checking admissibility.
 _CUT_ENUMERATION_EDGE_LIMIT = 400
 
 

@@ -8,17 +8,22 @@ Under the pairs lies one integer half-edge core, ``DartIndex``: the dart
 from ``v`` to ``rotations[v][i]`` has id ``off[v] + i`` (``3v + i`` on a
 cubic map), and an edge's id is the smaller of its two dart ids.  The one
 face trace walks ints only and leaves read-only int32 arrays behind;
-``Face.darts`` and ``edge_faces`` are views over them.
+``faces`` and ``edge_faces`` are views over them.  A ``Face`` and its
+``darts`` are built from the arrays the first time that face is read, so
+a run that enters a few faces builds only those.
 """
 
 from __future__ import annotations
 
 import re
 import struct
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, pairwise, repeat
-from typing import NamedTuple, Sequence
+from operator import sub
+from typing import NamedTuple
 
 Edge = tuple[int, int]
 Dart = tuple[int, int]
@@ -99,6 +104,58 @@ class DartIndex(NamedTuple):
     face_start: memoryview
 
 
+class FaceSequence(Sequence):
+    """The facial walks of a traced map, in traced order, read-only.  Face
+    ``f`` and its darts are built from the dart arrays the first time it
+    is read, then kept; ``len`` builds no face, and iterating builds every
+    face still missing in one pass."""
+
+    def __init__(self, rotations: tuple[tuple[int, ...], ...], index: DartIndex):
+        self._rotations = rotations
+        self._index = index
+        self._built: list[Face | None] = [None] * (len(index.face_start) - 1)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, f):
+        if isinstance(f, slice):
+            return tuple(map(self.__getitem__, range(len(self))[f]))
+        face = self._built[f]
+        if face is None:
+            off, start, rots = self._index.off, self._index.face_start, self._rotations
+            f %= len(self)
+            darts = self._index.face_darts[start[f]:start[f + 1]]
+            # Each dart of a walk leaves the vertex the one before it
+            # entered, so only the first tail is looked up.
+            u = bisect_right(off, darts[0]) - 1
+            pairs = []
+            for d in darts:
+                v = rots[u][d - off[u]]
+                pairs.append((u, v))
+                u = v
+            face = self._built[f] = Face(f, tuple(pairs))
+        return face
+
+    def __iter__(self):
+        built = self._built
+        if None in built:
+            off, start = self._index.off, self._index.face_start
+            degrees = map(sub, off[1:], off)
+            tails = chain.from_iterable(map(repeat, range(len(off) - 1), degrees))
+            by_id = list(zip(tails, chain.from_iterable(self._rotations)))
+            walked = list(map(by_id.__getitem__, self._index.face_darts))
+            for f, (a, b) in enumerate(pairwise(start)):
+                if built[f] is None:
+                    built[f] = Face(f, tuple(walked[a:b]))
+        return iter(built)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (FaceSequence, tuple)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+
 class PlanarEmbedding:
     """Immutable combinatorial map over vertices ``0..n-1``.
 
@@ -162,12 +219,14 @@ class PlanarEmbedding:
     # -- face tracing ----------------------------------------------------
 
     @cached_property
-    def _traced(self) -> tuple[tuple[Face, ...], DartIndex]:
-        return _trace(self)
+    def _traced(self) -> tuple[FaceSequence, DartIndex]:
+        index = _trace(self)
+        return FaceSequence(self.rotations, index), index
 
     @cached_property
-    def faces(self) -> tuple[Face, ...]:
-        """All facial walks, in deterministic discovery order.
+    def faces(self) -> FaceSequence:
+        """All facial walks, in deterministic discovery order, as a view
+        over ``dart_index``.
 
         Raises NonPlanarError unless the map is connected and
         V - E + F = 2.
@@ -192,9 +251,19 @@ class PlanarEmbedding:
                 raise EmbeddingError(f"outer face id {self._explicit_outer} out of range")
             return self._explicit_outer
         # Default rule: longest face, ties by lexicographically smallest
-        # sorted vertex tuple.  Deterministic across runs.
-        best = min(self.faces, key=lambda f: (-f.length, tuple(sorted(f.vertices))))
-        return best.id
+        # sorted vertex tuple, then by id.  The winner's least vertex is the
+        # least vertex on any longest face, so only the faces through that
+        # vertex are built and sorted.
+        index = self.dart_index
+        off, dart_face, start = index.off, index.dart_face, index.face_start
+        longest = max(map(sub, start[1:], start))
+
+        def longest_through(v: int) -> list[int]:
+            faces = dart_face[off[v]:off[v + 1]]
+            return [f for f in faces if start[f + 1] - start[f] == longest]
+
+        tied = next(filter(None, map(longest_through, range(self.vertex_count))))
+        return min(tied, key=lambda f: (sorted(self.faces[f].vertices), f))
 
     @property
     def outer_face(self) -> Face:
@@ -251,11 +320,10 @@ class PlanarEmbedding:
 _OUTER_INDEPENDENT_CACHES = ("edges", "_cubic", "_traced", "faces", "dart_index", "edge_faces")
 
 
-def _trace(emb: PlanarEmbedding) -> tuple[tuple[Face, ...], DartIndex]:
-    """One pass over the darts: the face walks and the dart arrays."""
+def _trace(emb: PlanarEmbedding) -> DartIndex:
+    """One pass over the darts: the face walks as dart arrays."""
     rots = emb.rotations
-    degrees = list(map(len, rots))
-    off = list(accumulate(degrees, initial=0))
+    off = list(accumulate(map(len, rots), initial=0))
     darts = off[-1]
     twin = [off[u] + rots[u].index(v) for v, nbrs in enumerate(rots) for u in nbrs]
     # Dart v -> u is followed on its face by the dart after u -> v in the
@@ -290,14 +358,7 @@ def _trace(emb: PlanarEmbedding) -> tuple[tuple[Face, ...], DartIndex]:
     components = len(_components_without(emb))
     if components != 1:
         raise NonPlanarError(f"map is disconnected: {components} components")
-    # Each dart's (tail, head) pair by id, then in face order.
-    tails = chain.from_iterable(map(repeat, range(n), degrees))
-    by_id = list(zip(tails, chain.from_iterable(rots)))
-    walked = list(map(by_id.__getitem__, order))
-    del by_id
-    faces = tuple([Face(i, tuple(walked[a:b])) for i, (a, b) in enumerate(pairwise(starts))])
-    index = DartIndex(_int32s(off), twin, _int32s(face), _int32s(order), _int32s(starts))
-    return faces, index
+    return DartIndex(_int32s(off), twin, _int32s(face), _int32s(order), _int32s(starts))
 
 
 def _int32s(values: list[int]) -> memoryview:
@@ -305,7 +366,7 @@ def _int32s(values: list[int]) -> memoryview:
     return memoryview(struct.pack(f"{len(values)}i", *values)).cast("i")
 
 
-def trace_faces(embedding: PlanarEmbedding) -> tuple[Face, ...]:
+def trace_faces(embedding: PlanarEmbedding) -> FaceSequence:
     """Trace all facial cycles; raises NonPlanarError off the sphere."""
     return embedding.faces
 
@@ -413,15 +474,16 @@ def _match_outer_face(emb: PlanarEmbedding, cycle: list[int]) -> int:
         d = emb.dart_id(c0, c1)
     except KeyError:
         raise RotationFormatError(f"outer directive {cycle} matches no traced face") from None
-    twin, dart_face = emb.dart_index.twin, emb.dart_index.dart_face
+    index = emb.dart_index
+    twin, dart_face, start = index.twin, index.dart_face, index.face_start
     walks = (
         ((c0, c1), dart_face[d], tuple(cycle)),
         ((c1, c0), dart_face[twin[d]], (c1, c0) + tuple(cycle[:1:-1])),
     )
     matches = []
     for dart, fid, walk in walks:
-        face = emb.faces[fid]
-        if face.length == len(walk):
+        if start[fid + 1] - start[fid] == len(walk):
+            face = emb.faces[fid]
             i = face.darts.index(dart)
             if face.vertices[i:] + face.vertices[:i] == walk:
                 matches.append(fid)

@@ -13,6 +13,7 @@ from barnette.carve import (
     ChamberState,
     DoorAdjacencyError,
     EdgeRole,
+    EntranceChoice,
     OddFaceError,
     RoleConflictError,
     _ROLES,
@@ -95,7 +96,48 @@ def assert_cycle_counts(emb, res):
     assert len(h_o) == emb.outer_face.length - len(res.entrances)
 
 
+def select_entrance_by_sides(emb, cuts):
+    """The entrance rule as first written: an outer edge is excluded by
+    each cut that does not hold it and has both its ends in one side."""
+    scored = []
+    for e in sorted(emb.outer_face.edges):
+        excluded = 0
+        for cut in cuts:
+            if e in cut.edges:
+                continue
+            u, v = e
+            for side in (cut.side_a, cut.side_b):
+                s = set(side)
+                if u in s and v in s:
+                    excluded += 1
+                    break
+        scored.append((excluded, e))
+    best_excl, best_edge = min(scored)
+    cut_member = any(best_edge in cut.edges for cut in cuts)
+    return EntranceChoice(best_edge, best_excl, cut_member, best_excl > 0)
+
+
 class TestSelectEntrance:
+    def test_matches_side_based_rule_on_every_rooting(self, corpus_graphs):
+        bases = [g.embedding for g in corpus_graphs.values()]
+        bases.append(truncate_embedding(generate_prism(6).embedding))
+        rootings, cuts_seen, flags = 0, 0, Counter()
+        for base in bases:
+            cuts = enumerate_3_edge_cuts(base)
+            for face in base.faces:
+                emb = base.with_outer_face(face.id)
+                if face.length < 4:
+                    with pytest.raises(ValueError, match="outer cycle"):
+                        select_entrance(emb, cuts)
+                    continue
+                choice = select_entrance(emb, cuts)
+                assert choice == select_entrance_by_sides(emb, cuts), (face.id, choice)
+                flags[choice.cut_member, choice.forced] += 1
+                rootings += 1
+                cuts_seen += len(cuts)
+        assert (rootings, cuts_seen) == (130, 448)
+        assert len(flags) > 1
+
     def test_cube_least_outer_edge(self, cube):
         choice = select_entrance(cube, enumerate_3_edge_cuts(cube))
         assert choice.edge == (0, 1)
@@ -148,7 +190,7 @@ class TestOpenFace:
 
     def test_four_face_alternation(self, cube):
         state = self.entrance_state(cube, (0, 1))
-        assert state.unentered_face(state.edge_id(0, 1)).length == 4
+        assert cube.faces[state.unentered_face(state.edge_id(0, 1))].length == 4
         assert state.h_count == 3
         assert _run_one(state, False) is None
         new_h = [e for e, r in role_map(state).items() if r is EdgeRole.INNER_HAMILTONIAN]
@@ -166,9 +208,9 @@ class TestOpenFace:
         _run_one(state, False)
         door = self.inner_doors(state)[0]
         door = state.edge_id(*door)
-        face = state.unentered_face(door)
+        face = hex_prism.faces[state.unentered_face(door)]
         assert face.length == 6
-        new_h, new_doors = _apply_opening(state, door, face)
+        new_h, new_doors = _apply_opening(state, door, face.id)
         assert len(new_h) == 3 and len(new_doors) == 2
         roles = role_map(state)
         h_new = sum(
@@ -189,20 +231,20 @@ class TestOpenFace:
         _run_one(state, False)
         _run_one(state, False)
         door, _ = state.frontier[0]
-        face = state.unentered_face(door)
+        fid = state.unentered_face(door)
         before = self.snapshot(state)
         with pytest.raises(RoleConflictError, match="three cycle edges"):
-            _apply_opening(state, door, face)
+            _apply_opening(state, door, fid)
         assert self.snapshot(state) == before
 
     def test_odd_face_rejected(self):
         emb = build_named("dodecahedron").embedding
         state = self.entrance_state(emb, tuple(sorted(emb.outer_face.edges)[0]))
         entrance = state.edge_id(*state.entrances[0])
-        face = state.unentered_face(entrance)
-        assert face.length == 5
+        fid = state.unentered_face(entrance)
+        assert emb.faces[fid].length == 5
         with pytest.raises(OddFaceError):
-            _apply_opening(state, entrance, face)
+            _apply_opening(state, entrance, fid)
         assert _run_one(state, False).startswith("cannot open the entrance face: face")
 
     def test_door_adjacency_guard(self, cube):

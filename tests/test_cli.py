@@ -1,5 +1,7 @@
 """CLI contract: subcommands, exit codes, machine format round-trip."""
 
+import hashlib
+import importlib
 import subprocess
 import sys
 import time
@@ -10,10 +12,13 @@ import pytest
 from barnette import cli
 from barnette.cli import bench_scaling, main, parse_machine_records, to_dot
 from barnette.carve import carve
-from barnette.corpus import build_named
-from barnette.embedding import serialize_embedding
+from barnette.corpus import build_named, corpus_names, dual_embedding, truncate_embedding
+from barnette.embedding import Face, parse_embedding, serialize_embedding
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+# The package exports a function named carve, so the module is looked up.
+carve_module = importlib.import_module("barnette.carve")
+embedding_module = importlib.import_module("barnette.embedding")
 
 
 @pytest.fixture()
@@ -248,6 +253,74 @@ class TestDeterminism:
         runs = [subprocess.run(cmd, capture_output=True, check=True).stdout for _ in range(2)]
         assert runs[0] == runs[1]
         assert b"status=HamiltonianCycle" in runs[0]
+
+
+# SHA-256 of `barnette faces --machine` over every sample file and every
+# `corpus emit` graph, each rooted at every one of its faces in turn.
+FACES_DIGEST = "550fb1c6a7af35cfae6e77a03099cbed23d0b5b12ec31ddb706c7788eb1a84e8"
+FACES_RUNS = 198
+
+
+def test_faces_output_is_pinned(capsys, tmp_path):
+    docs = [p.read_text(encoding="utf-8") for p in sorted(SAMPLES.glob("*.rot"))]
+    for name in corpus_names():
+        code, text = run_cli(capsys, "corpus", "emit", name)
+        assert code == 0
+        docs.append(text)
+    digest = hashlib.sha256()
+    path = tmp_path / "rooted.rot"
+    runs = 0
+    for text in docs:
+        emb = parse_embedding(text)
+        for f in range(len(emb.faces)):
+            path.write_text(serialize_embedding(emb.with_outer_face(f)), encoding="utf-8")
+            code, out = run_cli(capsys, "faces", "--machine", str(path))
+            assert code == 0
+            digest.update(out.encode())
+            runs += 1
+    assert (runs, digest.hexdigest()) == (FACES_RUNS, FACES_DIGEST)
+
+
+def test_fail_fast_record_builds_only_the_faces_it_reads(capsys, tmp_path, monkeypatch):
+    # `carve --machine FILE` on a 5832-vertex leapfrog whose carve fails
+    # within a few events: of its 2918 faces, only the outer face, the at
+    # most two faces its outer line is matched against and the faces the
+    # carve enters get their darts built, and the record's three role
+    # counts build no frozenset.
+    emb = build_named("cube").embedding
+    for _ in range(6):
+        emb = truncate_embedding(dual_embedding(emb))
+    text = serialize_embedding(emb)
+    path = tmp_path / "leapfrog.rot"
+    path.write_text(text, encoding="utf-8")
+    u, v = min(emb.outer_edges)
+    built, frozensets = [], []
+
+    class CountingFace(Face):
+        def __init__(self, id, darts):
+            super().__init__(id, darts)
+            built.append(id)
+
+    def counting_frozenset(*args):
+        frozensets.append(args)
+        return frozenset(*args)
+
+    monkeypatch.setattr(embedding_module, "Face", CountingFace)
+    monkeypatch.setattr(carve_module, "frozenset", counting_frozenset, raising=False)
+    code, out = run_cli(capsys, "carve", "--machine", "--trace", "--entrance", f"{u},{v}", str(path))
+    monkeypatch.undo()
+    head, *trace = parse_machine_records(out)
+    assert code == 0 and head["status"] == "Failure" and 0 < len(trace) < 20
+    assert int(head["h_o"]) + int(head["h_i"]) + int(head["d_i"]) == emb.edge_count - 1  # d_e
+    assert frozensets == []
+    doc = parse_embedding(text)
+    c0, c1 = emb.outer_face.vertices[:2]
+    d = doc.dart_id(c0, c1)
+    matched = {doc.dart_index.dart_face[d], doc.dart_index.dart_face[doc.dart_index.twin[d]]}
+    entered = {int(rec["face"]) for rec in trace} - {-1}
+    assert len(built) == len(set(built))
+    assert set(built) <= {doc.outer_face_id} | matched | entered
+    assert len(doc.faces) == 2918
 
 
 class TestBenchScaling:

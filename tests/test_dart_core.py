@@ -1,6 +1,7 @@
 """The integer half-edge core: dart-array invariants, and the parser
 checked against the per-token regex parser it replaced."""
 
+import random
 import re
 
 import pytest
@@ -281,3 +282,75 @@ def test_is_cubic_is_cached_and_shared_by_reroots(cube):
     assert cube.is_cubic()
     rooted = cube.with_outer_face(3)
     assert vars(rooted)["_cubic"] is True and rooted.is_cubic()
+
+
+# -- faces as views -------------------------------------------------------------
+
+def reference_faces(emb):
+    """The facial walks as (tail, head) pairs, traced dart by dart in id
+    order: dart v -> u is followed by the dart after u -> v at u."""
+    rots, seen, faces = emb.rotations, set(), []
+    for v, nbrs in enumerate(rots):
+        for u in nbrs:
+            walk, dart = [], (v, u)
+            while dart not in seen:
+                seen.add(dart)
+                walk.append(dart)
+                a, b = dart
+                dart = (b, rots[b][(rots[b].index(a) + 1) % len(rots[b])])
+            if walk:
+                faces.append(tuple(walk))
+    return faces
+
+
+def test_faces_read_one_at_a_time_equal_faces_read_in_bulk(corpus_graphs):
+    path = PlanarEmbedding([[1], [0, 2], [1]])
+    for base in [path, *invariant_bases(corpus_graphs)]:
+        expected = reference_faces(base)
+        one_by_one = PlanarEmbedding(base.rotations).faces
+        assert len(one_by_one) == len(expected)
+        for f in reversed(range(len(expected))):
+            assert one_by_one[f - len(expected)] is one_by_one[f]
+            assert one_by_one[f].id == f and one_by_one[f].darts == expected[f]
+        bulk = PlanarEmbedding(base.rotations).faces
+        assert [face.darts for face in bulk] == expected
+        assert bulk == one_by_one and bulk == tuple(one_by_one) and bulk[1:3] == tuple(bulk)[1:3]
+    with pytest.raises(IndexError):
+        path.faces[1]
+
+
+def default_outer_reference(emb):
+    """The default outer face as first defined: the longest face, ties by
+    the lexicographically smallest sorted vertex tuple."""
+    return min(emb.faces, key=lambda f: (-f.length, tuple(sorted(f.vertices)))).id
+
+
+def rootings(base, rng):
+    """``base`` relabeled once per face so that the face's vertices take the
+    least ids, the other ids shuffled, plus its mirror image."""
+    n = base.vertex_count
+    yield PlanarEmbedding([nbrs[::-1] for nbrs in base.rotations])
+    for face in base.faces:
+        first = list(dict.fromkeys(face.vertices))
+        rest = sorted(set(range(n)) - set(first))
+        rng.shuffle(rest)
+        new_id = {v: i for i, v in enumerate(first + rest)}
+        rots = [()] * n
+        for v, nbrs in enumerate(base.rotations):
+            rots[new_id[v]] = [new_id[u] for u in nbrs]
+        yield PlanarEmbedding(rots)
+
+
+def test_default_outer_face_matches_first_definition(corpus_graphs):
+    rng = random.Random(7)
+    bases = [g.embedding for g in corpus_graphs.values()]
+    bases.append(PlanarEmbedding([[(i - 1) % 5, (i + 1) % 5] for i in range(5)]))  # two tied faces
+    bases += [generate_prism(k).embedding for k in range(2, 31)]
+    bases += list(leapfrogs(4))  # up to 648 vertices
+    checked = 0
+    for base in bases:
+        for emb in rootings(base, rng):
+            rule = emb.outer_face_id  # before the reference reads every face
+            assert rule == default_outer_reference(emb)
+            checked += 1
+    assert checked == 1636
