@@ -421,7 +421,8 @@ def bench_scaling(
     these carves fail within a few events, so they time the fail-fast
     path.  Layer ``carve`` enters at the least outer edge of the traced
     graph; layer ``front`` parses the graph's serialized document, whose
-    ``outer`` line makes the parse trace the faces.
+    ``outer`` line makes the parse trace the dart arrays and build the at
+    most two faces the outer match compares, not the others.
     """
     rows = []
     for k in sizes:

@@ -21,7 +21,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, pairwise, repeat
+from itertools import accumulate, pairwise
 from operator import sub
 from typing import NamedTuple
 
@@ -107,8 +107,7 @@ class DartIndex(NamedTuple):
 class FaceSequence(Sequence):
     """The facial walks of a traced map, in traced order, read-only.  Face
     ``f`` and its darts are built from the dart arrays the first time it
-    is read, then kept; ``len`` builds no face, and iterating builds every
-    face still missing in one pass."""
+    is read, then kept; ``len`` builds no face."""
 
     def __init__(self, rotations: tuple[tuple[int, ...], ...], index: DartIndex):
         self._rotations = rotations
@@ -118,9 +117,7 @@ class FaceSequence(Sequence):
     def __len__(self) -> int:
         return len(self._built)
 
-    def __getitem__(self, f):
-        if isinstance(f, slice):
-            return tuple(map(self.__getitem__, range(len(self))[f]))
+    def __getitem__(self, f: int) -> Face:
         face = self._built[f]
         if face is None:
             off, start, rots = self._index.off, self._index.face_start, self._rotations
@@ -138,20 +135,10 @@ class FaceSequence(Sequence):
         return face
 
     def __iter__(self):
-        built = self._built
-        if None in built:
-            off, start = self._index.off, self._index.face_start
-            degrees = map(sub, off[1:], off)
-            tails = chain.from_iterable(map(repeat, range(len(off) - 1), degrees))
-            by_id = list(zip(tails, chain.from_iterable(self._rotations)))
-            walked = list(map(by_id.__getitem__, self._index.face_darts))
-            for f, (a, b) in enumerate(pairwise(start)):
-                if built[f] is None:
-                    built[f] = Face(f, tuple(walked[a:b]))
-        return iter(built)
+        return map(self.__getitem__, range(len(self)))
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (FaceSequence, tuple)):
+        if not isinstance(other, FaceSequence):
             return NotImplemented
         return tuple(self) == tuple(other)
 
