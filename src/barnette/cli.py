@@ -1,8 +1,8 @@
 """Command-line front end: validate, carve, oracle, compare, bench, export.
 
-Machine output is line-delimited key=value records (values never contain
-spaces); ``parse_machine_records`` is the round-trip parser the test
-suite uses.  A carve that ends in Failure is still a completed run and
+Machine output is line-delimited key=value records (``emit_record``
+turns whitespace in values into ``_``); ``parse_machine_records`` is the
+round-trip parser the test suite uses.  A carve that ends in Failure is still a completed run and
 exits 0: refutation evidence is a result, not an error.  Nonzero exits
 are reserved for bad invocations and unreadable input.
 """
@@ -10,6 +10,7 @@ are reserved for bad invocations and unreadable input.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -38,10 +39,7 @@ from .embedding import (
 )
 from .oracle import find_hamiltonian_cycle, longest_cycle, verify_cycle
 
-# Cut enumeration runs one breadth-first search per candidate dual
-# triangle, O(cuts * n); past this size the CLI enters at the least outer
-# edge instead of checking admissibility.
-_CUT_ENUMERATION_EDGE_LIMIT = 400
+_WHITESPACE = re.compile(r"\s+")
 
 
 @dataclass
@@ -67,10 +65,12 @@ def _fmt_seq(seq) -> str:
 
 
 def emit_record(out, **fields) -> None:
+    """One record line; each whitespace run in a value becomes ``_``."""
     parts = []
     for k, v in fields.items():
-        if isinstance(v, bool):
-            v = str(v).lower()
+        v = str(v).lower() if isinstance(v, bool) else str(v)
+        if v.split() != [v]:  # a fast scan; the regex is slow on long cycle values
+            v = _WHITESPACE.sub("_", v)
         parts.append(f"{k}={v}")
     print(" ".join(parts), file=out)
 
@@ -106,13 +106,7 @@ def _parse_edge(text: str) -> Edge:
 
 
 def _pick_entrance(emb: PlanarEmbedding, machine: bool, out) -> Edge:
-    if emb.edge_count > _CUT_ENUMERATION_EDGE_LIMIT:
-        choice = sorted(emb.outer_face.edges)[0]
-        if not machine:
-            print(f"# large graph: skipping cut analysis, entrance {choice}", file=out)
-        return choice
-    cuts = enumerate_3_edge_cuts(emb)
-    choice = select_entrance(emb, cuts)
+    choice = select_entrance(emb, enumerate_3_edge_cuts(emb))
     if not machine and (choice.forced or choice.cut_member):
         flags = []
         if choice.cut_member:
@@ -193,7 +187,7 @@ def _emit_carve(args, out, emb: PlanarEmbedding, res: CarveResult) -> None:
             h_i=len(res.role_class(EdgeRole.INNER_HAMILTONIAN)),
             d_i=len(res.role_class(EdgeRole.INNER_DOOR)),
             verified=verified,
-            reason=(res.failure_reason or "none").replace(" ", "_"),
+            reason=res.failure_reason or "none",
         )
         if args.trace:
             for ev in res.trace:
@@ -279,11 +273,7 @@ def _compare_one(path: str, all_entrances: bool, budget: int) -> RunReport:
     if all_entrances:
         entrances = sorted(emb.outer_face.edges)
     else:
-        if emb.edge_count <= _CUT_ENUMERATION_EDGE_LIMIT:
-            cuts = enumerate_3_edge_cuts(emb)
-        else:
-            cuts = []
-        entrances = [select_entrance(emb, cuts).edge]
+        entrances = [select_entrance(emb, enumerate_3_edge_cuts(emb)).edge]
     t_carve0 = time.perf_counter()
     outcomes: list[tuple[Edge, str, int]] = []
     any_hc_cycle = None

@@ -19,9 +19,9 @@ import re
 import struct
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, pairwise
+from itertools import accumulate, pairwise, product
 from operator import sub
 from typing import NamedTuple
 
@@ -530,91 +530,40 @@ def _components_without(
     return comps
 
 
-def _three_connected_cubic(emb: PlanarEmbedding) -> bool:
-    """Connected cubic sphere map: 3-connected iff the dual has no loop
-    and no 2-cycle.
+def _three_connected(emb: PlanarEmbedding) -> bool:
+    """Sphere map: 3-connected iff n >= 4, every face is a simple cycle
+    and any two faces meet in nothing, one vertex or one edge (Mohar and
+    Thomassen, *Graphs on Surfaces*).
 
-    Vertex and edge connectivity agree on cubic graphs, and the minimal
-    edge cuts of a connected plane graph are the cycles of its dual.  A
-    dual loop is an edge with both darts on one face (a bridge); a dual
-    2-cycle is two faces sharing two edges (a 2-edge cut).  Either one
-    gives two darts the same (face, far face) pair, and nothing else does.
+    The edge part is one pass over the darts.  A dual loop is an edge
+    with both darts on one face; a dual 2-cycle is two faces sharing two
+    edges.  Either one gives two darts the same (face, far face) pair,
+    and nothing else does.  The faces around a vertex are its darts'
+    faces in rotation order, and consecutive ones meet in the edge
+    between them.  So the vertex part looks only at the pairs that are
+    not consecutive around a vertex of degree 4 or more: each must be
+    two different faces that share no edge and meet at no other vertex.  A cubic
+    map has no such pair, and the whole test is O(sum of deg^2).
     """
-    twin, dart_face = emb.dart_index.twin, emb.dart_index.dart_face
-    far = map(dart_face.__getitem__, twin)
-    return len(set(zip(dart_face, far))) == len(dart_face)
-
-
-def _vertex_flow_at_least(emb: PlanarEmbedding, s: int, t: int, k: int) -> bool:
-    """k vertex-disjoint s-t paths via unit-vertex-capacity augmentation."""
-    n = emb.vertex_count
-    # Split each vertex v into v_in = 2v, v_out = 2v+1.
-    cap: dict[tuple[int, int], int] = {}
-    adj: dict[int, list[int]] = {}
-
-    def add(a: int, b: int, c: int) -> None:
-        if (a, b) not in cap:
-            cap[(a, b)] = 0
-            cap[(b, a)] = cap.get((b, a), 0)
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        cap[(a, b)] += c
-
-    big = n + 1
-    for v in range(n):
-        add(2 * v, 2 * v + 1, big if v in (s, t) else 1)
-        for u in emb.rotations[v]:
-            add(2 * v + 1, 2 * u, big)
-
-    flow = 0
-    src, dst = 2 * s + 1, 2 * t
-    while flow < k:
-        parent: dict[int, int] = {src: src}
-        queue = [src]
-        while queue and dst not in parent:
-            nxt: list[int] = []
-            for a in queue:
-                for b in adj.get(a, ()):
-                    if b not in parent and cap.get((a, b), 0) > 0:
-                        parent[b] = a
-                        nxt.append(b)
-            queue = nxt
-        if dst not in parent:
-            return False
-        b = dst
-        while b != src:
-            a = parent[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
-            b = a
-        flow += 1
-    return True
-
-
-def _three_connected_flow(emb: PlanarEmbedding) -> bool:
-    n = emb.vertex_count
-    if n < 4:
+    rots = emb.rotations
+    if len(rots) < 4 or min(map(len, rots)) < 3:
         return False
-    if len(_components_without(emb)) != 1:
+    index = emb.dart_index
+    off, twin, dart_face = index.off, index.twin, index.dart_face
+    adjacent = set(zip(dart_face, map(dart_face.__getitem__, twin)))
+    if len(adjacent) != len(dart_face):
         return False
-    if any(len(nbrs) < 3 for nbrs in emb.rotations):
-        return False
-    # Classic reduction: a minimum cut either avoids vertex 0 (then it
-    # separates 0 from some non-neighbor) or contains it (then it
-    # separates two neighbors of 0).
-    pivot = 0
-    nbrs = set(emb.rotations[pivot])
-    for t in range(n):
-        if t != pivot and t not in nbrs:
-            if not _vertex_flow_at_least(emb, pivot, t, 3):
-                return False
-    nlist = sorted(nbrs)
-    for i in range(len(nlist)):
-        for j in range(i + 1, len(nlist)):
-            x, y = nlist[i], nlist[j]
-            if not emb.has_edge(x, y):
-                if not _vertex_flow_at_least(emb, x, y, 3):
-                    return False
+    met: set[tuple[int, int]] = set()
+    for v, k in enumerate(map(len, rots)):
+        if k > 3:
+            around = dart_face[off[v]:off[v + 1]]
+            for i in range(k - 2):
+                for j in range(i + 2, k - (i == 0)):
+                    f, g = around[i], around[j]
+                    pair = (f, g) if f < g else (g, f)
+                    if f == g or pair in adjacent or pair in met:
+                        return False
+                    met.add(pair)
     return True
 
 
@@ -622,23 +571,22 @@ def validate(emb: PlanarEmbedding) -> ValidationReport:
     """Check the four membership flags independently.
 
     Planarity is face tracing: the map is connected and V - E + F = 2.
-    On a cubic sphere map 3-connectivity is read off the dual in one pass
-    (no dual loop, no dual 2-cycle); every other input takes
-    vertex-capacity max-flow.
+    3-connectivity is read off the traced faces by ``_three_connected``,
+    for cubic and non-cubic maps alike.  A map that is not one sphere
+    reports False for it, connected or not: the face rule holds on the
+    sphere only.
     """
     coloring = two_coloring(emb)
-    cubic = emb.is_cubic()
     try:
         trace_faces(emb)
         planar = True
     except NonPlanarError:
         planar = False
-    three_conn = _three_connected_cubic(emb) if planar and cubic else _three_connected_flow(emb)
     return ValidationReport(
-        is_cubic=cubic,
+        is_cubic=emb.is_cubic(),
         is_bipartite=coloring is not None,
         is_planar_embedding=planar,
-        vertex_connectivity_at_least_3=three_conn,
+        vertex_connectivity_at_least_3=planar and _three_connected(emb),
         two_coloring=coloring,
     )
 
@@ -647,26 +595,40 @@ def validate(emb: PlanarEmbedding) -> ValidationReport:
 
 @dataclass(frozen=True)
 class EdgeCut:
-    """A nontrivial 3-edge-cut and the vertex sets of its two sides."""
+    """A nontrivial 3-edge-cut.  Its two sides, the vertex sets left
+    after deleting the cut edges (``side_a`` holds vertex 0), are found
+    by one search the first time either is read."""
 
     edges: tuple[Edge, Edge, Edge]
-    side_a: tuple[int, ...]
-    side_b: tuple[int, ...]
+    embedding: PlanarEmbedding = field(compare=False, repr=False)
+
+    @cached_property
+    def _sides(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        a, b = _components_without(self.embedding, frozenset(self.edges))
+        return tuple(sorted(a)), tuple(sorted(b))
+
+    @property
+    def side_a(self) -> tuple[int, ...]:
+        return self._sides[0]
+
+    @property
+    def side_b(self) -> tuple[int, ...]:
+        return self._sides[1]
 
 
 def enumerate_3_edge_cuts(emb: PlanarEmbedding) -> list[EdgeCut]:
-    """All nontrivial 3-edge-cuts of a connected cubic embedding.
+    """All nontrivial 3-edge-cuts of a connected cubic sphere map, sorted
+    by edge triple.
 
-    Minimal edge cuts of a connected plane graph are the simple cycles
-    of its dual, so 3-edge-cuts appear as dual triangles: three faces
-    pairwise sharing an edge.  Triangles around a single vertex (the
-    star cuts) are skipped, and every candidate is confirmed by an
-    actual split into exactly two sides.
+    A simple cycle of the dual of a connected plane graph is a bond, a
+    minimal edge cut, so every dual triangle (three faces pairwise
+    sharing an edge) splits the graph in exactly two.  On a cubic graph
+    a side is a single vertex only when the three edges meet there, so
+    every triangle but a vertex star is a nontrivial cut.  Linear in the
+    map: no candidate is confirmed by a search.
     """
     if not emb.is_cubic():
         raise EmbeddingError("3-edge-cut enumeration expects a cubic graph")
-    if len(_components_without(emb)) != 1:
-        raise EmbeddingError("3-edge-cut enumeration expects a connected graph")
     rots, twin, dart_face = emb.rotations, emb.dart_index.twin, emb.dart_index.dart_face
     shared: dict[tuple[int, int], list[Edge]] = {}
     for d, t in enumerate(twin):
@@ -681,25 +643,11 @@ def enumerate_3_edge_cuts(emb: PlanarEmbedding) -> list[EdgeCut]:
     for f1, f2 in shared:
         neighbors.setdefault(f1, set()).add(f2)
         neighbors.setdefault(f2, set()).add(f1)
-    found: dict[tuple[Edge, Edge, Edge], EdgeCut] = {}
-    for f1 in sorted(neighbors):
-        for f2 in sorted(n for n in neighbors[f1] if n > f1):
-            for f3 in sorted(n for n in neighbors[f1] & neighbors[f2] if n > f2):
-                for e12 in shared[(f1, f2)]:
-                    for e13 in shared[(f1, f3)]:
-                        for e23 in shared[(f2, f3)]:
-                            triple = tuple(sorted((e12, e13, e23)))
-                            if len(set(triple)) != 3 or triple in found:
-                                continue
-                            if set(triple[0]) & set(triple[1]) & set(triple[2]):
-                                continue  # vertex star, trivial
-                            comps = _components_without(emb, frozenset(triple))
-                            if len(comps) != 2:
-                                continue
-                            a, b = (sorted(c) for c in comps)
-                            if len(a) <= 1 or len(b) <= 1:
-                                continue
-                            found[triple] = EdgeCut(
-                                edges=triple, side_a=tuple(a), side_b=tuple(b)
-                            )
-    return [found[k] for k in sorted(found)]
+    cuts: list[tuple[Edge, Edge, Edge]] = []
+    for (f1, f2), across in shared.items():
+        for f3 in neighbors[f1] & neighbors[f2]:
+            if f3 > f2:
+                for triple in product(across, shared[(f1, f3)], shared[(f2, f3)]):
+                    if not set.intersection(*map(set, triple)):  # not a vertex star
+                        cuts.append(tuple(sorted(triple)))
+    return [EdgeCut(triple, emb) for triple in sorted(cuts)]

@@ -7,6 +7,7 @@ claims themselves, except on the prism family where Hamiltonicity is
 independently certain and failure would be a regression.
 """
 
+import math
 import random
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from barnette.corpus import (
     build_named,
     compose_fragments,
     generate_prism,
+    truncate_embedding,
 )
 from barnette.embedding import (
     enumerate_3_edge_cuts,
@@ -356,3 +358,28 @@ def test_criterion_11_short_outer_linear_scaling():
         print(f"\nshort-outer-report: per-vertex us = "
               f"{[round(u, 2) for u in per_vertex_us]} ratio={ratio:.2f}")
         assert ratio <= 2.0
+
+
+def test_criterion_12_linear_cut_enumeration():
+    with criterion(12, "3-cut enumeration scaling", 120.0):
+        cases = [truncate_embedding(generate_prism(k).embedding) for k in (125, 1000)]
+        assert [emb.vertex_count for emb in cases] == [1500, 12000]
+        for emb in cases:
+            emb.dart_index  # trace outside the timing
+            # One triangle cut per vertex of the prism, none elsewhere.
+            assert len(enumerate_3_edge_cuts(emb)) == emb.vertex_count // 3
+        # Interleaved rounds, the small case batched to the large one's
+        # size, so both see the host's speed drift over the same span.
+        best = [float("inf")] * len(cases)
+        for _ in range(5):
+            for i, emb in enumerate(cases):
+                batch = cases[-1].vertex_count // emb.vertex_count
+                t0 = time.perf_counter()
+                for _ in range(batch):
+                    enumerate_3_edge_cuts(emb)
+                best[i] = min(best[i], (time.perf_counter() - t0) / batch)
+        (n0, n1), (t0, t1) = [emb.vertex_count for emb in cases], best
+        exponent = math.log(t1 / t0) / math.log(n1 / n0)
+        print(f"\ncut-enumeration-report: seconds = {[round(t, 4) for t in best]} "
+              f"exponent={exponent:.2f}")
+        assert exponent <= 1.25

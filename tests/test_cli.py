@@ -11,9 +11,15 @@ import pytest
 
 from barnette import cli
 from barnette.cli import bench_scaling, main, parse_machine_records, to_dot
-from barnette.carve import carve
-from barnette.corpus import build_named, corpus_names, dual_embedding, truncate_embedding
-from barnette.embedding import Face, parse_embedding, serialize_embedding
+from barnette.carve import carve, select_entrance
+from barnette.corpus import (
+    build_named,
+    corpus_names,
+    dual_embedding,
+    generate_prism,
+    truncate_embedding,
+)
+from barnette.embedding import Face, enumerate_3_edge_cuts, parse_embedding, serialize_embedding
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 # The package exports a function named carve, so the module is looked up.
@@ -137,6 +143,28 @@ class TestSubcommands:
         assert code == 0 and len(recs) == 4
         assert all(r["carve"] == "HamiltonianCycle" for r in recs)
 
+    def test_large_map_enters_by_the_cut_rule(self, capsys, tmp_path):
+        emb = truncate_embedding(generate_prism(25).embedding)
+        cuts = enumerate_3_edge_cuts(emb)
+        assert emb.edge_count > 400 and cuts
+        path = tmp_path / "truncated_prism.rot"
+        path.write_text(serialize_embedding(emb), encoding="utf-8")
+        want = select_entrance(emb, cuts).edge
+        code, out = run_cli(capsys, "carve", "--machine", str(path))
+        assert code == 0
+        assert parse_machine_records(out)[0]["entrances"] == f"{want[0]}-{want[1]}"
+        code, out = run_cli(capsys, "compare", "--machine", "--budget", "1000", str(path))
+        assert code == 0
+        assert [r["entrance"] for r in parse_machine_records(out)] == [f"{want[0]}-{want[1]}"]
+        code, out = run_cli(capsys, "carve", str(path))
+        assert code == 0
+        assert f"entrances [{want}]" in out and "large graph" not in out
+        # Rooted at a triangle, every size gets the typed short-outer error.
+        triangle = next(f for f in emb.faces if f.length == 3)
+        path.write_text(serialize_embedding(emb.with_outer_face(triangle.id)), encoding="utf-8")
+        assert main(["carve", str(path)]) == 2
+        assert "outer cycle has length 3" in capsys.readouterr().err
+
     def test_chambers(self, capsys, rot_file):
         path = rot_file("cube")
         res = carve(build_named("cube").embedding, (0, 1))
@@ -242,6 +270,18 @@ class TestMachineFormat:
     def test_malformed_token(self):
         with pytest.raises(ValueError):
             parse_machine_records("record=x broken\n")
+
+    @pytest.mark.parametrize("command", ["validate", "carve"])
+    def test_path_with_spaces_round_trips(self, capsys, tmp_path, command):
+        folder = tmp_path / "sp ace"
+        folder.mkdir()
+        path = folder / "my  cube.rot"
+        path.write_text(serialize_embedding(build_named("cube").embedding), encoding="utf-8")
+        code, out = run_cli(capsys, command, "--machine", str(path))
+        assert code == 0
+        [rec] = parse_machine_records(out)
+        assert rec["record"] == command
+        assert rec["file"].endswith("/sp_ace/my_cube.rot")
 
 
 class TestDeterminism:

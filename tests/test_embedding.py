@@ -1,5 +1,6 @@
 """Rotation systems, face tracing, validation, 3-edge-cuts."""
 
+import random
 import time
 from collections import Counter
 from itertools import combinations
@@ -8,11 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barnette.corpus import build_named, dual_embedding, generate_prism, truncate_embedding
+from barnette.corpus import (
+    build_fragment,
+    build_named,
+    dual_embedding,
+    fragment_names,
+    generate_prism,
+    truncate_embedding,
+)
 from barnette.embedding import (
     NonPlanarError,
     PlanarEmbedding,
     RotationFormatError,
+    _components_without,
     edge_key,
     enumerate_3_edge_cuts,
     parse_embedding,
@@ -80,6 +89,30 @@ def cube_beside_torus_k33():
     """The cube plus a torus-embedded K_{3,3} on vertices 8..13: V - E + F = 2."""
     cube = build_named("cube").embedding.rotations
     return PlanarEmbedding(list(cube) + [[11, 12, 13]] * 3 + [[8, 9, 10]] * 3)
+
+
+def wheel(k):
+    """W_k: hub 0 joined to every vertex of the cycle 1..k."""
+    return PlanarEmbedding(
+        [list(range(1, k + 1))] + [[v % k + 1, 0, (v - 2) % k + 1] for v in range(1, k + 1)]
+    )
+
+
+def delete_edges(emb, rng, count):
+    """The map without ``count`` seeded random edges; still a plane map."""
+    rots = [list(r) for r in emb.rotations]
+    for u, v in rng.sample(emb.edges, count):
+        rots[u].remove(v)
+        rots[v].remove(u)
+    return PlanarEmbedding(rots)
+
+
+def delete_vertices(emb, rng, count):
+    """The map without ``count`` seeded random vertices, relabelled."""
+    gone = set(rng.sample(range(emb.vertex_count), count))
+    keep = [v for v in range(emb.vertex_count) if v not in gone]
+    index = {v: i for i, v in enumerate(keep)}
+    return PlanarEmbedding([[index[u] for u in emb.rotations[v] if u in index] for v in keep])
 
 
 def brute_force_3_edge_cuts(emb):
@@ -321,41 +354,41 @@ class TestValidate:
             "disconnected": cube_beside_torus_k33(),
         }
         graphs.update(negatives)
-        # Non-cubic inputs take the flow route.
+        # Non-cubic inputs: the face rule's vertex part decides these.
         graphs["path"] = PlanarEmbedding([[1], [0, 2], [1, 3], [2]])
         graphs["cycle_6"] = PlanarEmbedding([[(v + 1) % 6, (v - 1) % 6] for v in range(6)])
-        graphs["wheel_6"] = PlanarEmbedding(
-            [[1, 2, 3, 4, 5, 6]]
-            + [[v % 6 + 1, 0, (v - 2) % 6 + 1] for v in range(1, 7)]
-        )
+        graphs.update((f"wheel_{k}", wheel(k)) for k in range(3, 12))
+        rng = random.Random(3)
+        for name, g in corpus_graphs.items():
+            if not three_connected_by_removal(g.embedding):
+                continue
+            dual = dual_embedding(g.embedding)
+            graphs[f"dual_{name}"] = dual
+            for t in range(1, 4):
+                graphs[f"dual_{name}_minus_{t}_edges"] = delete_edges(dual, rng, t)
+                graphs[f"dual_{name}_minus_{t}_vertices"] = delete_vertices(dual, rng, t)
+        graphs.update((f"fragment_{name}", build_fragment(name).embedding)
+                      for name in fragment_names())
         for name, emb in graphs.items():
             want = three_connected_by_removal(emb)
             assert validate(emb).vertex_connectivity_at_least_3 == want, name
         assert not any(three_connected_by_removal(emb) for emb in negatives.values())
-        # The bridge and the 2-edge cut trace cleanly, so they reach the cubic rule.
+        # The bridge and the 2-edge cut trace cleanly, so they reach the face rule.
         assert validate(negatives["bridge"]).is_planar_embedding
         assert validate(negatives["two_edge_cut"]).is_planar_embedding
-        assert three_connected_by_removal(graphs["wheel_6"])
+        # Both outcomes occur among the non-cubic maps.
+        verdicts = {validate(emb).vertex_connectivity_at_least_3
+                    for emb in graphs.values() if not emb.is_cubic()}
+        assert verdicts == {True, False}
 
-    def test_flow_based_connectivity_matches_exhaustive(self):
-        # The flow route agrees with the removal reference and the cubic rule.
-        from barnette.embedding import _three_connected_cubic, _three_connected_flow
-
-        for name in ["cube", "prism_6", "two_cubes_bridge", "tutte_graph"]:
-            emb = build_named(name).embedding
-            assert three_connected_by_removal(emb) == _three_connected_flow(emb), name
-            assert _three_connected_cubic(emb) == _three_connected_flow(emb), name
-        path = PlanarEmbedding([[1], [0, 2], [1, 3], [2]])
-        assert not _three_connected_flow(path)
-
-    def test_large_prism_uses_flow_route(self):
-        # Both routes accept the 240-vertex prism; validate reports it Barnette.
-        from barnette.embedding import _three_connected_cubic, _three_connected_flow
-
-        emb = generate_prism(60).embedding
-        assert _three_connected_flow(emb)
-        assert _three_connected_cubic(emb)
-        assert validate(emb).is_barnette
+    def test_connected_map_off_the_sphere_is_not_three_connected(self):
+        # K_{3,3} is 3-connected, but its torus rotation is no sphere map,
+        # and the face rule holds on the sphere only.
+        torus_k33 = PlanarEmbedding([[3, 4, 5]] * 3 + [[0, 1, 2]] * 3)
+        assert three_connected_by_removal(torus_k33)
+        rep = validate(torus_k33)
+        assert not rep.is_planar_embedding
+        assert not rep.vertex_connectivity_at_least_3
 
 
 class TestEdgeCuts:
@@ -376,6 +409,17 @@ class TestEdgeCuts:
         for cut in cuts:
             assert min(len(cut.side_a), len(cut.side_b)) == 15
         assert [c.edges for c in cuts] == brute_force_3_edge_cuts(tutte)
+
+    def test_sides_are_found_on_first_read(self):
+        emb = truncate_embedding(generate_prism(6).embedding)
+        cuts = enumerate_3_edge_cuts(emb)
+        assert len(cuts) == emb.vertex_count // 3
+        assert not any("_sides" in vars(cut) for cut in cuts)
+        for cut in cuts:
+            rest = [sorted(c) for c in _components_without(emb, frozenset(cut.edges))]
+            assert [list(cut.side_a), list(cut.side_b)] == rest
+            assert 0 in cut.side_a and min(len(cut.side_a), len(cut.side_b)) == 3
+            assert "_sides" in vars(cut)
 
     def test_agrees_with_brute_force_corpus(self, corpus_graphs):
         for name, g in corpus_graphs.items():
