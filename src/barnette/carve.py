@@ -11,11 +11,15 @@ that ending is reported as evidence, never raised as a crash.  A failed
 opening only undoes its own moves, from a trail that holds the moves of
 the current frontier pop.
 
+One driver runs both carves: each entrance has a FIFO queue of doors,
+and the sides take turns, so one entrance grows a spiral and two a
+double spiral.  A door's new doors join its own side's queue.
+
 The carve runs on integer ids.  The graph is cubic, so the dart from
 ``u`` to ``rotations[u][i]`` has id ``3u + i``, and an edge is named by
 the dart leaving its smaller end: edge ``(u, v)``, ``u < v``, is
 ``3u + rotations[u].index(v)``.  Roles are a ``bytearray`` indexed by
-edge id, the frontier and the trail hold ids, faces are named by id and
+edge id, the side queues and the trail hold ids, faces are named by id and
 measured off ``face_start``, and a face's walk is the tuple of its edge
 ids, built the first time the face is used.  These ids are the
 embedding's own dart ids, so an edge's two faces are read off the
@@ -44,7 +48,7 @@ from collections import Counter, deque
 from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, count, repeat
+from itertools import chain, combinations, compress, count, repeat
 from operator import floordiv
 from typing import Iterator, NamedTuple
 
@@ -235,9 +239,9 @@ class EntranceChoice:
 class ChamberState:
     """Mutable expansion state over one immutable cubic embedding.
 
-    Tracks the role codes (a ``bytearray`` indexed by edge id), the FIFO
-    door frontier of ``(edge id, side)`` pairs and per-vertex cycle and
-    door degrees.  Cycle edges always form vertex-disjoint paths until the
+    Tracks the role codes (a ``bytearray`` indexed by edge id), one FIFO
+    queue of door ids per entrance side and per-vertex cycle and door
+    degrees.  Cycle edges always form vertex-disjoint paths until the
     n-th one closes the spanning cycle, since ``add_ham_edge`` refuses an
     earlier closing; ``_end`` holds, for each path end, the path's other
     end.  Each move pushes the ints that undo it onto ``trail``:
@@ -253,7 +257,7 @@ class ChamberState:
         n = embedding.vertex_count
         self.roles = bytearray(3 * n)
         self.entered_faces: set[int] = set()
-        self.frontier: deque[tuple[int, int]] = deque()  # (door id, side tag)
+        self.frontier: tuple[deque[int], ...] = ()  # one door queue per side
         self.h_count = 0
         self.trace: list[TraceEvent] = []
         self.deg_h = [0] * n
@@ -410,7 +414,7 @@ class ChamberState:
 
 
 def _init_state(embedding: PlanarEmbedding, entrances: tuple[Edge, ...]) -> ChamberState:
-    """Commit the outer cycle minus the entrances and queue the entrances.
+    """Commit the outer cycle minus the entrances; queue each on its side.
 
     Nothing before the first frontier pop is ever undone, so these writes
     bypass the trail.  On a simple outer cycle the non-entrance edges form
@@ -448,7 +452,7 @@ def _init_state(embedding: PlanarEmbedding, entrances: tuple[Edge, ...]) -> Cham
         far[p] = outer.id
     state._outer_ham_faces.update(far)
     state.entered_faces.add(outer.id)
-    state.frontier.extend(zip(ids, range(len(ids))))
+    state.frontier = tuple(deque((e,)) for e in ids)
     return state
 
 
@@ -502,9 +506,7 @@ def _apply_opening(
     return new_h, new_doors
 
 
-def detect_bridge_face(
-    state: ChamberState, door: int, embedding: PlanarEmbedding
-) -> tuple[int, int] | None:
+def detect_bridge_face(state: ChamberState, door: int) -> tuple[int, int] | None:
     """Double-cut escape: look for an unassigned edge e of the door's
     face whose far face carries both an outer-Hamiltonian edge and a
     different inner door d_j.  Takes and returns edge ids: (e, d_j) or None.
@@ -527,12 +529,18 @@ def detect_bridge_face(
 
 
 def _run(state: ChamberState, left_walk: bool) -> str | None:
-    """Drive the frontier to exhaustion; returns a failure reason or None."""
+    """Drive the frontier to exhaustion, the sides taking turns and an
+    empty side skipped; returns a failure reason or None."""
     n = state.embedding.vertex_count
-    while state.frontier and state.h_count < n:
-        reason = _run_one(state, left_walk)
+    queues = state.frontier
+    side = 0
+    while state.h_count < n and any(queues):
+        while not queues[side]:
+            side = (side + 1) % len(queues)
+        reason = _run_one(state, queues[side].popleft(), side, left_walk)
         if reason is not None:
             return reason
+        side = (side + 1) % len(queues)
     return None
 
 
@@ -607,94 +615,68 @@ def _finish(state: ChamberState, reason: str | None) -> CarveResult:
     )
 
 
+def _carve(embedding: PlanarEmbedding, entrances: tuple[Edge, ...], left_walk: bool) -> CarveResult:
+    """Check the graph and the entrances, then carve from every entrance."""
+    if not embedding.is_cubic():
+        raise ValueError("chamber expansion needs a cubic graph")
+    for e1, e2 in combinations(entrances, 2):
+        if e1 == e2:
+            raise AdjacentEntrancesError("entrances must be distinct")
+        if set(e1) & set(e2):
+            raise AdjacentEntrancesError(f"entrances {e1} and {e2} share an endpoint")
+    for e in entrances:
+        if e not in embedding.outer_edges:
+            raise ValueError(f"entrance {e} is not an outer edge")
+    state = _init_state(embedding, entrances)
+    return _finish(state, _run(state, left_walk))
+
+
 def carve(embedding: PlanarEmbedding, entrance: Edge, left_walk: bool = False) -> CarveResult:
     """Single-entrance expansion.  Deterministic; Failure is an outcome.
 
     The entrance must lie on the outer cycle.  All other outer edges are
     committed to the cycle before the first door opens.
     """
-    if not embedding.is_cubic():
-        raise ValueError("chamber expansion needs a cubic graph")
-    entrance = edge_key(*entrance)
-    if entrance not in embedding.outer_edges:
-        raise ValueError(f"entrance {entrance} is not an outer edge")
-    state = _init_state(embedding, (entrance,))
-    reason = _run(state, left_walk)
-    return _finish(state, reason)
+    return _carve(embedding, (edge_key(*entrance),), left_walk)
 
 
 def carve_double(
     embedding: PlanarEmbedding, entrances: tuple[Edge, Edge], left_walk: bool = False
 ) -> CarveResult:
     """Two interleaved expansions, one door per side per round."""
-    if not embedding.is_cubic():
-        raise ValueError("chamber expansion needs a cubic graph")
     e1, e2 = (edge_key(*e) for e in entrances)
-    if e1 == e2:
-        raise AdjacentEntrancesError("entrances must be distinct")
-    if set(e1) & set(e2):
-        raise AdjacentEntrancesError(f"entrances {e1} and {e2} share an endpoint")
-    for e in (e1, e2):
-        if e not in embedding.outer_edges:
-            raise ValueError(f"entrance {e} is not an outer edge")
-    state = _init_state(embedding, (e1, e2))
-    reason = _run_interleaved(state, left_walk)
-    return _finish(state, reason)
+    return _carve(embedding, (e1, e2), left_walk)
 
 
-def _run_interleaved(state: ChamberState, left_walk: bool) -> str | None:
-    """Round-robin between the two entrance sides.
-
-    Shares all role machinery with the single run; only the door
-    scheduling differs, which is what makes the trace a double spiral.
-    """
-    n = state.embedding.vertex_count
-    queues: tuple[deque, deque] = (deque(), deque())
-    while state.frontier:
-        door, side = state.frontier.popleft()
-        queues[side].append((door, side))
-    turn = 0
-    while state.h_count < n and (queues[0] or queues[1]):
-        if not queues[turn]:
-            turn = 1 - turn
-        side_queue = queues[turn]
-        state.frontier.append(side_queue.popleft())
-        reason = _run_one(state, left_walk)
-        if reason is not None:
-            return reason
-        while state.frontier:
-            side_queue.append(state.frontier.popleft())
-        turn = 1 - turn
-    return None
+def _event(
+    state: ChamberState, kind: str, door: Edge, fid: int, side: int,
+    ham: tuple[Edge, ...] = (), doors: tuple[Edge, ...] = (),
+) -> None:
+    """Trace one frontier step.  Its edges arrive as pairs: most steps are
+    promotions, whose one cycle edge is the door pair already at hand."""
+    trace = state.trace
+    trace.append(TraceEvent(len(trace), kind, door, fid, ham, doors, side))
 
 
-def _run_one(state: ChamberState, left_walk: bool) -> str | None:
-    """One frontier pop with the same rules as the main loop."""
-    embedding = state.embedding
+def _run_one(state: ChamberState, door: int, side: int, left_walk: bool) -> str | None:
+    """Handle one door popped from side ``side``; its new doors join that
+    side's queue."""
     state.trail.clear()  # only this pop's moves can be undone
-    door, side = state.frontier.popleft()
     if state.roles[door] < _D_I:
         return None
-    edge_of = state.edge_of
-    door_pair = edge_of(door)
+    door_pair = state.edge_of(door)
     fid = state.unentered_face(door)
     if fid is None:
-        hit = detect_bridge_face(state, door, embedding)
+        hit = detect_bridge_face(state, door)
         if hit is not None:
-            e, dj = hit
-            mark, h_count = len(state.trail), state.h_count
+            h_count = state.h_count
             try:
-                state.add_ham_edge(e)
-                state.add_ham_edge(dj)
+                state.add_ham_edge(hit[0])
+                state.add_ham_edge(hit[1])
             except CarveError as exc:
-                state._undo_to(mark, h_count)
+                state._undo_to(0, h_count)
                 return f"bridge promotion failed at door {door_pair}: {exc}"
-            state.trace.append(
-                TraceEvent(
-                    len(state.trace), "bridge", door_pair, -1,
-                    ham_edges=(edge_of(e), edge_of(dj)), side=side,
-                )
-            )
+            _event(state, "bridge", door_pair, -1, side, tuple(map(state.edge_of, hit)))
             return None
         # A door into fully explored territory is promoted when it still
         # borders the outer-Hamiltonian region and the move is legal;
@@ -706,14 +688,9 @@ def _run_one(state: ChamberState, left_walk: bool) -> str | None:
             except CarveError:
                 pass
             else:
-                state.trace.append(
-                    TraceEvent(
-                        len(state.trace), "promote", door_pair, -1,
-                        ham_edges=(door_pair,), side=side,
-                    )
-                )
+                _event(state, "promote", door_pair, -1, side, (door_pair,))
                 return None
-        state.trace.append(TraceEvent(len(state.trace), "drop", door_pair, -1, side=side))
+        _event(state, "drop", door_pair, -1, side)
         return None
     try:
         new_h, new_doors = _apply_opening(state, door, fid, left_walk)
@@ -727,22 +704,12 @@ def _run_one(state: ChamberState, left_walk: bool) -> str | None:
         except CarveError as exc:
             return f"door {door_pair} face {fid}: promotion failed: {exc}"
         state.entered_faces.add(fid)
-        state.trace.append(
-            TraceEvent(
-                len(state.trace), "promote", door_pair, fid,
-                ham_edges=(door_pair,), side=side,
-            )
-        )
+        _event(state, "promote", door_pair, fid, side, (door_pair,))
         return None
-    state.frontier.extend([(e, side) for e in new_doors])
-    state.trace.append(
-        TraceEvent(
-            len(state.trace), "open", door_pair, fid,
-            ham_edges=tuple(map(edge_of, new_h)),
-            door_edges=tuple(map(edge_of, new_doors)),
-            side=side,
-        )
-    )
+    state.frontier[side].extend(new_doors)
+    edge_of = state.edge_of
+    ham, doors = tuple(map(edge_of, new_h)), tuple(map(edge_of, new_doors))
+    _event(state, "open", door_pair, fid, side, ham, doors)
     return None
 
 

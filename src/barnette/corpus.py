@@ -209,15 +209,19 @@ def truncate_embedding(emb: PlanarEmbedding) -> PlanarEmbedding:
     return PlanarEmbedding(out)
 
 
+def _induced(emb: PlanarEmbedding, keep: list[int]) -> tuple[PlanarEmbedding, dict[int, int]]:
+    """The rotation system induced on the ascending vertex list ``keep``,
+    relabelled ``0..len(keep)-1``, with the old -> new vertex map."""
+    idx = {v: i for i, v in enumerate(keep)}
+    return PlanarEmbedding([[idx[u] for u in emb.rotations[v] if u in idx] for v in keep]), idx
+
+
 def delete_vertex(emb: PlanarEmbedding, v: int) -> Fragment:
     """Remove one degree-3 vertex; its neighbors become the terminals."""
     if emb.degree(v) != 3:
         raise EmbeddingError(f"can only cut out a degree-3 vertex, got degree {emb.degree(v)}")
-    keep = [u for u in range(emb.vertex_count) if u != v]
-    idx = {u: i for i, u in enumerate(keep)}
-    rots = [[idx[w] for w in emb.rotations[u] if w != v] for u in keep]
-    x, y, z = (idx[u] for u in emb.rotations[v])
-    return Fragment(PlanarEmbedding(rots), (x, y, z))
+    rest, idx = _induced(emb, [u for u in range(emb.vertex_count) if u != v])
+    return Fragment(rest, tuple(idx[u] for u in emb.rotations[v]))
 
 
 def cycle_fragment(length: int, terminals: tuple[int, int, int]) -> Fragment:
@@ -277,7 +281,7 @@ def glue_fragments(a: Fragment, b: Fragment) -> PlanarEmbedding:
                 emb = PlanarEmbedding(rots)
                 emb.faces
                 return emb
-            except (EmbeddingError, ValueError):
+            except ValueError:
                 continue
     raise CompositionError("no planar terminal matching for the bridge")
 
@@ -362,7 +366,7 @@ def compose_fragments(
                         "to study the non-cubic graph anyway"
                     )
                 return emb
-            except (EmbeddingError, ValueError):
+            except ValueError:
                 continue
     raise CompositionError("no planar hub wiring found")
 
@@ -379,7 +383,6 @@ def chain_graph(
     """
     mid_emb, side_a, side_b = middle
     na = end_a.embedding.vertex_count
-    nm = mid_emb.vertex_count
     first = glue_fragments(end_a, Fragment(mid_emb, side_a))
     # side_b terminals now live at offset na inside `first`
     shifted = tuple(t + na for t in side_b)
@@ -388,19 +391,11 @@ def chain_graph(
 
 def prism_middle_piece() -> tuple[PlanarEmbedding, tuple[int, int, int], tuple[int, int, int]]:
     """Hexagonal prism minus two antipodal vertices: terminals on both sides."""
-    p3 = _prism_embedding(3)
-    f1 = delete_vertex(p3, 0)
+    f1 = delete_vertex(_prism_embedding(3), 0)
     # vertex 9 of the prism became 8 after deleting 0
-    emb = f1.embedding
-    side_a = f1.terminals
-    old9 = 8
-    nbrs9 = emb.rotations[old9]
-    keep = [u for u in range(emb.vertex_count) if u != old9]
-    idx = {u: i for i, u in enumerate(keep)}
-    rots = [[idx[w] for w in emb.rotations[u] if w != old9] for u in keep]
-    side_b = tuple(idx[u] for u in nbrs9)
-    side_a = tuple(idx[t] for t in side_a)
-    return PlanarEmbedding(rots), side_a, side_b
+    emb, idx = _induced(f1.embedding, [u for u in range(f1.embedding.vertex_count) if u != 8])
+    side_b = tuple(idx[u] for u in f1.embedding.rotations[8])
+    return emb, tuple(idx[t] for t in f1.terminals), side_b
 
 
 # -- named corpus ----------------------------------------------------------
@@ -410,12 +405,8 @@ def _tutte_graph() -> PlanarEmbedding:
 
 
 def _tutte_fragment() -> Fragment:
-    tutte = _tutte_graph()
-    side = (1, 4, 5, 6, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33)
-    inside = set(side)
-    idx = {v: i for i, v in enumerate(side)}
-    rots = [[idx[u] for u in tutte.rotations[v] if u in inside] for v in side]
-    return Fragment(PlanarEmbedding(rots), _TUTTE_FRAGMENT_TERMINALS)
+    side = [1, 4, 5, 6, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33]
+    return Fragment(_induced(_tutte_graph(), side)[0], _TUTTE_FRAGMENT_TERMINALS)
 
 
 def generate_prism(k: int) -> NamedGraph:
@@ -514,14 +505,8 @@ def build_fragment(name: str) -> Fragment:
 
 def cut_side_fragment(emb: PlanarEmbedding, cut, side: tuple[int, ...]) -> Fragment:
     """One side of a nontrivial 3-edge-cut as a 3-terminal fragment."""
-    inside = set(side)
-    order = sorted(side)
-    idx = {v: i for i, v in enumerate(order)}
-    rots = [[idx[u] for u in emb.rotations[v] if u in inside] for v in order]
-    terms = []
-    for u, v in cut.edges:
-        terms.append(idx[u if u in inside else v])
-    return Fragment(PlanarEmbedding(rots), tuple(terms))
+    fragment, idx = _induced(emb, sorted(side))
+    return Fragment(fragment, tuple(idx[u if u in idx else v] for u, v in cut.edges))
 
 
 def bipartite_fragment_family(max_vertices: int = 14) -> list[tuple[str, Fragment]]:

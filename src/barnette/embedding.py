@@ -152,7 +152,7 @@ class PlanarEmbedding:
     and cached, so instances are safe to share across threads.
     """
 
-    def __init__(self, rotations: Sequence[Sequence[int]], outer_face_id: int | None = None):
+    def __init__(self, rotations: Sequence[Sequence[int]]):
         rots = tuple(tuple(nbrs) for nbrs in rotations)
         n = len(rots)
         if n < 1:
@@ -175,7 +175,7 @@ class PlanarEmbedding:
                     )
         self.rotations = rots
         self.vertex_count = n
-        self._explicit_outer = outer_face_id
+        self._explicit_outer: int | None = None  # set by with_outer_face
 
     # -- basic accessors -------------------------------------------------
 

@@ -181,8 +181,13 @@ class TestOpenFace:
         return (
             bytes(state.roles), list(state.deg_h), list(state.deg_door),
             list(state._end), state.h_count, set(state.entered_faces),
-            list(state.frontier), list(state.trace),
+            [list(queue) for queue in state.frontier], list(state.trace),
         )
+
+    @staticmethod
+    def pop(state):
+        """Run the first door of side 0's queue."""
+        return _run_one(state, state.frontier[0].popleft(), 0, False)
 
     @staticmethod
     def inner_doors(state):
@@ -192,7 +197,7 @@ class TestOpenFace:
         state = self.entrance_state(cube, (0, 1))
         assert cube.faces[state.unentered_face(state.edge_id(0, 1))].length == 4
         assert state.h_count == 3
-        assert _run_one(state, False) is None
+        assert self.pop(state) is None
         new_h = [e for e, r in role_map(state).items() if r is EdgeRole.INNER_HAMILTONIAN]
         new_d = self.inner_doors(state)
         assert len(new_h) == 2 and len(new_d) == 1
@@ -200,12 +205,12 @@ class TestOpenFace:
         # the new door is opposite the entrance: disjoint from it
         assert not set(door) & {0, 1}
         assert state.h_count == 5
-        assert list(state.frontier) == [(state.edge_id(*door), 0)]
+        assert [list(queue) for queue in state.frontier] == [[state.edge_id(*door)]]
         assert [ev.kind for ev in state.trace] == ["open"]
 
     def test_six_face_alternation(self, hex_prism):
         state = self.entrance_state(hex_prism, (0, 1))
-        _run_one(state, False)
+        self.pop(state)
         door = self.inner_doors(state)[0]
         door = state.edge_id(*door)
         face = hex_prism.faces[state.unentered_face(door)]
@@ -228,9 +233,9 @@ class TestOpenFace:
         # fail atomically: every write before the conflict is undone.
         emb = build_named("two_cubes_bridge").embedding
         state = self.entrance_state(emb, (0, 4))
-        _run_one(state, False)
-        _run_one(state, False)
-        door, _ = state.frontier[0]
+        self.pop(state)
+        self.pop(state)
+        door = state.frontier[0][0]
         fid = state.unentered_face(door)
         before = self.snapshot(state)
         with pytest.raises(RoleConflictError, match="three cycle edges"):
@@ -245,7 +250,7 @@ class TestOpenFace:
         assert emb.faces[fid].length == 5
         with pytest.raises(OddFaceError):
             _apply_opening(state, entrance, fid)
-        assert _run_one(state, False).startswith("cannot open the entrance face: face")
+        assert self.pop(state).startswith("cannot open the entrance face: face")
 
     def test_door_adjacency_guard(self, cube):
         state = self.entrance_state(cube, (0, 1))
@@ -254,13 +259,12 @@ class TestOpenFace:
             state.add_door_edge(state.edge_id(4, 7))
 
     def test_non_door_rejected(self, cube):
-        # A frontier entry whose edge has since joined the cycle is stale:
+        # A queued door whose edge has since joined the cycle is stale:
         # the pop skips it without opening a face or tracing a step.
         state = self.entrance_state(cube, (0, 1))
         assert role_of(state, (1, 2)) is EdgeRole.OUTER_HAMILTONIAN
         before = self.snapshot(state)
-        state.frontier.appendleft((state.edge_id(1, 2), 0))
-        assert _run_one(state, False) is None
+        assert _run_one(state, state.edge_id(1, 2), 0, False) is None
         assert self.snapshot(state) == before
 
 
@@ -443,6 +447,33 @@ class TestCarveDouble:
         assert res == again  # outcome is frozen evidence either way
 
 
+@pytest.mark.parametrize(
+    "graph, run, entrances, error, message",
+    [
+        ("square", carve, (0, 1), ValueError, "chamber expansion needs a cubic graph"),
+        # Not cubic and touching entrances: the cubic check comes first.
+        ("square", carve_double, ((0, 1), (1, 2)), ValueError,
+         "chamber expansion needs a cubic graph"),
+        ("cube", carve, (5, 4), ValueError, "entrance (4, 5) is not an outer edge"),
+        ("cube", carve_double, ((0, 1), (5, 4)), ValueError,
+         "entrance (4, 5) is not an outer edge"),
+        ("cube", carve_double, ((1, 0), (0, 1)), AdjacentEntrancesError,
+         "entrances must be distinct"),
+        ("cube", carve_double, ((0, 1), (2, 1)), AdjacentEntrancesError,
+         "entrances (0, 1) and (1, 2) share an endpoint"),
+        # Touching inner edges: the pair checks come before the outer check.
+        ("cube", carve_double, ((4, 5), (5, 6)), AdjacentEntrancesError,
+         "entrances (4, 5) and (5, 6) share an endpoint"),
+    ],
+)
+def test_entry_errors(cube, graph, run, entrances, error, message):
+    emb = cube if graph == "cube" else PlanarEmbedding([[1, 3], [2, 0], [3, 1], [0, 2]])
+    with pytest.raises(error) as info:
+        run(emb, entrances)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 class TestBridgeRule:
     def test_detects_synthetic_double_cut_setup(self):
         # Build the rule's trigger by hand: C_j holds an outer-cycle edge
@@ -479,7 +510,7 @@ class TestBridgeRule:
             if role_of(state, e) is EdgeRole.UNASSIGNED and e != probe and e != d_j
         )
         set_role(state, door, EdgeRole.INNER_DOOR)
-        hit = detect_bridge_face(state, state.edge_id(*door), emb)
+        hit = detect_bridge_face(state, state.edge_id(*door))
         assert hit is not None
         e, dj_found = map(state.edge_of, hit)
         assert role_of(state, dj_found) is EdgeRole.INNER_DOOR
@@ -492,7 +523,7 @@ class TestBridgeRule:
             set_role(state, e, EdgeRole.OUTER_HAMILTONIAN)
             state._outer_ham_faces.update(cube.edge_faces[e])
         set_role(state, (4, 5), EdgeRole.INNER_DOOR)
-        assert detect_bridge_face(state, state.edge_id(4, 5), cube) is None
+        assert detect_bridge_face(state, state.edge_id(4, 5)) is None
 
 
 class TestNearCycle:
