@@ -627,7 +627,10 @@ def _carve(embedding: PlanarEmbedding, entrances: tuple[Edge, ...], left_walk: b
     for e in entrances:
         if e not in embedding.outer_edges:
             raise ValueError(f"entrance {e} is not an outer edge")
-    state = _init_state(embedding, entrances)
+    try:
+        state = _init_state(embedding, entrances)
+    except RoleConflictError as exc:  # a non-simple outer face; nothing is committed
+        return _finish(ChamberState(embedding, entrances), str(exc))
     return _finish(state, _run(state, left_walk))
 
 

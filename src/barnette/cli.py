@@ -269,7 +269,7 @@ def _compare_one(path: str, all_entrances: bool, budget: int) -> RunReport:
     t0 = time.perf_counter()
     rep = validate(emb)
     if all_entrances:
-        entrances = sorted(emb.outer_face.edges)
+        entrances = sorted(emb.outer_edges)
     else:
         entrances = [select_entrance(emb, enumerate_3_edge_cuts(emb)).edge]
     t_carve0 = time.perf_counter()

@@ -11,7 +11,9 @@ undecided, in the cycle, or excluded) with unit propagation:
 * the not-excluded subgraph must stay connected.
 
 All prunings are sound, so a completed search is a nonexistence proof.
-Budgets are counted in branch expansions, never wall clock.
+Budgets are counted in branch expansions, never wall clock.  The state
+is flat integer arrays plus one undo trail of ints, one entry per
+decided edge; a solution is read off the search as a vertex cycle.
 """
 
 from __future__ import annotations
@@ -77,138 +79,120 @@ def verify_cycle(embedding: PlanarEmbedding, vertices) -> CycleCertificate:
     )
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 class _EdgeStateSearch:
-    """Backtracking cycle search over an adjacency list.
+    """Backtracking Hamiltonian cycle search over an adjacency list, run
+    once.  Works for any degrees, which the path searches need.
 
-    ``target`` is the number of vertices the cycle must span (all of
-    them).  Works for any degrees, which the path searches need.
+    ``run`` leaves its outcome in ``solutions`` (canonical vertex cycles:
+    the first found, or all of them with ``count_all``), ``exhausted``
+    (the budget ran out) and ``expansions`` (branches taken).
     """
 
     UND, IN, OUT = 0, 1, 2
 
-    def __init__(self, adj: list[list[int]]):
-        self.n = len(adj)
-        edges = sorted({edge_key(u, v) for u in range(self.n) for v in adj[u]})
-        self.edges = edges
-        self.eid = {e: i for i, e in enumerate(edges)}
-        self.incident: list[list[int]] = [[] for _ in range(self.n)]
-        for i, (u, v) in enumerate(edges):
+    def __init__(self, adj: list[list[int]], budget: int, count_all: bool = False):
+        n = self.n = len(adj)
+        self.edges = sorted({edge_key(u, v) for u in range(n) for v in adj[u]})
+        self.incident: list[list[int]] = [[] for _ in range(n)]
+        for i, (u, v) in enumerate(self.edges):
             self.incident[u].append(i)
             self.incident[v].append(i)
-        # (neighbour, edge id) of every vertex, for the connectivity test.
-        self.links = [[(u, self.eid[edge_key(v, u)]) for u in adj[v]] for v in range(self.n)]
-
-    def run(
-        self,
-        budget: int,
-        forced_in: tuple[Edge, ...] = (),
-        forced_out: tuple[Edge, ...] = (),
-        count_all: bool = False,
-    ) -> tuple[list[frozenset[Edge]], bool, int]:
-        """Returns (solutions as edge sets, exhausted, expansions)."""
-        n = self.n
-        m = len(self.edges)
-        self.state = bytearray(m)
+        self.budget = budget
+        self.count_all = count_all
+        self.state = bytearray(len(self.edges))
         self.deg_in = [0] * n
-        self.deg_und = [len(self.incident[v]) for v in range(n)]
+        self.deg_und = [len(inc) for inc in self.incident]
         self.mate = list(range(n))
         self.in_count = 0
-        self.trail: list[tuple[int, int, int]] = []  # (kind, index, old)
+        # One entry per decided edge: ``e`` when excluded, ``a, b, e`` when
+        # in the cycle, where a and b were the far ends of the paths it
+        # joined.  The edge's state tells which.
+        self.trail: list[int] = []
+        self.solutions: list[tuple[int, ...]] = []
+        self.exhausted = False
         self.expansions = 0
-        self.budget = budget
-        self.solutions: list[frozenset[Edge]] = []
-        self.count_all = count_all
 
-        if any(d < 2 for d in self.deg_und) and n > 1:
-            return [], False, 0
-        try:
-            ok = True
-            for e in forced_out:
-                ok = ok and self._assign(self.eid[edge_key(*e)], self.OUT)
-            for e in forced_in:
-                ok = ok and self._assign(self.eid[edge_key(*e)], self.IN)
-            if ok:
-                self._search()
-        except _BudgetExceeded:
-            return self.solutions, True, self.expansions
-        return self.solutions, False, self.expansions
+    def run(
+        self, forced_in: tuple[Edge, ...] = (), forced_out: tuple[Edge, ...] = ()
+    ) -> _EdgeStateSearch:
+        forced = [(p, self.OUT) for p in forced_out] + [(p, self.IN) for p in forced_in]
+        eid = {e: i for i, e in enumerate(self.edges)}
+        decisions = []
+        for pair, s in forced:
+            e = eid.get(edge_key(*pair))
+            if e is None:
+                raise ValueError(f"forced edge {tuple(pair)} is not an edge of the graph")
+            decisions.append((e, s))
+        # A vertex of degree below 2 lies on no spanning cycle.
+        if min(self.deg_und) >= 2 and all(self._assign(e, s) for e, s in decisions):
+            self._search()
+        return self
 
     # -- propagation -----------------------------------------------------
 
-    def _set_state(self, e: int, s: int) -> None:
-        self.trail.append((0, e, self.state[e]))
-        self.state[e] = s
-
-    def _set_mate(self, v: int, w: int) -> None:
-        self.trail.append((1, v, self.mate[v]))
-        self.mate[v] = w
-
     def _assign(self, e: int, s: int) -> bool:
         """Assign edge state and propagate; False on contradiction."""
+        state, deg_in, deg_und, mate, trail = (
+            self.state, self.deg_in, self.deg_und, self.mate, self.trail
+        )
         queue = [(e, s)]
         while queue:
             e, s = queue.pop()
-            cur = self.state[e]
+            cur = state[e]
             if cur != self.UND:
                 if cur != s:
                     return False
                 continue
             u, v = self.edges[e]
             if s == self.IN:
-                if self.deg_in[u] >= 2 or self.deg_in[v] >= 2:
+                if deg_in[u] >= 2 or deg_in[v] >= 2:
                     return False
-                eu, ev = self.mate[u], self.mate[v]
-                if eu == v:
-                    # closing a cycle: only the spanning one is allowed
-                    if self.in_count + 1 != self.n:
-                        return False
-                else:
-                    self._set_mate(eu, ev)
-                    self._set_mate(ev, eu)
-                self._set_state(e, self.IN)
-                self.trail.append((2, 0, 0))
+                a, b = mate[u], mate[v]
+                # closing a cycle (a == v, b == u): only the spanning one
+                # is allowed, and the mate writes below change nothing
+                if a == v and self.in_count + 1 != self.n:
+                    return False
+                mate[a], mate[b] = b, a
+                trail.append(a)
+                trail.append(b)
                 self.in_count += 1
-                for w in (u, v):
-                    self.deg_in[w] += 1
-                    self.deg_und[w] -= 1
-                    self.trail.append((3, w, 0))
-            else:
-                self._set_state(e, self.OUT)
-                for w in (u, v):
-                    self.deg_und[w] -= 1
-                    self.trail.append((4, w, 0))
+                deg_in[u] += 1
+                deg_in[v] += 1
+            state[e] = s
+            trail.append(e)
+            deg_und[u] -= 1
+            deg_und[v] -= 1
             for w in (u, v):
-                need = 2 - self.deg_in[w]
-                if need < 0 or self.deg_und[w] < need:
+                need = 2 - deg_in[w]
+                if deg_und[w] < need:
                     return False
                 if need == 0:
                     for f in self.incident[w]:
-                        if self.state[f] == self.UND:
+                        if state[f] == self.UND:
                             queue.append((f, self.OUT))
-                elif self.deg_und[w] == need:
+                elif deg_und[w] == need:
                     for f in self.incident[w]:
-                        if self.state[f] == self.UND:
+                        if state[f] == self.UND:
                             queue.append((f, self.IN))
         return True
 
     def _undo_to(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            kind, idx, old = self.trail.pop()
-            if kind == 0:
-                self.state[idx] = old
-            elif kind == 1:
-                self.mate[idx] = old
-            elif kind == 2:
+        state, edges, deg_in, deg_und, mate, trail = (
+            self.state, self.edges, self.deg_in, self.deg_und, self.mate, self.trail
+        )
+        while len(trail) > mark:
+            e = trail.pop()
+            u, v = edges[e]
+            if state[e] == self.IN:
+                b = trail.pop()
+                a = trail.pop()
+                mate[a], mate[b] = u, v
+                deg_in[u] -= 1
+                deg_in[v] -= 1
                 self.in_count -= 1
-            elif kind == 3:
-                self.deg_in[idx] -= 1
-                self.deg_und[idx] += 1
-            else:
-                self.deg_und[idx] += 1
+            state[e] = self.UND
+            deg_und[u] += 1
+            deg_und[v] += 1
 
     def _connected_without_out(self) -> bool:
         n = self.n
@@ -216,14 +200,17 @@ class _EdgeStateSearch:
         seen[0] = 1
         stack = [0]
         count = 1
-        state, links, out = self.state, self.links, self.OUT
+        state, edges, incident, out = self.state, self.edges, self.incident, self.OUT
         while stack:
             v = stack.pop()
-            for u, f in links[v]:
-                if not seen[u] and state[f] != out:
-                    seen[u] = 1
-                    count += 1
-                    stack.append(u)
+            for f in incident[v]:
+                if state[f] != out:
+                    a, b = edges[f]
+                    u = b if a == v else a
+                    if not seen[u]:
+                        seen[u] = 1
+                        count += 1
+                        stack.append(u)
         return count == n
 
     def _pick_edge(self) -> int:
@@ -243,32 +230,44 @@ class _EdgeStateSearch:
                 return f
         return -1
 
-    def _search(self) -> bool:
+    def _cycle(self) -> tuple[int, ...]:
+        """The in-cycle edges as a vertex cycle, canonically: from vertex 0
+        toward its smaller neighbour, so equal cycles read identically."""
+        n = self.n
+        nbr: list[list[int]] = [[] for _ in range(n)]
+        for (u, v), s in zip(self.edges, self.state):
+            if s == self.IN:
+                nbr[u].append(v)
+                nbr[v].append(u)
+        seq = [0, min(nbr[0])]
+        while len(seq) < n:
+            a, b = nbr[seq[-1]]
+            seq.append(b if a == seq[-2] else a)
+        return tuple(seq)
+
+    def _search(self) -> None:
         """Depth-first over edge decisions, on an explicit stack so the
         depth is not bounded by the interpreter's recursion limit.
 
         Each frame is [edge, next state index, trail mark]: the edge is
-        tried IN, then OUT, each from the trail mark.  Returns True when
-        the search should stop (first-solution mode).
+        tried IN, then OUT, each from the trail mark.  Stops at the first
+        solution unless ``count_all``, or when the budget is spent.
         """
         choices = (self.IN, self.OUT)
         stack: list[list[int]] = []
         while True:
             # Expand the current node: record a solution or push a branch.
             if self.in_count == self.n:
-                self.solutions.append(
-                    frozenset(
-                        self.edges[e] for e in range(len(self.edges)) if self.state[e] == self.IN
-                    )
-                )
+                self.solutions.append(self._cycle())
                 if not self.count_all:
-                    return True
+                    return
             elif self._connected_without_out():
                 e = self._pick_edge()
                 if e >= 0:
                     self.expansions += 1
                     if self.expansions > self.budget:
-                        raise _BudgetExceeded
+                        self.exhausted = True
+                        return
                     stack.append([e, 0, len(self.trail)])
             # Backtrack to the next untried branch and descend into it.
             while stack:
@@ -282,29 +281,7 @@ class _EdgeStateSearch:
                 if self._assign(e, choices[i]):
                     break
             else:
-                return False
-
-
-def _edge_set_to_cycle(edges: frozenset[Edge]) -> tuple[int, ...]:
-    """Order a degree-2 edge set into a vertex cycle, canonically.
-
-    Starts at the smallest vertex and walks toward its smaller neighbor,
-    so equal cycles serialize identically.
-    """
-    nbr: dict[int, list[int]] = {}
-    for u, v in edges:
-        nbr.setdefault(u, []).append(v)
-        nbr.setdefault(v, []).append(u)
-    start = min(nbr)
-    second = min(nbr[start])
-    seq = [start, second]
-    while True:
-        a, b = seq[-2], seq[-1]
-        nxt = nbr[b][0] if nbr[b][0] != a else nbr[b][1]
-        if nxt == start:
-            break
-        seq.append(nxt)
-    return tuple(seq)
+                return
 
 
 def find_hamiltonian_cycle(
@@ -317,42 +294,26 @@ def find_hamiltonian_cycle(
 
     ``forced_in``/``forced_out`` pre-pin edge states, which lets callers
     ask single-chamber style questions (all outer edges in the cycle).
+    A forced pair that is not an edge raises ValueError.
     """
-    search = _EdgeStateSearch([list(r) for r in embedding.rotations])
-    sols, exhausted, expansions = search.run(budget, tuple(forced_in), tuple(forced_out))
+    search = _EdgeStateSearch([list(r) for r in embedding.rotations], budget)
+    search.run(forced_in, forced_out)
     cert = None
-    if sols:
-        cert = verify_cycle(embedding, _edge_set_to_cycle(sols[0]))
-    return SearchResult(certificate=cert, exhausted=exhausted, expansions=expansions)
+    if search.solutions:
+        cert = verify_cycle(embedding, search.solutions[0])
+    return SearchResult(
+        certificate=cert, exhausted=search.exhausted, expansions=search.expansions
+    )
 
 
 def enumerate_hamiltonian_cycles(
     embedding: PlanarEmbedding, budget: int = DEFAULT_BUDGET
 ) -> tuple[list[CycleCertificate], bool]:
     """All distinct Hamiltonian cycles (as undirected edge sets)."""
-    search = _EdgeStateSearch([list(r) for r in embedding.rotations])
-    sols, exhausted, _ = search.run(budget, count_all=True)
-    certs = [verify_cycle(embedding, _edge_set_to_cycle(s)) for s in sols]
+    search = _EdgeStateSearch([list(r) for r in embedding.rotations], budget, count_all=True).run()
+    certs = [verify_cycle(embedding, cycle) for cycle in search.solutions]
     certs.sort(key=lambda c: c.vertices)
-    return certs, exhausted
-
-
-def hamiltonian_path_exists(
-    adj: list[list[int]], a: int, b: int, budget: int = DEFAULT_BUDGET
-) -> tuple[bool | None, int]:
-    """Spanning a-b path decision via one auxiliary cycle vertex.
-
-    Returns (answer, expansions); answer None means budget exhausted.
-    """
-    n = len(adj)
-    aug = [list(nbrs) for nbrs in adj] + [[a, b]]
-    aug[a].append(n)
-    aug[b].append(n)
-    search = _EdgeStateSearch(aug)
-    sols, exhausted, expansions = search.run(budget)
-    if sols:
-        return True, expansions
-    return (None if exhausted else False), expansions
+    return certs, search.exhausted
 
 
 def hamiltonian_path_profile(
@@ -360,18 +321,28 @@ def hamiltonian_path_profile(
     terminals: tuple[int, int, int],
     budget_per_pair: int = DEFAULT_BUDGET,
 ) -> PathProfile:
-    """Decide spanning-path existence for each unordered terminal pair."""
+    """Decide spanning-path existence for each unordered terminal pair.
+
+    A spanning a-b path is a Hamiltonian cycle through one auxiliary
+    vertex joined to a and b only.
+    """
     x, y, z = terminals
+    n = embedding.vertex_count
     if len({x, y, z}) != 3:
         raise ValueError("terminals must be three distinct vertices")
-    adj = [list(r) for r in embedding.rotations]
+    for t in (x, y, z):
+        if not 0 <= t < n:
+            raise ValueError(f"terminal {t} is not a vertex of the {n}-vertex graph")
     feasible = set()
     undecided = set()
     for a, b in combinations((x, y, z), 2):
-        ans, _ = hamiltonian_path_exists(adj, a, b, budget_per_pair)
-        if ans is True:
+        aug = [list(r) for r in embedding.rotations] + [[a, b]]
+        aug[a].append(n)
+        aug[b].append(n)
+        search = _EdgeStateSearch(aug, budget_per_pair).run()
+        if search.solutions:
             feasible.add(frozenset((a, b)))
-        elif ans is None:
+        elif search.exhausted:
             undecided.add(frozenset((a, b)))
     return PathProfile(
         terminals=(x, y, z),
@@ -400,16 +371,15 @@ def longest_cycle(embedding: PlanarEmbedding, budget: int = DEFAULT_BUDGET) -> S
             ]
             if any(len(x) < 2 for x in adj):
                 continue
-            search = _EdgeStateSearch(adj)
-            sols, exhausted, expansions = search.run(budget - spent)
-            spent += expansions
-            if sols:
-                cycle = tuple(keep[i] for i in _edge_set_to_cycle(sols[0]))
+            search = _EdgeStateSearch(adj, budget - spent).run()
+            spent += search.expansions
+            if search.solutions:
+                cycle = tuple(keep[i] for i in search.solutions[0])
                 return SearchResult(
                     certificate=verify_cycle(embedding, cycle),
                     exhausted=False,
                     expansions=spent,
                 )
-            if exhausted:
+            if search.exhausted:
                 return SearchResult(certificate=None, exhausted=True, expansions=spent)
     return SearchResult(certificate=None, exhausted=False, expansions=spent)

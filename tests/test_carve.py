@@ -34,6 +34,7 @@ from barnette.embedding import (
     _components_without,
     edge_key,
     enumerate_3_edge_cuts,
+    parse_embedding,
 )
 from barnette.oracle import (
     enumerate_hamiltonian_cycles,
@@ -319,7 +320,7 @@ class TestCarve:
         again = carve(tutte, choice.edge)
         assert again == res
 
-    def test_outer_face_must_be_a_simple_cycle(self):
+    def test_outer_face_must_be_a_simple_cycle(self, bridged_doc):
         # Two K4s, each with one edge subdivided, joined by the bridge 4-9:
         # the face around the bridge walks it twice and repeats 4 and 9.
         def half(o, far):
@@ -328,10 +329,20 @@ class TestCarve:
 
         emb = PlanarEmbedding(half(0, 9) + half(5, 4))
         face = next(f for f in emb.faces if len(set(f.vertices)) < f.length)
-        emb = emb.with_outer_face(face.id)
-        for e in sorted(emb.outer_edges):
-            with pytest.raises(RoleConflictError, match="not a simple cycle"):
-                carve(emb, e)
+        k4s = emb.with_outer_face(face.id)
+        bridged = parse_embedding(bridged_doc)
+        # Either entry point reports Failure with nothing committed; it
+        # does not raise.
+        runs = [(k4s, carve(k4s, e)) for e in sorted(k4s.outer_edges)]
+        runs += [(bridged, carve(bridged, (0, 2))), (bridged, carve_double(bridged, ((0, 2), (6, 8))))]
+        for emb, res in runs:
+            outer = emb.outer_face.id
+            assert res.status is CarveStatus.FAILURE
+            assert res.failure_reason == (
+                f"outer face {outer} is not a simple cycle; longest cycle in role set: 0"
+            )
+            assert res.cycle == () and res.trace == ()
+            assert len(res.role_class(EdgeRole.INNER_DOOR)) == emb.edge_count
 
     def test_entrance_must_be_outer(self, cube):
         with pytest.raises(ValueError, match="outer"):

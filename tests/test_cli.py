@@ -112,6 +112,28 @@ class TestSubcommands:
         assert all(r["oracle"] == "non-hamiltonian" for r in recs)
         assert all(r["carve"] != "HamiltonianCycle" for r in recs)
 
+    def test_non_simple_outer_face_is_a_failure(self, capsys, tmp_path, bridged_doc):
+        # A carve whose outer face repeats a vertex is a Failure, which
+        # exits 0; compare still reports the oracle's verdict.
+        path = tmp_path / "bridged.rot"
+        path.write_text(bridged_doc, encoding="utf-8")
+        reason = "outer_face_1_is_not_a_simple_cycle;_longest_cycle_in_role_set:_0"
+        for extra in ((), ("--entrance", "0,2")):
+            code, out = run_cli(capsys, "carve", "--machine", *extra, str(path))
+            assert code == 0
+            rec = parse_machine_records(out)[0]
+            assert (rec["status"], rec["reason"]) == ("Failure", reason)
+        code, out = run_cli(capsys, "compare", "--machine", "--all-entrances", str(path))
+        recs = parse_machine_records(out)
+        assert code == 0
+        # One record per outer edge, though the outer walk passes 4-5 twice.
+        assert [r["entrance"] for r in recs] == [
+            "0-1", "0-2", "1-4", "2-4", "4-5", "5-6", "5-7", "6-8", "7-8"
+        ]
+        assert all(r["carve"] == "Failure" for r in recs)
+        assert all(r["oracle"] == "non-hamiltonian" for r in recs)
+        assert all(r["agreement"] == "true" for r in recs)
+
     def test_compare_directory(self, capsys, tmp_path, rot_file):
         rot_file("cube")
         rot_file("prism_6")

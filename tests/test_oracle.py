@@ -1,6 +1,7 @@
 """Exact solver vs naive enumeration, certificates, path profiles."""
 
 import ast
+import hashlib
 import inspect
 import sys
 
@@ -8,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barnette.corpus import build_fragment, build_named, cycle_fragment, generate_prism
+from barnette.corpus import (
+    bipartite_fragment_family,
+    build_fragment,
+    build_named,
+    cycle_fragment,
+    dual_embedding,
+    generate_prism,
+    truncate_embedding,
+)
 from barnette import oracle
 from barnette.embedding import edge_key
 from barnette.oracle import (
@@ -138,6 +147,11 @@ class TestFindCycle:
         r = find_hamiltonian_cycle(cube, forced_out=tuple(outer))
         assert r.certificate is None and r.proved_absent
 
+    @pytest.mark.parametrize("arg", ["forced_in", "forced_out"])
+    def test_forced_pair_must_be_an_edge(self, cube, arg):
+        with pytest.raises(ValueError, match=r"forced edge \(0, 6\) is not an edge"):
+            find_hamiltonian_cycle(cube, **{arg: ((0, 1), (0, 6))})
+
     def test_search_keeps_the_recursion_limit(self, monkeypatch):
         # A search as deep as the edge count used to raise the
         # process-wide recursion limit for its duration.
@@ -219,6 +233,15 @@ class TestPathProfile:
         with pytest.raises(ValueError):
             hamiltonian_path_profile(cube, (0, 0, 1))
 
+    @pytest.mark.parametrize(
+        "terminals, bad", [((-1, 0, 1), -1), ((0, 1, 8), 8), ((0, 1, -8), -8)]
+    )
+    def test_terminals_must_be_vertices(self, cube, terminals, bad):
+        # 8 would be the auxiliary vertex of the path search, and a
+        # negative one would index from the end of the adjacency list.
+        with pytest.raises(ValueError, match=f"terminal {bad} is not a vertex"):
+            hamiltonian_path_profile(cube, terminals)
+
 
 class TestLongestCycle:
     def test_cube(self, cube):
@@ -248,3 +271,40 @@ def test_prisms_hamiltonian_property(k):
     r = find_hamiltonian_cycle(emb)
     assert r.certificate is not None
     assert verify_cycle(emb, r.certificate.vertices).is_hamiltonian
+
+
+# SHA-256 over the oracle's answers below: every certificate's vertex
+# order, exhausted flag and expansion count, every enumeration in its
+# order, the Tutte graph's longest cycle and the fragment path profiles.
+ORACLE_DIGEST = "cfa999bcd479a9e9364023eb4a86ba4d4a81cbbf8b888ceb499bd359a34e0e4b"
+
+
+def test_oracle_digest_is_pinned(corpus_graphs):
+    def outcome(r):
+        return (r.certificate and r.certificate.vertices, r.exhausted, r.expansions)
+
+    graphs = [(name, g.embedding) for name, g in corpus_graphs.items()]
+    graphs += [(f"prism-{k}", generate_prism(k).embedding) for k in range(2, 13)]
+    leapfrog = build_named("cube").embedding
+    for _ in range(2):
+        leapfrog = truncate_embedding(dual_embedding(leapfrog))
+        graphs.append((f"leapfrog-{leapfrog.vertex_count}", leapfrog))
+    digest = hashlib.sha256()
+    for name, emb in graphs:
+        digest.update(repr((name, outcome(find_hamiltonian_cycle(emb)))).encode())
+    for name in ("tutte_graph", "prism_8"):
+        emb = build_named(name).embedding
+        for budget in (0, 1, 10):
+            r = find_hamiltonian_cycle(emb, budget=budget)
+            digest.update(repr((name, budget, outcome(r))).encode())
+    for name, emb in graphs:
+        if emb.vertex_count <= 30:
+            certs, exhausted = enumerate_hamiltonian_cycles(emb)
+            digest.update(repr((name, [c.vertices for c in certs], exhausted)).encode())
+    digest.update(repr(outcome(longest_cycle(corpus_graphs["tutte_graph"].embedding))).encode())
+    fragments = bipartite_fragment_family() + [("tutte_fragment", build_fragment("tutte_fragment"))]
+    for name, frag in fragments:
+        p = hamiltonian_path_profile(frag.embedding, frag.terminals)
+        pairs = [sorted(sorted(pair) for pair in s) for s in (p.feasible_pairs, p.undecided_pairs)]
+        digest.update(repr((name, p.terminals, pairs)).encode())
+    assert digest.hexdigest() == ORACLE_DIGEST
