@@ -163,15 +163,16 @@ def _cmd_faces(args, out) -> int:
 
 
 def _emit_carve(args, out, emb: PlanarEmbedding, res: CarveResult) -> None:
-    verified = False
-    if res.status in (CarveStatus.HAMILTONIAN_CYCLE, CarveStatus.NEAR_CYCLE):
+    # Verifier gate: a claimed cycle is reported only once it checks as a
+    # cycle through all n vertices, or n - 1 for a near cycle.
+    status, verified = res.status, False
+    if status in (CarveStatus.HAMILTONIAN_CYCLE, CarveStatus.NEAR_CYCLE):
         cert = verify_cycle(emb, res.cycle)
-        verified = cert.is_cycle and (
-            res.status is CarveStatus.NEAR_CYCLE or cert.is_hamiltonian
-        )
-    status = res.status
-    if status is CarveStatus.HAMILTONIAN_CYCLE and not verified:
-        status = CarveStatus.FAILURE  # verifier gate: never report an unchecked cycle
+        n = emb.vertex_count
+        want = n - 1 if status is CarveStatus.NEAR_CYCLE else n
+        verified = cert.is_cycle and cert.length == want
+        if not verified:
+            status = CarveStatus.FAILURE
     if args.machine:
         emit_record(
             out,

@@ -9,7 +9,7 @@ replaced by standard constructions of the same class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
+from itertools import pairwise
 
 from .embedding import (
     EmbeddingError,
@@ -186,10 +186,11 @@ def _dodecahedron() -> PlanarEmbedding:
 
 
 def dual_embedding(emb: PlanarEmbedding) -> PlanarEmbedding:
-    """Dual map: one vertex per face, adjacency across shared edges."""
-    index = emb.dart_index
-    far = list(map(index.dart_face.__getitem__, map(index.twin.__getitem__, index.face_darts)))
-    return PlanarEmbedding([far[a:b] for a, b in pairwise(index.face_start)])
+    """Dual map: one vertex per face, its rotation the face's row of the
+    dual table."""
+    dual = emb.dual_table
+    # Tuple rows: the constructor keeps them, so no copy of the map is built.
+    return PlanarEmbedding([tuple(dual[a:b]) for a, b in pairwise(emb.dart_index.face_start)])
 
 
 def truncate_embedding(emb: PlanarEmbedding) -> PlanarEmbedding:
@@ -199,14 +200,11 @@ def truncate_embedding(emb: PlanarEmbedding) -> PlanarEmbedding:
     the dart's id, joined to its twin's corner and its two rotation
     neighbours at ``v``.
     """
-    rots = emb.rotations
-    off = list(accumulate(map(len, rots), initial=0))
-    out: list[list[int]] = []
-    for v, rot in enumerate(rots):
-        d, base = len(rot), off[v]
-        for i, u in enumerate(rot):
-            out.append([off[u] + rots[u].index(v), base + (i + 1) % d, base + (i - 1) % d])
-    return PlanarEmbedding(out)
+    twin = emb._twin
+    return PlanarEmbedding([  # tuple rows, as in dual_embedding
+        (twin[base + i], base + (i + 1) % d, base + (i - 1) % d)
+        for base, d in zip(emb._off, map(len, emb.rotations)) for i in range(d)
+    ])
 
 
 def _induced(emb: PlanarEmbedding, keep: list[int]) -> tuple[PlanarEmbedding, dict[int, int]]:

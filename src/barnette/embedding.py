@@ -6,9 +6,9 @@ combinatorial map.  Edges are canonical ``(min, max)`` vertex pairs.
 
 Under the pairs lies one integer half-edge core, ``DartIndex``: the dart
 from ``v`` to ``rotations[v][i]`` has id ``off[v] + i`` (``3v + i`` on a
-cubic map), and an edge's id is the smaller of its two dart ids.  The one
-face trace walks ints only and leaves read-only int32 arrays behind;
-``faces`` and ``edge_faces`` are views over them.  A ``Face`` and its
+cubic map), and an edge's id is the smaller of its two dart ids.  Twins
+are paired at construction; the face trace leaves int32 arrays behind, and
+``faces``, ``edge_faces`` and ``dual_table`` are views.  A ``Face`` and its
 ``darts`` are built from the arrays the first time that face is read, so
 a run that enters a few faces builds only those.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 import struct
+from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -107,7 +108,8 @@ class DartIndex(NamedTuple):
 class FaceSequence(Sequence):
     """The facial walks of a traced map, in traced order, read-only.  Face
     ``f`` and its darts are built from the dart arrays the first time it
-    is read, then kept; ``len`` builds no face."""
+    is read, then kept; ``len`` builds no face, and a slice is a tuple of
+    built faces."""
 
     def __init__(self, rotations: tuple[tuple[int, ...], ...], index: DartIndex):
         self._rotations = rotations
@@ -117,7 +119,9 @@ class FaceSequence(Sequence):
     def __len__(self) -> int:
         return len(self._built)
 
-    def __getitem__(self, f: int) -> Face:
+    def __getitem__(self, f: int | slice) -> Face | tuple[Face, ...]:
+        if isinstance(f, slice):
+            return tuple(map(self.__getitem__, range(len(self))[f]))
         face = self._built[f]
         if face is None:
             off, start, rots = self._index.off, self._index.face_start, self._rotations
@@ -157,24 +161,34 @@ class PlanarEmbedding:
         n = len(rots)
         if n < 1:
             raise EmbeddingError("embedding needs at least one vertex")
+        # One pass pairs each edge's darts, the edge looked up in the shorter
+        # rotation (ties: at the smaller vertex).  A simple symmetric map pairs
+        # every dart once; any fault leaves a neighbour out of range, a dart
+        # unpaired or one paired twice, and the checks are then replayed.
+        off = list(accumulate(map(len, rots), initial=0))
+        twin = array("i", [-1]) * off[-1]
+        d = 0
         for v, nbrs in enumerate(rots):
-            seen: set[int] = set()
+            k = len(nbrs)
             for u in nbrs:
                 if not 0 <= u < n:
-                    raise EmbeddingError(f"vertex {v} lists out-of-range neighbor {u}")
-                if u == v:
-                    raise EmbeddingError(f"vertex {v} lists a self-loop")
-                if u in seen:
-                    raise EmbeddingError(f"vertex {v} lists duplicate neighbor {u}")
-                seen.add(u)
-        for v, nbrs in enumerate(rots):
-            for u in nbrs:
-                if v not in rots[u]:
-                    raise EmbeddingError(
-                        f"asymmetric adjacency: {v} lists {u} but {u} does not list {v}"
-                    )
+                    raise _rotation_fault(rots)
+                far = rots[u]
+                if len(far) < k or len(far) == k and u < v:
+                    try:
+                        t = off[u] + far.index(v)
+                    except ValueError:
+                        raise _rotation_fault(rots) from None
+                    if twin[t] >= 0:
+                        raise _rotation_fault(rots)
+                    twin[d] = t
+                    twin[t] = d
+                d += 1
+        if -1 in twin:
+            raise _rotation_fault(rots)
         self.rotations = rots
         self.vertex_count = n
+        self._off, self._twin = _int32s(off), memoryview(twin).toreadonly()
         self._explicit_outer: int | None = None  # set by with_outer_face
 
     # -- basic accessors -------------------------------------------------
@@ -206,11 +220,6 @@ class PlanarEmbedding:
     # -- face tracing ----------------------------------------------------
 
     @cached_property
-    def _traced(self) -> tuple[FaceSequence, DartIndex]:
-        index = _trace(self)
-        return FaceSequence(self.rotations, index), index
-
-    @cached_property
     def faces(self) -> FaceSequence:
         """All facial walks, in deterministic discovery order, as a view
         over ``dart_index``.
@@ -218,18 +227,24 @@ class PlanarEmbedding:
         Raises NonPlanarError unless the map is connected and
         V - E + F = 2.
         """
-        return self._traced[0]
+        return FaceSequence(self.rotations, self.dart_index)
 
     @cached_property
     def dart_index(self) -> DartIndex:
-        """The dart arrays, filled by the same trace as ``faces``."""
-        return self._traced[1]
+        """The dart arrays, filled by the one face trace."""
+        return _trace(self)
 
     def dart_id(self, u: int, v: int) -> int:
         """Id of dart (u, v); KeyError when the map has no such dart."""
         if 0 <= u < self.vertex_count and v in self.rotations[u]:
-            return self.dart_index.off[u] + self.rotations[u].index(v)
+            return self._off[u] + self.rotations[u].index(v)
         raise KeyError((u, v))
+
+    @cached_property
+    def dual_table(self) -> memoryview:
+        """The face across each dart, in ``face_darts`` layout: a row per face."""
+        _, twin, dart_face, face_darts, _ = self.dart_index
+        return _int32s(list(map(dart_face.__getitem__, map(twin.__getitem__, face_darts))))
 
     @cached_property
     def outer_face_id(self) -> int:
@@ -284,6 +299,7 @@ class PlanarEmbedding:
         out = PlanarEmbedding.__new__(PlanarEmbedding)
         out.rotations = self.rotations
         out.vertex_count = self.vertex_count
+        out._off, out._twin = self._off, self._twin
         out._explicit_outer = outer_face_id
         for name in _OUTER_INDEPENDENT_CACHES:
             if name in self.__dict__:
@@ -295,24 +311,27 @@ class PlanarEmbedding:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PlanarEmbedding):
             return NotImplemented
-        return self.rotations == other.rotations and self.outer_face_id == other.outer_face_id
+        # One rule, or one explicit face, roots a map alike: only mixed
+        # rootings trace the faces.
+        return self.rotations == other.rotations and (
+            self._explicit_outer == other._explicit_outer
+            or self.outer_face_id == other.outer_face_id
+        )
 
     def __hash__(self) -> int:
-        return hash((self.rotations, self.outer_face_id))
+        return hash(self.rotations)
 
     def __repr__(self) -> str:
         return f"PlanarEmbedding(n={self.vertex_count}, m={self.edge_count})"
 
 
-_OUTER_INDEPENDENT_CACHES = ("edges", "_cubic", "_traced", "faces", "dart_index", "edge_faces")
+_OUTER_INDEPENDENT_CACHES = ("edges", "_cubic", "faces", "dart_index", "edge_faces", "dual_table")
 
 
 def _trace(emb: PlanarEmbedding) -> DartIndex:
     """One pass over the darts: the face walks as dart arrays."""
-    rots = emb.rotations
-    off = list(accumulate(map(len, rots), initial=0))
-    darts = off[-1]
-    twin = [off[u] + rots[u].index(v) for v, nbrs in enumerate(rots) for u in nbrs]
+    off, twin = emb._off, emb._twin
+    darts = len(twin)
     # Dart v -> u is followed on its face by the dart after u -> v in the
     # rotation at u.
     turn = list(range(1, darts + 1))
@@ -321,7 +340,6 @@ def _trace(emb: PlanarEmbedding) -> DartIndex:
             turn[b - 1] = a
     succ = list(map(turn.__getitem__, twin))
     del turn
-    twin = _int32s(twin)
     face = [-1] * darts
     order: list[int] = []
     append = order.append
@@ -345,7 +363,26 @@ def _trace(emb: PlanarEmbedding) -> DartIndex:
     components = len(_components_without(emb))
     if components != 1:
         raise NonPlanarError(f"map is disconnected: {components} components")
-    return DartIndex(_int32s(off), twin, _int32s(face), _int32s(order), _int32s(starts))
+    return DartIndex(off, twin, _int32s(face), _int32s(order), _int32s(starts))
+
+
+def _rotation_fault(rots: tuple[tuple[int, ...], ...]) -> EmbeddingError:
+    """The first fault of rotations whose darts did not pair: a neighbour
+    out of range, a self-loop or a repeat, vertex by vertex, else the
+    first adjacency that one end does not list."""
+    n = len(rots)
+    for v, nbrs in enumerate(rots):
+        seen: set[int] = set()
+        for u in nbrs:
+            if not 0 <= u < n:
+                return EmbeddingError(f"vertex {v} lists out-of-range neighbor {u}")
+            if u == v:
+                return EmbeddingError(f"vertex {v} lists a self-loop")
+            if u in seen:
+                return EmbeddingError(f"vertex {v} lists duplicate neighbor {u}")
+            seen.add(u)
+    v, u = next((v, u) for v, nbrs in enumerate(rots) for u in nbrs if v not in rots[u])
+    return EmbeddingError(f"asymmetric adjacency: {v} lists {u} but {u} does not list {v}")
 
 
 def _int32s(values: list[int]) -> memoryview:
@@ -535,24 +572,26 @@ def _three_connected(emb: PlanarEmbedding) -> bool:
     and any two faces meet in nothing, one vertex or one edge (Mohar and
     Thomassen, *Graphs on Surfaces*).
 
-    The edge part is one pass over the darts.  A dual loop is an edge
-    with both darts on one face; a dual 2-cycle is two faces sharing two
-    edges.  Either one gives two darts the same (face, far face) pair,
-    and nothing else does.  The faces around a vertex are its darts'
-    faces in rotation order, and consecutive ones meet in the edge
-    between them.  So the vertex part looks only at the pairs that are
-    not consecutive around a vertex of degree 4 or more: each must be
-    two different faces that share no edge and meet at no other vertex.  A cubic
-    map has no such pair, and the whole test is O(sum of deg^2).
+    A dual loop (an edge with both darts on one face) or a dual 2-cycle
+    (two faces sharing two edges) repeats a face in some face's row of
+    the dual table, and nothing else does.  The faces around a vertex
+    are its darts' faces in rotation order, and consecutive ones meet in
+    the edge between them.  So the vertex part looks only at the pairs
+    that are not consecutive around a vertex of degree 4 or more: each
+    must be two different faces, neither in the other's row, that meet
+    at no other vertex.  A cubic map has no such pair, and the whole test
+    is O(sum of deg^2).
     """
     rots = emb.rotations
     if len(rots) < 4 or min(map(len, rots)) < 3:
         return False
-    index = emb.dart_index
-    off, twin, dart_face = index.off, index.twin, index.dart_face
-    adjacent = set(zip(dart_face, map(dart_face.__getitem__, twin)))
-    if len(adjacent) != len(dart_face):
+    index, dual = emb.dart_index, emb.dual_table
+    off, dart_face = index.off, index.dart_face
+    if any(len(set(dual[a:b])) < b - a for a, b in pairwise(index.face_start)):
         return False
+    if emb.is_cubic():
+        return True
+    near = [set(dual[a:b]) for a, b in pairwise(index.face_start)]
     met: set[tuple[int, int]] = set()
     for v, k in enumerate(map(len, rots)):
         if k > 3:
@@ -561,7 +600,7 @@ def _three_connected(emb: PlanarEmbedding) -> bool:
                 for j in range(i + 2, k - (i == 0)):
                     f, g = around[i], around[j]
                     pair = (f, g) if f < g else (g, f)
-                    if f == g or pair in adjacent or pair in met:
+                    if f == g or g in near[f] or pair in met:
                         return False
                     met.add(pair)
     return True
@@ -629,7 +668,8 @@ def enumerate_3_edge_cuts(emb: PlanarEmbedding) -> list[EdgeCut]:
     """
     if not emb.is_cubic():
         raise EmbeddingError("3-edge-cut enumeration expects a cubic graph")
-    rots, twin, dart_face = emb.rotations, emb.dart_index.twin, emb.dart_index.dart_face
+    index, dual = emb.dart_index, emb.dual_table
+    rots, twin, dart_face = emb.rotations, index.twin, index.dart_face
     shared: dict[tuple[int, int], list[Edge]] = {}
     for d, t in enumerate(twin):
         if d > t:
@@ -639,13 +679,10 @@ def enumerate_3_edge_cuts(emb: PlanarEmbedding) -> list[EdgeCut]:
             u = d // 3
             key = (a, b) if a < b else (b, a)
             shared.setdefault(key, []).append((u, rots[u][d - 3 * u]))
-    neighbors: dict[int, set[int]] = {}
-    for f1, f2 in shared:
-        neighbors.setdefault(f1, set()).add(f2)
-        neighbors.setdefault(f2, set()).add(f1)
+    near = [set(dual[a:b]) for a, b in pairwise(index.face_start)]
     cuts: list[tuple[Edge, Edge, Edge]] = []
     for (f1, f2), across in shared.items():
-        for f3 in neighbors[f1] & neighbors[f2]:
+        for f3 in near[f1] & near[f2]:
             if f3 > f2:
                 for triple in product(across, shared[(f1, f3)], shared[(f2, f3)]):
                     if not set.intersection(*map(set, triple)):  # not a vertex star

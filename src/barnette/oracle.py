@@ -356,8 +356,8 @@ def longest_cycle(embedding: PlanarEmbedding, budget: int = DEFAULT_BUDGET) -> S
 
     Tries a spanning cycle first, then each single-vertex exclusion, then
     pairs, and so on; the first length with a hit is the circumference.
-    With the budget spent, returns the best certificate found so far with
-    the exhausted flag raised.
+    The search holds no cycle until that hit, so a spent budget returns
+    ``certificate=None`` with the exhausted flag raised.
     """
     n = embedding.vertex_count
     spent = 0

@@ -19,10 +19,12 @@ from barnette.corpus import (
     build_fragment,
     build_named,
     compose_fragments,
+    dual_embedding,
     generate_prism,
     truncate_embedding,
 )
 from barnette.embedding import (
+    PlanarEmbedding,
     enumerate_3_edge_cuts,
     parse_embedding,
     serialize_embedding,
@@ -383,3 +385,38 @@ def test_criterion_12_linear_cut_enumeration():
         print(f"\ncut-enumeration-report: seconds = {[round(t, 4) for t in best]} "
               f"exponent={exponent:.2f}")
         assert exponent <= 1.25
+
+
+def test_criterion_13_high_degree_construction_scaling():
+    with criterion(13, "construction and trace scaling on high-degree maps", 120.0):
+        # Bipyramids (duals of prisms) have two hubs of degree n - 2; their
+        # truncations have two faces of length 2(n - 2).
+        families = {
+            "bipyramid": [dual_embedding(generate_prism(k).embedding) for k in (500, 8000)],
+            "truncated_bipyramid": [
+                truncate_embedding(dual_embedding(generate_prism(k).embedding))
+                for k in (84, 1334)
+            ],
+        }
+        assert [[g.vertex_count for g in gs] for gs in families.values()] == [
+            [1002, 16002], [1008, 16008]
+        ]
+        cases = [g.rotations for gs in families.values() for g in gs]
+        largest = max(map(len, cases))
+        # Interleaved rounds, each small case batched to the large one's
+        # size, so all see the host's speed drift over the same span.
+        best = [float("inf")] * len(cases)
+        for _ in range(5):
+            for i, rots in enumerate(cases):
+                batch = largest // len(rots)
+                t0 = time.perf_counter()
+                for _ in range(batch):
+                    PlanarEmbedding(rots).dart_index
+                best[i] = min(best[i], (time.perf_counter() - t0) / batch)
+        exponents = {}
+        for j, name in enumerate(families):
+            (n0, n1), (t0, t1) = map(len, cases[2 * j:2 * j + 2]), best[2 * j:2 * j + 2]
+            exponents[name] = math.log(t1 / t0) / math.log(n1 / n0)
+        print(f"\nhigh-degree-report: seconds = {[round(t, 4) for t in best]} "
+              f"exponents = { {k: round(e, 2) for k, e in exponents.items()} }")
+        assert max(exponents.values()) <= 1.25

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, machine format round-trip."""
 
+import argparse
 import hashlib
 import importlib
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 from barnette import cli
 from barnette.cli import bench_scaling, main, parse_machine_records, to_dot
-from barnette.carve import carve, select_entrance
+from barnette.carve import _ROLES, CarveResult, CarveStatus, EdgeRole, carve, select_entrance
 from barnette.corpus import (
     build_named,
     corpus_names,
@@ -19,7 +20,13 @@ from barnette.corpus import (
     generate_prism,
     truncate_embedding,
 )
-from barnette.embedding import Face, enumerate_3_edge_cuts, parse_embedding, serialize_embedding
+from barnette.embedding import (
+    Face,
+    PlanarEmbedding,
+    enumerate_3_edge_cuts,
+    parse_embedding,
+    serialize_embedding,
+)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 # The package exports a function named carve, so the module is looked up.
@@ -264,6 +271,24 @@ class TestSubcommands:
         assert "style=dashed" in out        # doors
         assert 'color="black:invis:black"' in out  # entrance
         assert "// step" in out             # opening order annotations
+
+
+@pytest.mark.parametrize("claimed, cycle, reported, verified", [
+    (CarveStatus.HAMILTONIAN_CYCLE, (0, 1, 2, 3), "HamiltonianCycle", "true"),
+    (CarveStatus.HAMILTONIAN_CYCLE, (0, 1, 2), "Failure", "false"),
+    (CarveStatus.NEAR_CYCLE, (0, 1, 2), "NearCycle", "true"),
+    (CarveStatus.NEAR_CYCLE, (0, 1, 2, 3), "Failure", "false"),  # spans all n
+    (CarveStatus.NEAR_CYCLE, (0, 1, 1), "Failure", "false"),  # not a cycle
+    (CarveStatus.FAILURE, (), "Failure", "false"),
+])
+def test_carve_gate_checks_each_claim_at_its_length(capsys, claimed, cycle, reported, verified):
+    k4 = PlanarEmbedding([[1, 2, 3], [2, 0, 3], [3, 0, 1], [1, 0, 2]])
+    doors = bytes([_ROLES.index(EdgeRole.INNER_DOOR)]) * 12  # every dart a door
+    res = CarveResult(claimed, cycle, doors, (), ((0, 1),), k4)
+    args = argparse.Namespace(machine=True, file="k4.rot", trace=False)
+    cli._emit_carve(args, sys.stdout, k4, res)
+    rec = parse_machine_records(capsys.readouterr().out)[0]
+    assert (rec["status"], rec["verified"]) == (reported, verified)
 
 
 class TestErrors:

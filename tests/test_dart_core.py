@@ -3,14 +3,17 @@ checked against the per-token regex parser it replaced."""
 
 import random
 import re
+from itertools import accumulate, pairwise
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from barnette.carve import carve
 from barnette.corpus import build_named, dual_embedding, generate_prism, truncate_embedding
 from barnette.embedding import (
     EmbeddingError,
+    NonPlanarError,
     PlanarEmbedding,
     RotationFormatError,
     parse_embedding,
@@ -284,6 +287,129 @@ def test_is_cubic_is_cached_and_shared_by_reroots(cube):
     assert vars(rooted)["_cubic"] is True and rooted.is_cubic()
 
 
+# -- twins at construction ----------------------------------------------------
+
+def reference_construction(rots):
+    """What the constructor checked and the face trace computed before the
+    constructor paired the darts: the neighbour checks, the symmetry scan,
+    then one twin lookup per dart in the head's whole rotation."""
+    n = len(rots)
+    for v, nbrs in enumerate(rots):
+        for i, u in enumerate(nbrs):
+            if not 0 <= u < n:
+                return f"vertex {v} lists out-of-range neighbor {u}"
+            if u == v:
+                return f"vertex {v} lists a self-loop"
+            if u in nbrs[:i]:
+                return f"vertex {v} lists duplicate neighbor {u}"
+    for v, nbrs in enumerate(rots):
+        for u in nbrs:
+            if v not in rots[u]:
+                return f"asymmetric adjacency: {v} lists {u} but {u} does not list {v}"
+    off = list(accumulate(map(len, rots), initial=0))
+    return [off[u] + rots[u].index(v) for v, nbrs in enumerate(rots) for u in nbrs]
+
+
+@st.composite
+def rotation_systems(draw):
+    """Up to 7 vertices, each listing other vertices in any order; often
+    symmetric and simple, so the twins and each error are exercised."""
+    n = draw(st.integers(1, 7))
+    adj = [set() for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()):
+                adj[u].add(v)
+                adj[v].add(u)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):  # break symmetry
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u != v:
+            adj[u] ^= {v}
+    rots = [draw(st.permutations(sorted(nbrs))) for nbrs in adj]
+    if draw(st.integers(0, 3)) == 0:  # a bad entry: out of range, a loop or a repeat
+        v = draw(st.integers(0, n - 1))
+        rots[v].insert(draw(st.integers(0, len(rots[v]))), draw(st.integers(-1, n)))
+    return rots
+
+
+@settings(max_examples=300, deadline=None)
+@given(rots=rotation_systems())
+def test_constructor_pairs_darts_like_the_reference(rots):
+    want = reference_construction([tuple(r) for r in rots])
+    try:
+        twins = list(PlanarEmbedding(rots)._twin)
+    except EmbeddingError as exc:
+        twins = str(exc)
+    assert twins == want
+
+
+# -- the dual table ---------------------------------------------------------------
+
+def reference_dual_rows(emb):
+    """Face f's neighbours across its walk, each dart's far face looked up
+    by its reversed pair."""
+    return tuple(tuple(emb.face_of_dart((v, u)) for u, v in face.darts) for face in emb.faces)
+
+
+def reference_truncation(emb):
+    """truncate_embedding with each corner's twin found by a rotation search."""
+    rots = emb.rotations
+    off = list(accumulate(map(len, rots), initial=0))
+    out = []
+    for v, rot in enumerate(rots):
+        d, base = len(rot), off[v]
+        for i, u in enumerate(rot):
+            out.append((off[u] + rots[u].index(v), base + (i + 1) % d, base + (i - 1) % d))
+    return tuple(out)
+
+
+def test_dual_and_truncation_match_the_references(corpus_graphs):
+    bases = [*invariant_bases(corpus_graphs), *(generate_prism(k).embedding for k in (8, 12, 30))]
+    bases += [dual_embedding(generate_prism(k).embedding) for k in (2, 5, 9)]  # bipyramids
+    for base in bases:
+        start, table = base.dart_index.face_start, base.dual_table
+        rows = tuple(tuple(table[a:b]) for a, b in pairwise(start))
+        assert rows == reference_dual_rows(base)
+        if all(f not in row and len(set(row)) == len(row) for f, row in enumerate(rows)):
+            assert dual_embedding(base).rotations == rows  # the dual is a simple map
+        assert truncate_embedding(base).rotations == reference_truncation(base)
+        assert base.with_outer_face(len(rows) - 1).dual_table is table
+
+
+def test_parse_and_carve_build_no_dual_table():
+    prism = serialize_embedding(generate_prism(50).embedding)
+    leapfrog = serialize_embedding(list(leapfrogs(3))[-1])
+    for doc in (prism, leapfrog):
+        emb = parse_embedding(doc)
+        res = carve(emb, min(emb.outer_edges))
+        assert res.trace
+        assert "dual_table" not in vars(emb)
+
+
+# -- equality and hashing ---------------------------------------------------------
+
+def test_equality_and_hash_need_no_trace():
+    torus_k33 = [[3, 4, 5]] * 3 + [[0, 1, 2]] * 3
+    a, b = PlanarEmbedding(torus_k33), PlanarEmbedding(torus_k33)
+    assert a == b and hash(a) == hash(b)
+    assert a != PlanarEmbedding([r[::-1] for r in torus_k33])
+    assert "dart_index" not in vars(a) and "dart_index" not in vars(b)
+    with pytest.raises(NonPlanarError):
+        a.faces
+
+    cube = build_named("cube").embedding.rotations
+    fresh, other = PlanarEmbedding(cube), PlanarEmbedding(cube)
+    assert fresh == other and hash(fresh) == hash(other)
+    assert "dart_index" not in vars(fresh) and "dart_index" not in vars(other)
+    default = fresh.outer_face_id
+    for f in range(6):
+        rooted = fresh.with_outer_face(f)
+        assert hash(rooted) == hash(fresh)
+        assert (rooted == fresh) is (f == default) is (fresh == rooted)
+        assert rooted == other.with_outer_face(f)
+        assert rooted != other.with_outer_face((f + 1) % 6)
+
+
 # -- faces as views -------------------------------------------------------------
 
 def reference_faces(emb):
@@ -318,6 +444,18 @@ def test_faces_read_one_at_a_time_equal_the_traced_walks(corpus_graphs):
         assert iterated == one_by_one
     with pytest.raises(IndexError):
         path.faces[1]
+
+
+def test_face_slices_build_their_faces(corpus_graphs):
+    for base in invariant_bases(corpus_graphs):
+        faces = PlanarEmbedding(base.rotations).faces
+        count = len(faces)
+        for cut in (slice(0, 2), slice(None), slice(-3, None), slice(None, None, -2), slice(5, 2)):
+            picked = faces[cut]
+            assert type(picked) is tuple
+            assert picked == tuple(faces[f] for f in range(count)[cut])
+            assert all(face is faces[face.id] for face in picked)
+        assert faces[:] == tuple(faces)
 
 
 def default_outer_reference(emb):

@@ -1,9 +1,10 @@
 """Rotation systems, face tracing, validation, 3-edge-cuts."""
 
 import random
+import sys
 import time
 from collections import Counter
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -389,6 +390,59 @@ class TestValidate:
         rep = validate(torus_k33)
         assert not rep.is_planar_embedding
         assert not rep.vertex_connectivity_at_least_3
+
+
+def reference_twins(emb):
+    """The twin comprehension the face trace ran before the constructor
+    paired the darts: one lookup per dart in the head's whole rotation."""
+    rots = emb.rotations
+    off = list(accumulate(map(len, rots), initial=0))
+    return [off[u] + rots[u].index(v) for v, nbrs in enumerate(rots) for u in nbrs]
+
+
+def reference_face_rule(emb):
+    """``_three_connected`` as it was before the dual table: the edge part
+    as one set of (face, far face) pairs, a pair per dart, and the vertex
+    part looking pairs up in that set."""
+    rots = emb.rotations
+    if len(rots) < 4 or min(map(len, rots)) < 3:
+        return False
+    off, dart_face = emb.dart_index.off, emb.dart_index.dart_face
+    adjacent = set(zip(dart_face, map(dart_face.__getitem__, reference_twins(emb))))
+    if len(adjacent) != len(dart_face):
+        return False
+    met = set()
+    for v, k in enumerate(map(len, rots)):
+        if k > 3:
+            around = dart_face[off[v]:off[v + 1]]
+            for i in range(k - 2):
+                for j in range(i + 2, k - (i == 0)):
+                    f, g = around[i], around[j]
+                    pair = (f, g) if f < g else (g, f)
+                    if f == g or pair in adjacent or pair in met:
+                        return False
+                    met.add(pair)
+    return True
+
+
+def test_twins_and_face_rule_match_the_references_on_the_removal_maps(
+    corpus_graphs, monkeypatch
+):
+    # Every map that test_connectivity_matches_removal_reference validates
+    # passes through this checking stand-in for validate.
+    real_validate, checked = validate, []
+
+    def checking_validate(emb):
+        assert list(emb._twin) == reference_twins(emb)
+        rep = real_validate(emb)
+        if rep.is_planar_embedding:
+            assert rep.vertex_connectivity_at_least_3 == reference_face_rule(emb)
+            checked.append(rep.vertex_connectivity_at_least_3)
+        return rep
+
+    monkeypatch.setattr(sys.modules[__name__], "validate", checking_validate)
+    TestValidate().test_connectivity_matches_removal_reference(corpus_graphs)
+    assert len(checked) > 150 and set(checked) == {True, False}
 
 
 class TestEdgeCuts:

@@ -263,6 +263,11 @@ class TestLongestCycle:
         r = longest_cycle(hex_prism)
         assert verify_cycle(hex_prism, r.certificate.vertices).is_hamiltonian
 
+    def test_spent_budget_returns_no_certificate(self, cube):
+        # The descending search holds no cycle before its first hit.
+        r = longest_cycle(cube, budget=1)
+        assert r.exhausted and r.certificate is None
+
 
 @settings(max_examples=10, deadline=None)
 @given(k=st.integers(min_value=2, max_value=12))
