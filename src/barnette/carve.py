@@ -9,7 +9,13 @@ region, the door itself is promoted into the cycle and the face is
 closed.  There is no backtracking: a labeling conflict ends the run, and
 that ending is reported as evidence, never raised as a crash.  A failed
 opening only undoes its own moves, from a trail that holds the moves of
-the current frontier pop.
+the current frontier pop.  An opening's first move is checked before
+any write: the edge it labels is read off the dart arrays and tested by
+the rules that guard the moves.  When that move is blocked and the door
+can be promoted, the door is promoted without building the face's walk
+or trying the opening; that is how the squares of a long-outer prism are
+closed.  Every other opening is tried, and one that fails is undone, so
+its error names the failure.
 
 One driver runs both carves: each entrance has a FIFO queue of doors,
 and the sides take turns, so one entrance grows a spiral and two a
@@ -49,7 +55,7 @@ from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations, compress, count, repeat
-from operator import floordiv
+from operator import eq, floordiv
 from typing import Iterator, NamedTuple
 
 from .embedding import Edge, PlanarEmbedding, edge_key
@@ -125,6 +131,21 @@ class DoorAdjacencyError(CarveError):
 
 class AdjacentEntrancesError(ValueError):
     """Double mode needs two disjoint outer edges."""
+
+
+class _Refusal(NamedTuple):
+    """Why a move is refused: the error it raises, and its message with a
+    ``{}`` for the edge."""
+
+    error: type[CarveError]
+    text: str
+
+
+_HAS_CYCLE_ROLE = _Refusal(RoleConflictError, "edge {} already has a cycle role")
+_THIRD_CYCLE_EDGE = _Refusal(RoleConflictError, "edge {} would give a vertex three cycle edges")
+_SHORT_CYCLE = _Refusal(RoleConflictError, "edge {} would close a cycle shorter than n")
+_HAS_ROLE = _Refusal(RoleConflictError, "edge {} already holds a role")
+_DOOR_TOUCHES_DOOR = _Refusal(DoorAdjacencyError, "door {} would touch another door edge")
 
 
 class TraceEvent(NamedTuple):
@@ -244,7 +265,10 @@ class ChamberState:
     degrees.  Cycle edges always form vertex-disjoint paths until the
     n-th one closes the spanning cycle, since ``add_ham_edge`` refuses an
     earlier closing; ``_end`` holds, for each path end, the path's other
-    end.  Each move pushes the ints that undo it onto ``trail``:
+    end, and -1 for a vertex no cycle edge has touched, which is a path
+    of its own (a list of -1s is built in C; ``range`` would build an int
+    object per vertex, the largest cost of a carve that fails fast).
+    Each move pushes the ints that undo it onto ``trail``:
     ``(a, b, e, old role)`` for a cycle edge joining path ends ``a`` and
     ``b``, and ``(e, -1)`` for a door.
     """
@@ -262,7 +286,7 @@ class ChamberState:
         self.trace: list[TraceEvent] = []
         self.deg_h = [0] * n
         self.deg_door = [0] * n
-        self._end = list(range(n))
+        self._end = [-1] * n
         self.trail: list[int] = []
         self.entrances = entrances
         # Faces that hold at least one outer-Hamiltonian edge.  That role
@@ -311,24 +335,46 @@ class ChamberState:
                 deg_door[u] += 1
                 deg_door[v] += 1
             # Before the move, a and b were the far ends of the paths that
-            # ended at u and v.
-            end[a] = u
-            end[b] = v
+            # ended at u and v, or u and v themselves when untouched.
+            end[a] = u if a != u else -1
+            end[b] = v if b != v else -1
         self.h_count = h_count
+
+    def _ham_refusal(self, e: int, u: int, v: int, short_cycle_ok: bool = False) -> _Refusal | None:
+        """The rule that keeps edge ``e`` = (u, v) out of the cycle, or
+        None; reads only."""
+        if _H_O <= self.roles[e] <= _H_I:
+            return _HAS_CYCLE_ROLE
+        deg_h = self.deg_h
+        if deg_h[u] >= 2 or deg_h[v] >= 2:
+            return _THIRD_CYCLE_EDGE
+        if self._end[u] == v and not short_cycle_ok and self.h_count + 1 != self.embedding.vertex_count:
+            return _SHORT_CYCLE
+        return None
+
+    def _door_refusal(self, e: int, u: int, v: int) -> _Refusal | None:
+        """The rule that keeps edge ``e`` = (u, v) from becoming a door, or
+        None; reads only."""
+        if self.roles[e]:
+            return _HAS_ROLE
+        if self.deg_door[u] or self.deg_door[v]:
+            return _DOOR_TOUCHES_DOOR
+        return None
 
     def add_ham_edge(self, e: int, short_cycle_ok: bool = False) -> None:
         """Raises before any write when the edge cannot join the cycle."""
         u = e // 3
         v = self.rotations[u][e - 3 * u]
+        refusal = self._ham_refusal(e, u, v, short_cycle_ok)
+        if refusal is not None:
+            raise refusal.error(refusal.text.format((u, v)))
         roles, deg_h, end = self.roles, self.deg_h, self._end
         old = roles[e]
-        if _H_O <= old <= _H_I:
-            raise RoleConflictError(f"edge {(u, v)} already has a cycle role")
-        if deg_h[u] >= 2 or deg_h[v] >= 2:
-            raise RoleConflictError(f"edge {(u, v)} would give a vertex three cycle edges")
         a, b = end[u], end[v]
-        if a == v and not short_cycle_ok and self.h_count + 1 != self.embedding.vertex_count:
-            raise RoleConflictError(f"edge {(u, v)} would close a cycle shorter than n")
+        if a < 0:
+            a = u
+        if b < 0:
+            b = v
         self.trail.extend((a, b, e, old))
         if old:  # a door joins the cycle
             self.deg_door[u] -= 1
@@ -343,11 +389,10 @@ class ChamberState:
     def add_door_edge(self, e: int) -> None:
         u = e // 3
         v = self.rotations[u][e - 3 * u]
+        refusal = self._door_refusal(e, u, v)
+        if refusal is not None:
+            raise refusal.error(refusal.text.format((u, v)))
         deg_door = self.deg_door
-        if self.roles[e]:
-            raise RoleConflictError(f"edge {(u, v)} already holds a role")
-        if deg_door[u] or deg_door[v]:
-            raise DoorAdjacencyError(f"door {(u, v)} would touch another door edge")
         self.trail.extend((e, -1))
         self.roles[e] = _D_I
         deg_door[u] += 1
@@ -367,6 +412,28 @@ class ChamberState:
             if fid not in self.entered_faces:
                 return fid
         return None
+
+    def first_move(self, door: int, fid: int, left_walk: bool) -> int:
+        """The edge an opening of face ``fid`` from ``door`` labels first,
+        read off the dart arrays: the walk's next edge after the door, or
+        the one before it with left_walk.  -1 when both of the door's darts
+        lie on the face, where only the walk tells which comes first."""
+        twin, dart_face = self._twin, self._dart_face
+        t = twin[door]
+        a = dart_face[door]
+        if a == dart_face[t]:
+            return -1
+        d, t = (door, t) if a == fid else (t, door)
+        if left_walk:
+            # The dart before d on its face enters d's tail, as the twin of
+            # the dart before d in the rotation there.
+            d = twin[d - 1 if d % 3 else d + 2]
+        else:
+            # The dart after d leaves d's head, next after d's twin in the
+            # rotation there.
+            d = t + 1 if t % 3 != 2 else t - 2
+        t = twin[d]
+        return d if d < t else t
 
     def far_faces(self, fid: int) -> Iterator[int]:
         """For each dart of face ``fid`` in traced order, the face across."""
@@ -504,6 +571,21 @@ def _apply_opening(
         raise
     state.entered_faces.add(fid)
     return new_h, new_doors
+
+
+def _first_move_blocked(state: ChamberState, door: int, fid: int, left_walk: bool) -> bool:
+    """Would opening face ``fid`` from ``door`` fail at its first move?
+    Reads only.  That move is a cycle slot, so it fails on a door there
+    and on an unassigned edge that the cycle refuses.  False when the
+    first move is not known without the walk."""
+    e = state.first_move(door, fid, left_walk)
+    if e < 0:
+        return False
+    role = state.roles[e]
+    if role:
+        return role >= _D_I
+    u = e // 3
+    return state._ham_refusal(e, u, state.rotations[u][e - 3 * u]) is not None
 
 
 def detect_bridge_face(state: ChamberState, door: int) -> tuple[int, int] | None:
@@ -695,24 +777,34 @@ def _run_one(state: ChamberState, door: int, side: int, left_walk: bool) -> str 
                 return None
         _event(state, "drop", door_pair, -1, side)
         return None
-    try:
-        new_h, new_doors = _apply_opening(state, door, fid, left_walk)
-    except CarveError as open_err:
-        if state.roles[door] == _D_E:
-            return f"cannot open the entrance face: {open_err}"
-        if not state.face_borders_outer_ham(fid):
-            return f"door {door_pair} face {fid}: {open_err}"
+    # A door whose opening is blocked at its first move, checked before any
+    # write, is promoted without trying the opening; an opening that fails
+    # later, or on the entrance, or away from the outer-Hamiltonian region,
+    # is tried and undone, and its error names the failure.
+    if not (
+        _first_move_blocked(state, door, fid, left_walk)
+        and state.roles[door] != _D_E
+        and state.face_borders_outer_ham(fid)
+    ):
         try:
-            state.add_ham_edge(door)
-        except CarveError as exc:
-            return f"door {door_pair} face {fid}: promotion failed: {exc}"
-        state.entered_faces.add(fid)
-        _event(state, "promote", door_pair, fid, side, (door_pair,))
-        return None
-    state.frontier[side].extend(new_doors)
-    edge_of = state.edge_of
-    ham, doors = tuple(map(edge_of, new_h)), tuple(map(edge_of, new_doors))
-    _event(state, "open", door_pair, fid, side, ham, doors)
+            new_h, new_doors = _apply_opening(state, door, fid, left_walk)
+        except CarveError as open_err:
+            if state.roles[door] == _D_E:
+                return f"cannot open the entrance face: {open_err}"
+            if not state.face_borders_outer_ham(fid):
+                return f"door {door_pair} face {fid}: {open_err}"
+        else:
+            state.frontier[side].extend(new_doors)
+            edge_of = state.edge_of
+            ham, doors = tuple(map(edge_of, new_h)), tuple(map(edge_of, new_doors))
+            _event(state, "open", door_pair, fid, side, ham, doors)
+            return None
+    try:
+        state.add_ham_edge(door)
+    except CarveError as exc:
+        return f"door {door_pair} face {fid}: promotion failed: {exc}"
+    state.entered_faces.add(fid)
+    _event(state, "promote", door_pair, fid, side, (door_pair,))
     return None
 
 
@@ -745,48 +837,36 @@ def select_entrance(
 
 
 def chamber_count(embedding: PlanarEmbedding, cycle) -> int:
-    """Closed regions induced by a Hamiltonian cycle: components of the
-    interior cycle edges plus the outer edges the cycle skips."""
+    r"""Closed regions induced by a Hamiltonian cycle H of a cubic plane map
+    whose outer boundary is C: the cycles that the chamber edges, H Δ C,
+    form.  There is one per outer edge that H skips, so the count is
+    |C \ H|, read off the outer face after ``verify_cycle``.
+
+    Why: H is Hamiltonian, so the map is 2-connected and C is a simple
+    cycle.  At a vertex of C, H and C each take two of its three edges,
+    so they share one or both and H Δ C has degree 0 or 2 there; off C it
+    has the two edges of H.  So H Δ C is a set of disjoint cycles.  The
+    faces outside H induce a tree in the dual, whose edges are the chords
+    of H outside it.  The outer face is one of those faces, and its tree
+    edges are exactly the edges of C \ H (an edge of C on H has an
+    inside face across it).  Deleting the outer face splits the tree into
+    one subtree per edge of C \ H.  The faces of a subtree form a disc,
+    since the other faces stay connected through the inside of H, and its
+    boundary is one cycle of H Δ C: that edge of C \ H and the edges of
+    H \ C whose outside face is in the subtree.  Every edge of H Δ C
+    lies on exactly one of these boundaries.
+    """
     from .oracle import verify_cycle
 
+    if not embedding.is_cubic():
+        raise ValueError("chamber analysis needs a cubic graph")
     cert = verify_cycle(embedding, cycle)
     if not cert.is_hamiltonian:
         raise ValueError("chamber analysis needs a verified Hamiltonian cycle")
-    # A graph with a Hamiltonian cycle is 2-connected, so its outer face
-    # is a simple cycle too.  An edge lies on either cycle exactly when
-    # its ends are consecutive on it, read off the vertex positions.
-    n = embedding.vertex_count
-    pos = [0] * n
-    for i, v in enumerate(cert.vertices):
-        pos[v] = i
+    seq = cert.vertices
+    after = dict(zip(seq, seq[1:] + seq[:1])).__getitem__
     outer = embedding.outer_face.vertices
-    k = len(outer)
-    outer_pos = [-1] * n
-    for i, v in enumerate(outer):
-        outer_pos[v] = i
-    rotations = embedding.rotations
-    seen = [False] * n
-    stack: list[int] = []  # one search stack for every component
-    chambers = 0
-    for s in range(n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        stack.append(s)
-        size = 0
-        while stack:
-            v = stack.pop()
-            size += 1
-            pv, ov = pos[v], outer_pos[v]
-            for u in rotations[v]:
-                if seen[u]:
-                    continue
-                # Chamber edges: interior cycle edges and skipped outer edges.
-                on_cycle = (pv - pos[u]) % n in (1, n - 1)
-                ou = outer_pos[u]
-                on_outer = ov >= 0 and ou >= 0 and (ov - ou) % k in (1, k - 1)
-                if on_cycle != on_outer:
-                    seen[u] = True
-                    stack.append(u)
-        chambers += size > 1
-    return chambers
+    ahead = outer[1:] + outer[:1]
+    # H runs each edge of C that it holds one way: along C or against it.
+    held = sum(map(eq, map(after, outer), ahead)) + sum(map(eq, map(after, ahead), outer))
+    return len(outer) - held

@@ -385,7 +385,7 @@ def _cmd_corpus(args, out) -> int:
 
 
 BENCH_FAMILIES = ("prism", "leapfrog")
-BENCH_LAYERS = ("carve", "front")
+BENCH_LAYERS = ("carve", "front", "finish")
 
 
 def _bench_graph(family: str, k: int) -> PlanarEmbedding:
@@ -409,7 +409,10 @@ def bench_scaling(
     path.  Layer ``carve`` enters at the least outer edge of the traced
     graph; layer ``front`` parses the graph's serialized document, whose
     ``outer`` line makes the parse trace the dart arrays and build the at
-    most two faces the outer match compares, not the others.
+    most two faces the outer match compares, not the others.  Layer
+    ``finish`` runs that carve untimed, then times ``verify_cycle`` plus
+    ``chamber_count`` on its cycle; a carve that finds no Hamiltonian
+    cycle raises ValueError, since there is nothing to finish.
     """
     rows = []
     for k in sizes:
@@ -421,12 +424,26 @@ def bench_scaling(
             trace_faces(emb)  # cache the face structure outside the first rep
             entrance = min(emb.outer_edges)
             run = lambda: carve(emb, entrance)
+        if layer == "finish":
+            carved = run()
+            if not carved.ok:
+                raise ValueError(
+                    f"bench layer finish needs a Hamiltonian carve: {family} k={k} "
+                    f"ended {carved.status.value}: {carved.failure_reason}"
+                )
+            cycle = carved.cycle
+            run = lambda: (verify_cycle(emb, cycle), chamber_count(emb, cycle))
         best = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()
             res = run()
             best = min(best, time.perf_counter() - t0)
-        status = res.status.value if layer == "carve" else "parsed"
+        if layer == "front":
+            status = "parsed"
+        elif layer == "finish":
+            status = f"chambers:{res[1]}"
+        else:
+            status = res.status.value
         n = emb.vertex_count
         rows.append({"k": k, "n": n, "status": status, "seconds": best,
                      "per_vertex_us": best / n * 1e6})
@@ -552,7 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", default="prism",
                     help="prism (n = 4k, long spiral) or leapfrog (n = 8 * 3^k, fail-fast)")
     sp.add_argument("--layer", default="carve",
-                    help="carve, or front: parse of a document with its outer line")
+                    help="carve; front: parse of a document with its outer line; "
+                         "finish: verify_cycle plus chamber_count on the carve's cycle")
     sp.add_argument("--sizes", help="comma-separated k values")
 
     sp = add("dot", _cmd_dot, help="DOT export, optionally carve-annotated")

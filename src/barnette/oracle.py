@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import contains
 
 from .embedding import Edge, PlanarEmbedding, edge_key
 
@@ -60,17 +61,21 @@ def verify_cycle(embedding: PlanarEmbedding, vertices) -> CycleCertificate:
     """Check a vertex sequence as a simple cycle, with no other machinery.
 
     The certificate carries falsity instead of raising: a repeated or
-    non-adjacent sequence yields is_cycle=False.
+    non-adjacent sequence yields is_cycle=False.  Each check is one pass
+    in C: the range off ``min`` and ``max``, the repeats off a set, and
+    each consecutive pair, the last and first included, off the
+    rotations.
     """
     seq = tuple(vertices)
     k = len(seq)
-    ok = k >= 3 and len(set(seq)) == k
-    ok = ok and all(0 <= v < embedding.vertex_count for v in seq)
-    if ok:
-        for i in range(k):
-            if not embedding.has_edge(seq[i], seq[(i + 1) % k]):
-                ok = False
-                break
+    rotations = embedding.rotations
+    ok = (
+        k >= 3
+        and 0 <= min(seq)
+        and max(seq) < embedding.vertex_count
+        and len(set(seq)) == k
+        and all(map(contains, map(rotations.__getitem__, seq), seq[1:] + seq[:1]))
+    )
     return CycleCertificate(
         vertices=seq,
         is_cycle=ok,

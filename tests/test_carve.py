@@ -1,6 +1,7 @@
 """Chamber expansion: entrance choice, face openings, full runs, chambers."""
 
 import hashlib
+import importlib
 from collections import Counter
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from barnette.carve import (
     AdjacentEntrancesError,
+    CarveError,
     CarveStatus,
     ChamberState,
     DoorAdjacencyError,
@@ -18,6 +20,7 @@ from barnette.carve import (
     RoleConflictError,
     _ROLES,
     _apply_opening,
+    _first_move_blocked,
     _init_state,
     _role_map,
     _run,
@@ -42,6 +45,9 @@ from barnette.oracle import (
     verify_cycle,
 )
 
+# The package exports a function named carve, so the module is looked up.
+carve_module = importlib.import_module("barnette.carve")
+
 HAM = (EdgeRole.OUTER_HAMILTONIAN, EdgeRole.INNER_HAMILTONIAN)
 
 
@@ -55,6 +61,10 @@ def role_of(state, e):
 
 def set_role(state, e, role):
     state.roles[state.edge_id(*e)] = _ROLES.index(role)
+
+
+def leapfrog(emb):
+    return truncate_embedding(dual_embedding(emb))
 
 
 def assert_partition(emb, res):
@@ -267,6 +277,80 @@ class TestOpenFace:
         before = self.snapshot(state)
         assert _run_one(state, state.edge_id(1, 2), 0, False) is None
         assert self.snapshot(state) == before
+
+
+class TestFirstMove:
+    """The read-only check that promotes a door whose opening would fail
+    at its first move, without trying the opening."""
+
+    @staticmethod
+    def cubic_bases(corpus_graphs):
+        bases = [g.embedding for g in corpus_graphs.values()]
+        bases += [generate_prism(k).embedding for k in (3, 8)]
+        bases.append(leapfrog(build_named("cube").embedding))
+        return bases
+
+    def test_first_move_matches_the_walk(self, corpus_graphs):
+        for emb in self.cubic_bases(corpus_graphs):
+            state = ChamberState(emb, ())
+            for fid in range(len(emb.faces)):
+                walk = state.walk(fid)
+                for pos, e in enumerate(walk):
+                    assert state.first_move(e, fid, False) == walk[(pos + 1) % len(walk)]
+                    assert state.first_move(e, fid, True) == walk[pos - 1]
+
+    def test_first_move_unknown_on_a_bridge(self, bridged_doc):
+        # Both darts of the bridge 4-5 lie on face 1: only the walk knows
+        # which one it meets first.
+        emb = parse_embedding(bridged_doc)
+        state = ChamberState(emb, ())
+        bridge = state.edge_id(4, 5)
+        assert state.faces_of(bridge) == (1, 1)
+        assert state.first_move(bridge, 1, False) == state.first_move(bridge, 1, True) == -1
+        assert not _first_move_blocked(state, bridge, 1, False)
+
+    def test_blocked_first_move_means_the_opening_fails(self, corpus_graphs, monkeypatch):
+        # Wherever the check says blocked during a carve, the opening
+        # itself raises and leaves the state as it was.
+        real = carve_module._first_move_blocked
+        seen = Counter()
+
+        def checked(state, door, fid, left_walk):
+            blocked = real(state, door, fid, left_walk)
+            if blocked:
+                before = TestOpenFace.snapshot(state)
+                with pytest.raises(CarveError):
+                    _apply_opening(state, door, fid, left_walk)
+                assert TestOpenFace.snapshot(state) == before
+            seen[blocked] += 1
+            return blocked
+
+        monkeypatch.setattr(carve_module, "_first_move_blocked", checked)
+        for base in self.cubic_bases(corpus_graphs):
+            for face in base.faces:
+                emb = base.with_outer_face(face.id)
+                for e in sorted(emb.outer_edges):
+                    for lw in (False, True):
+                        carve(emb, e, left_walk=lw)
+        assert seen[True] > 1000 and seen[False] > 1000
+
+    @pytest.mark.parametrize("left_walk", [False, True])
+    def test_blocked_squares_promote_without_an_opening(self, monkeypatch, left_walk):
+        # On a long-outer prism every square's first move is blocked, so
+        # the only openings tried are the ones that succeed.
+        real = carve_module._apply_opening
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(carve_module, "_apply_opening", counting)
+        emb = generate_prism(250).embedding
+        res = carve(emb, min(emb.outer_edges), left_walk=left_walk)
+        kinds = Counter(ev.kind for ev in res.trace)
+        assert res.ok and kinds["promote"] == 249
+        assert calls == [ev.face_id for ev in res.trace if ev.kind == "open"]
 
 
 class TestCarve:
@@ -599,8 +683,10 @@ class TestChamberCount:
     def test_matches_reference_definition(self):
         # Every Hamiltonian cycle of each graph, with every face as the
         # outer face.
-        bases = [build_named("cube").embedding, build_named("two_cubes_bridge").embedding]
+        names = ("cube", "two_cubes_bridge", "truncated_octahedron", "three_cubes_chain")
+        bases = [build_named(name).embedding for name in names]
         bases += [generate_prism(k).embedding for k in range(3, 7)]
+        bases += [leapfrog(build_named(name).embedding) for name in ("cube", "prism_6")]
         counts = Counter()
         for base in bases:
             certs, exhausted = enumerate_hamiltonian_cycles(base)
@@ -612,6 +698,25 @@ class TestChamberCount:
                     assert count == chamber_count_reference(emb, cert.vertices)
                     counts[count] += 1
         assert len(counts) > 1
+
+    @pytest.mark.parametrize("k", [3, 50, 250, 2500])
+    def test_matches_reference_on_long_outer_prism_carves(self, k):
+        # Long-outer prisms up to n = 10^4, from the first and last outer
+        # edge in both walk directions.
+        emb = generate_prism(k).embedding
+        outer = sorted(emb.outer_edges)
+        for e in (outer[0], outer[-1]):
+            for left_walk in (False, True):
+                res = carve(emb, e, left_walk=left_walk)
+                assert res.ok
+                assert chamber_count(emb, res.cycle) == chamber_count_reference(emb, res.cycle) == 1
+
+    def test_rejects_non_cubic_map(self, cube):
+        octahedron = dual_embedding(cube)
+        cycle = find_hamiltonian_cycle(octahedron).certificate.vertices
+        assert verify_cycle(octahedron, cycle).is_hamiltonian
+        with pytest.raises(ValueError, match="cubic"):
+            chamber_count(octahedron, cycle)
 
     def test_carve_cycles_single_chamber(self, corpus_graphs):
         for name, g in corpus_graphs.items():

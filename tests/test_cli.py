@@ -27,6 +27,7 @@ from barnette.embedding import (
     parse_embedding,
     serialize_embedding,
 )
+from barnette.oracle import find_hamiltonian_cycle
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 # The package exports a function named carve, so the module is looked up.
@@ -205,6 +206,16 @@ class TestSubcommands:
     def test_chambers_invalid_cycle(self, capsys, rot_file):
         with pytest.raises(SystemExit):
             main(["chambers", rot_file("cube"), "--cycle", "0,1,2,3"])
+
+    def test_chambers_non_cubic_map_is_an_error(self, tmp_path):
+        # The octahedron is Hamiltonian but 4-regular: no count is given.
+        octahedron = dual_embedding(build_named("cube").embedding)
+        path = tmp_path / "octahedron.rot"
+        path.write_text(serialize_embedding(octahedron), encoding="utf-8")
+        cycle = find_hamiltonian_cycle(octahedron).certificate.vertices
+        with pytest.raises(SystemExit) as exc:
+            main(["chambers", str(path), "--cycle", ",".join(map(str, cycle))])
+        assert str(exc.value) == "error: chamber analysis needs a cubic graph"
 
     def test_corpus_list_and_emit(self, capsys):
         code, out = run_cli(capsys, "corpus", "list")
@@ -419,6 +430,25 @@ class TestBenchScaling:
         front = bench_scaling([2, 5], repeats=1, layer="front")
         assert [r["n"] for r in front] == [8, 20]
         assert all(r["status"] == "parsed" and r["seconds"] >= 0 for r in front)
+        finish = bench_scaling([2, 5], repeats=1, layer="finish")
+        assert [r["n"] for r in finish] == [8, 20]
+        assert all(r["status"] == "chambers:1" and r["seconds"] >= 0 for r in finish)
+
+    def test_finish_layer(self, capsys):
+        code, out = run_cli(capsys, "bench", "--machine", "--layer", "finish", "--sizes", "2,25")
+        recs = parse_machine_records(out)
+        assert code == 0 and [r["n"] for r in recs] == ["8", "100"]
+        assert all(r["layer"] == "finish" and r["status"] == "chambers:1" for r in recs)
+
+    def test_finish_layer_needs_a_hamiltonian_carve(self, capsys):
+        # The 72-vertex cube leapfrog's carve fails, so there is no cycle
+        # to verify and count.
+        assert main(["bench", "--layer", "finish", "--family", "leapfrog", "--sizes", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: bench layer finish needs a Hamiltonian carve: leapfrog k=2 ended Failure: "
+        )
 
 
 def test_to_dot_contains_every_edge():

@@ -21,6 +21,7 @@ from barnette.corpus import (
 from barnette import oracle
 from barnette.embedding import edge_key
 from barnette.oracle import (
+    CycleCertificate,
     _EdgeStateSearch,
     enumerate_hamiltonian_cycles,
     find_hamiltonian_cycle,
@@ -76,7 +77,65 @@ def naive_path_exists(emb, a, b):
     return extend([a], {a})
 
 
+def verify_cycle_reference(embedding, vertices):
+    """verify_cycle as a Python loop over the sequence, the form it had
+    before its one-pass checks; kept to check those against."""
+    seq = tuple(vertices)
+    k = len(seq)
+    ok = k >= 3 and len(set(seq)) == k
+    ok = ok and all(0 <= v < embedding.vertex_count for v in seq)
+    if ok:
+        for i in range(k):
+            if not embedding.has_edge(seq[i], seq[(i + 1) % k]):
+                ok = False
+                break
+    return CycleCertificate(
+        vertices=seq,
+        is_cycle=ok,
+        is_hamiltonian=ok and k == embedding.vertex_count,
+        length=k,
+    )
+
+
 class TestVerifyCycle:
+    # Cube sequences: empty, one and two vertices, -1 and n = 8 out of
+    # range, a repeat, a Hamiltonian path whose ends (6, 0) are not
+    # adjacent, a Hamiltonian cycle and a 4-cycle.
+    CASES = [
+        (), (0,), (0, 1), (0, 1, 2, 3, -1), (0, 1, 2, 3, 7, 6, 5, 8),
+        (0, 1, 2, 3, 0, 4, 5, 6), (0, 1, 5, 4, 7, 3, 2, 6),
+        (0, 1, 2, 3, 7, 6, 5, 4), (0, 1, 5, 4),
+    ]
+
+    @pytest.mark.parametrize("seq", CASES)
+    def test_matches_reference_loop(self, cube, seq):
+        for given in (seq, list(seq)):
+            cert = verify_cycle(cube, given)
+            assert cert == verify_cycle_reference(cube, given)
+            assert cert.vertices == seq and cert.length == len(seq)
+        assert cert.is_cycle == (seq in ((0, 1, 2, 3, 7, 6, 5, 4), (0, 1, 5, 4)))
+
+    def test_open_path_is_not_a_cycle(self, cube):
+        path = (0, 1, 5, 4, 7, 3, 2, 6)
+        assert all(cube.has_edge(a, b) for a, b in zip(path, path[1:]))
+        assert not cube.has_edge(path[-1], path[0])
+        assert not verify_cycle(cube, path).is_cycle
+
+    @settings(max_examples=200, deadline=None)
+    @given(seq=st.lists(st.integers(min_value=-2, max_value=9), max_size=10))
+    def test_random_sequences_match_reference_loop(self, seq):
+        cube = build_named("cube").embedding
+        assert verify_cycle(cube, seq) == verify_cycle_reference(cube, seq)
+
+    def test_every_cycle_and_rotation_matches_reference_loop(self):
+        emb = build_named("truncated_octahedron").embedding
+        certs, _ = enumerate_hamiltonian_cycles(emb)
+        for cert in certs:
+            seq = cert.vertices
+            for i in range(0, len(seq), 5):
+                for turned in (seq[i:] + seq[:i], seq[i:][::-1] + seq[:i][::-1], seq[i:]):
+                    assert verify_cycle(emb, turned) == verify_cycle_reference(emb, turned)
+
     def test_cube_sample_cycle(self, cube):
         cert = verify_cycle(cube, (0, 1, 2, 3, 7, 6, 5, 4))
         assert cert.is_cycle and cert.is_hamiltonian and cert.length == 8
