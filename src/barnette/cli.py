@@ -385,7 +385,7 @@ def _cmd_corpus(args, out) -> int:
 
 
 BENCH_FAMILIES = ("prism", "leapfrog")
-BENCH_LAYERS = ("carve", "front", "finish")
+BENCH_LAYERS = ("carve", "front", "finish", "oracle")
 
 
 def _bench_graph(family: str, k: int) -> PlanarEmbedding:
@@ -412,7 +412,9 @@ def bench_scaling(
     most two faces the outer match compares, not the others.  Layer
     ``finish`` runs that carve untimed, then times ``verify_cycle`` plus
     ``chamber_count`` on its cycle; a carve that finds no Hamiltonian
-    cycle raises ValueError, since there is nothing to finish.
+    cycle raises ValueError, since there is nothing to finish.  Layer
+    ``oracle`` times ``find_hamiltonian_cycle`` on the graph, and its
+    status is the search's expansion count.
     """
     rows = []
     for k in sizes:
@@ -420,6 +422,8 @@ def bench_scaling(
         if layer == "front":
             text = serialize_embedding(emb)
             run = lambda: trace_faces(parse_embedding(text))
+        elif layer == "oracle":
+            run = lambda: find_hamiltonian_cycle(emb)
         else:
             trace_faces(emb)  # cache the face structure outside the first rep
             entrance = min(emb.outer_edges)
@@ -442,6 +446,8 @@ def bench_scaling(
             status = "parsed"
         elif layer == "finish":
             status = f"chambers:{res[1]}"
+        elif layer == "oracle":
+            status = f"expansions:{res.expansions}"
         else:
             status = res.status.value
         n = emb.vertex_count
@@ -570,7 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="prism (n = 4k, long spiral) or leapfrog (n = 8 * 3^k, fail-fast)")
     sp.add_argument("--layer", default="carve",
                     help="carve; front: parse of a document with its outer line; "
-                         "finish: verify_cycle plus chamber_count on the carve's cycle")
+                         "finish: verify_cycle plus chamber_count on the carve's cycle; "
+                         "oracle: find_hamiltonian_cycle, status its expansion count")
     sp.add_argument("--sizes", help="comma-separated k values")
 
     sp = add("dot", _cmd_dot, help="DOT export, optionally carve-annotated")

@@ -10,6 +10,12 @@ undecided, in the cycle, or excluded) with unit propagation:
 * chosen edges are tracked as paths; closing a cycle early fails,
 * the not-excluded subgraph must stay connected.
 
+Propagation leaves no undecided edge at an inner vertex of a path of
+chosen edges, so the connectivity test runs over contracted paths: it
+visits free vertices and path ends only, follows undecided edges, and
+jumps from a path's end to its far end.  A test costs O(n - chosen +
+undecided), not O(n + m).
+
 All prunings are sound, so a completed search is a nonexistence proof.
 Budgets are counted in branch expansions, never wall clock.  The state
 is flat integer arrays plus one undo trail of ints, one entry per
@@ -98,15 +104,16 @@ class _EdgeStateSearch:
     def __init__(self, adj: list[list[int]], budget: int, count_all: bool = False):
         n = self.n = len(adj)
         self.edges = sorted({edge_key(u, v) for u in range(n) for v in adj[u]})
-        self.incident: list[list[int]] = [[] for _ in range(n)]
+        # Per vertex, an ``(edge, neighbour)`` link for each incident edge.
+        self.links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for i, (u, v) in enumerate(self.edges):
-            self.incident[u].append(i)
-            self.incident[v].append(i)
+            self.links[u].append((i, v))
+            self.links[v].append((i, u))
         self.budget = budget
         self.count_all = count_all
         self.state = bytearray(len(self.edges))
         self.deg_in = [0] * n
-        self.deg_und = [len(inc) for inc in self.incident]
+        self.deg_und = [len(links) for links in self.links]
         self.mate = list(range(n))
         self.in_count = 0
         # One entry per decided edge: ``e`` when excluded, ``a, b, e`` when
@@ -136,20 +143,28 @@ class _EdgeStateSearch:
     # -- propagation -----------------------------------------------------
 
     def _assign(self, e: int, s: int) -> bool:
-        """Assign edge state and propagate; False on contradiction."""
-        state, deg_in, deg_und, mate, trail = (
-            self.state, self.deg_in, self.deg_und, self.mate, self.trail
-        )
-        queue = [(e, s)]
+        """Assign edge state and propagate; False on contradiction.
+
+        The queue is flat, ``edge, state`` per entry, worked last in first
+        out.  On success every vertex has at least as many undecided edges
+        as cycle edges it still needs, and none with an undecided edge has
+        two cycle edges.
+        """
+        state, edges, links = self.state, self.edges, self.links
+        deg_in, deg_und, mate, trail = self.deg_in, self.deg_und, self.mate, self.trail
+        UND, IN, OUT = self.UND, self.IN, self.OUT
+        queue = [e, s]
+        pop, push = queue.pop, queue.append
         while queue:
-            e, s = queue.pop()
+            s = pop()
+            e = pop()
             cur = state[e]
-            if cur != self.UND:
+            if cur != UND:
                 if cur != s:
                     return False
                 continue
-            u, v = self.edges[e]
-            if s == self.IN:
+            u, v = edges[e]
+            if s == IN:
                 if deg_in[u] >= 2 or deg_in[v] >= 2:
                     return False
                 a, b = mate[u], mate[v]
@@ -169,85 +184,99 @@ class _EdgeStateSearch:
             deg_und[v] -= 1
             for w in (u, v):
                 need = 2 - deg_in[w]
-                if deg_und[w] < need:
+                und = deg_und[w]
+                if und < need:
                     return False
                 if need == 0:
-                    for f in self.incident[w]:
-                        if state[f] == self.UND:
-                            queue.append((f, self.OUT))
-                elif deg_und[w] == need:
-                    for f in self.incident[w]:
-                        if state[f] == self.UND:
-                            queue.append((f, self.IN))
+                    forced = OUT
+                elif und == need:
+                    forced = IN
+                else:
+                    continue
+                for f, _ in links[w]:
+                    if state[f] == UND:
+                        push(f)
+                        push(forced)
         return True
 
     def _undo_to(self, mark: int) -> None:
         state, edges, deg_in, deg_und, mate, trail = (
             self.state, self.edges, self.deg_in, self.deg_und, self.mate, self.trail
         )
+        pop = trail.pop
+        joined = 0
         while len(trail) > mark:
-            e = trail.pop()
+            e = pop()
             u, v = edges[e]
             if state[e] == self.IN:
-                b = trail.pop()
-                a = trail.pop()
+                b = pop()
+                a = pop()
                 mate[a], mate[b] = u, v
                 deg_in[u] -= 1
                 deg_in[v] -= 1
-                self.in_count -= 1
+                joined += 1
             state[e] = self.UND
             deg_und[u] += 1
             deg_und[v] += 1
+        self.in_count -= joined
 
     def _connected_without_out(self) -> bool:
-        n = self.n
-        seen = bytearray(n)
-        seen[0] = 1
-        stack = [0]
-        count = 1
-        state, edges, incident, out = self.state, self.edges, self.incident, self.OUT
-        while stack:
-            v = stack.pop()
-            for f in incident[v]:
-                if state[f] != out:
-                    a, b = edges[f]
-                    u = b if a == v else a
-                    if not seen[u]:
-                        seen[u] = 1
-                        count += 1
-                        stack.append(u)
-        return count == n
+        """Whether the edges not excluded connect all n vertices.
+
+        Cycle edges form paths, and propagation leaves no undecided edge
+        at a path's inner vertex.  So the search runs over the contracted
+        graph: its nodes are the free vertices and the paths, n - in_count
+        in all; it follows undecided edges only, reaching one end of a
+        path reaches its far end, ``mate``, too, and it stops once every
+        node is reached.
+        """
+        deg_in, mate, state, links = self.deg_in, self.mate, self.state, self.links
+        und = self.UND
+        # Vertex 0, or a path end when 0 is inside a path.
+        start = 0 if deg_in[0] < 2 else deg_in.index(1)
+        far = mate[start]
+        seen = bytearray(self.n)
+        seen[start] = seen[far] = 1
+        stack = [start] if far == start else [start, far]
+        left = self.n - self.in_count - 1  # nodes not reached yet
+        while left and stack:
+            for f, u in links[stack.pop()]:
+                if not seen[u] and state[f] == und:
+                    seen[u] = 1
+                    left -= 1
+                    stack.append(u)
+                    far = mate[u]
+                    if far != u:
+                        seen[far] = 1
+                        stack.append(far)
+        return not left
 
     def _pick_edge(self) -> int:
-        best_v = -1
-        best_und = 10**9
-        for v in range(self.n):
-            und = self.deg_und[v]
-            if und and self.deg_in[v] < 2 and und < best_und:
-                best_und = und
-                best_v = v
-                if und == 1:
-                    break
-        if best_v < 0:
-            return -1
-        for f in self.incident[best_v]:
-            if self.state[f] == self.UND:
-                return f
-        return -1
+        """The first undecided edge at the first vertex of least positive
+        undecided degree.
+
+        Called only while the cycle is incomplete.  Propagation leaves
+        every vertex with fewer than two cycle edges at least one
+        undecided edge, and every vertex with an undecided edge fewer
+        than two cycle edges, so such a vertex exists and still needs an
+        edge.
+        """
+        deg_und, state = self.deg_und, self.state
+        v = deg_und.index(min(filter(None, deg_und)))
+        return next(f for f, _ in self.links[v] if state[f] == self.UND)
 
     def _cycle(self) -> tuple[int, ...]:
         """The in-cycle edges as a vertex cycle, canonically: from vertex 0
         toward its smaller neighbour, so equal cycles read identically."""
-        n = self.n
-        nbr: list[list[int]] = [[] for _ in range(n)]
-        for (u, v), s in zip(self.edges, self.state):
-            if s == self.IN:
-                nbr[u].append(v)
-                nbr[v].append(u)
-        seq = [0, min(nbr[0])]
-        while len(seq) < n:
-            a, b = nbr[seq[-1]]
-            seq.append(b if a == seq[-2] else a)
+        state, links, IN = self.state, self.links, self.IN
+        prev, v = 0, min(u for f, u in links[0] if state[f] == IN)
+        seq = [0, v]
+        for _ in range(self.n - 2):
+            for f, u in links[v]:
+                if u != prev and state[f] == IN:
+                    break
+            seq.append(u)
+            prev, v = v, u
         return tuple(seq)
 
     def _search(self) -> None:
@@ -268,12 +297,11 @@ class _EdgeStateSearch:
                     return
             elif self._connected_without_out():
                 e = self._pick_edge()
-                if e >= 0:
-                    self.expansions += 1
-                    if self.expansions > self.budget:
-                        self.exhausted = True
-                        return
-                    stack.append([e, 0, len(self.trail)])
+                self.expansions += 1
+                if self.expansions > self.budget:
+                    self.exhausted = True
+                    return
+                stack.append([e, 0, len(self.trail)])
             # Backtrack to the next untried branch and descend into it.
             while stack:
                 frame = stack[-1]

@@ -269,7 +269,20 @@ class TestSubcommands:
 
     def test_bench_unknown_layer(self):
         with pytest.raises(SystemExit, match="unknown bench layer"):
-            main(["bench", "--layer", "oracle", "--sizes", "1"])
+            main(["bench", "--layer", "search", "--sizes", "1"])
+
+    @pytest.mark.parametrize("family, sizes, ns", [("prism", "2,25", ["8", "100"]),
+                                                   ("leapfrog", "1,2", ["24", "72"])])
+    def test_bench_oracle_layer(self, capsys, family, sizes, ns):
+        code, out = run_cli(capsys, "bench", "--machine", "--layer", "oracle",
+                            "--family", family, "--sizes", sizes)
+        recs = parse_machine_records(out)
+        assert code == 0 and [r["n"] for r in recs] == ns
+        assert all(r["record"] == "bench" and r["family"] == family for r in recs)
+        assert all(r["layer"] == "oracle" and float(r["seconds"]) >= 0 for r in recs)
+        for rec, k in zip(recs, map(int, sizes.split(","))):
+            expansions = find_hamiltonian_cycle(cli._bench_graph(family, k)).expansions
+            assert rec["status"] == f"expansions:{expansions}"
 
     def test_dot_plain_and_carved(self, capsys, rot_file):
         path = rot_file("cube")
@@ -433,6 +446,14 @@ class TestBenchScaling:
         finish = bench_scaling([2, 5], repeats=1, layer="finish")
         assert [r["n"] for r in finish] == [8, 20]
         assert all(r["status"] == "chambers:1" and r["seconds"] >= 0 for r in finish)
+
+    def test_oracle_layer_rows(self):
+        rows = bench_scaling([2, 5], repeats=2, layer="oracle")
+        assert [r["n"] for r in rows] == [8, 20]
+        assert all(r["seconds"] >= 0 and r["per_vertex_us"] >= 0 for r in rows)
+        want = [find_hamiltonian_cycle(generate_prism(k).embedding).expansions for k in (2, 5)]
+        assert [r["status"] for r in rows] == [f"expansions:{e}" for e in want]
+        assert want == [4, 10]
 
     def test_finish_layer(self, capsys):
         code, out = run_cli(capsys, "bench", "--machine", "--layer", "finish", "--sizes", "2,25")

@@ -4,18 +4,22 @@ import ast
 import hashlib
 import inspect
 import sys
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barnette.corpus import (
+    _induced,
     bipartite_fragment_family,
     build_fragment,
     build_named,
     cycle_fragment,
+    delete_vertex,
     dual_embedding,
     generate_prism,
+    glue_fragments,
     truncate_embedding,
 )
 from barnette import oracle
@@ -372,3 +376,159 @@ def test_oracle_digest_is_pinned(corpus_graphs):
         pairs = [sorted(sorted(pair) for pair in s) for s in (p.feasible_pairs, p.undecided_pairs)]
         digest.update(repr((name, p.terminals, pairs)).encode())
     assert digest.hexdigest() == ORACLE_DIGEST
+
+
+def connected_without_out_reference(search):
+    """The connectivity test as a search over all n vertices and every
+    edge not excluded, the form it had before it ran over contracted
+    paths; kept to check that one against."""
+    n = search.n
+    adj = [[] for _ in range(n)]
+    for (u, v), s in zip(search.edges, search.state):
+        if s != search.OUT:
+            adj[u].append(v)
+            adj[v].append(u)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for u in adj[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == n
+
+
+class CheckedSearch(_EdgeStateSearch):
+    """A search that checks, at every node it tests for connectivity, the
+    contracted test against the reference and the invariant ``_pick_edge``
+    relies on, both read off the edge states alone.  Tallies the answers."""
+
+    answers = {True: 0, False: 0}
+
+    def _connected_without_out(self):
+        got = super()._connected_without_out()
+        assert got == connected_without_out_reference(self)
+        deg_in = [0] * self.n
+        deg_und = [0] * self.n
+        for (u, v), s in zip(self.edges, self.state):
+            for w in (u, v):
+                deg_in[w] += s == self.IN
+                deg_und[w] += s == self.UND
+        assert deg_in == self.deg_in and deg_und == self.deg_und
+        assert sum(deg_in) == 2 * self.in_count
+        assert all(i < 2 for i, u in zip(deg_in, deg_und) if u)
+        CheckedSearch.answers[got] += 1
+        return got
+
+
+FORCING_GRAPHS = ("cube", "prism_6", "dodecahedron", "truncated_octahedron",
+                  "two_cubes_bridge", "tutte_graph")
+
+
+@cache
+def _forcing_graph(name):
+    emb = build_named(name).embedding
+    return [list(r) for r in emb.rotations], list(emb.edges)
+
+
+class TestContractedConnectivity:
+    def test_desk_corpus_searches_and_enumerations(self, corpus_graphs, monkeypatch):
+        def answers():
+            return {name: (find_hamiltonian_cycle(g.embedding), enumerate_hamiltonian_cycles(g.embedding))
+                    for name, g in corpus_graphs.items()}
+
+        plain = answers()
+        monkeypatch.setattr(oracle, "_EdgeStateSearch", CheckedSearch)
+        assert answers() == plain
+
+    def test_tutte_pair_search_prunes_disconnected_nodes(self, monkeypatch):
+        # No search over the desk corpus ever disconnects the graph; this
+        # one does, so both answers of the test are checked.
+        before = dict(CheckedSearch.answers)
+        monkeypatch.setattr(oracle, "_EdgeStateSearch", CheckedSearch)
+        r = find_hamiltonian_cycle(tutte_pair())
+        assert r.proved_absent and r.expansions == 1146
+        assert CheckedSearch.answers[True] > before[True]
+        assert CheckedSearch.answers[False] >= before[False] + 20
+
+    def test_fragment_profiles(self, monkeypatch):
+        fragments = bipartite_fragment_family() + [("tutte_fragment", build_fragment("tutte_fragment"))]
+        plain = [hamiltonian_path_profile(f.embedding, f.terminals) for _, f in fragments]
+        monkeypatch.setattr(oracle, "_EdgeStateSearch", CheckedSearch)
+        assert plain == [hamiltonian_path_profile(f.embedding, f.terminals) for _, f in fragments]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_forced_edge_sets(self, data):
+        adj, edges = _forcing_graph(data.draw(st.sampled_from(FORCING_GRAPHS)))
+        forced_in = data.draw(st.lists(st.sampled_from(edges), max_size=6, unique=True))
+        forced_out = data.draw(st.lists(st.sampled_from(edges), max_size=6, unique=True))
+        count_all = data.draw(st.booleans())
+        search = CheckedSearch(adj, 2000, count_all).run(tuple(forced_in), tuple(forced_out))
+        for cycle in search.solutions:
+            on = {edge_key(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+            assert set(forced_in) <= on and not set(forced_out) & on
+
+
+def tutte_pair():
+    """Two copies of the Tutte graph minus vertex 5, glued along their
+    three terminals: 90 vertices, cubic, planar and 3-connected."""
+    tutte = build_named("tutte_graph").embedding
+    return glue_fragments(delete_vertex(tutte, 5), delete_vertex(tutte, 5))
+
+
+def without(emb, dropped):
+    """The map induced on the vertices not in ``dropped``, relabelled in
+    ascending order, with the ascending list of kept ones."""
+    keep = [v for v in range(emb.vertex_count) if v not in dropped]
+    return _induced(emb, keep)[0], keep
+
+
+class TestTuttePair:
+    """The abstract's claim that a non-Hamiltonian cubic planar graph keeps
+    an (n-1)-cycle fails on ``tutte_pair()``, with n = 90.
+
+    The Tutte graph minus a vertex v has no spanning path between two of
+    its three terminals (the neighbours of v): such a path plus v would be
+    a Hamiltonian cycle of the Tutte graph.  The three glue edges form a
+    3-edge cut.  A cycle that crosses it uses exactly two of its edges, so
+    it meets each side in a path between two terminals, which misses a
+    vertex of that side; a cycle that does not cross it stays in one side
+    of 45 vertices.  So every cycle misses at least two vertices: the
+    circumference is at most n - 2 = 88, and an 88-cycle exists.
+    """
+
+    def test_glue_edges_are_a_three_edge_cut(self):
+        emb = tutte_pair()
+        assert emb.vertex_count == 90 and emb.is_cubic()
+        assert sum((u < 45) != (v < 45) for u, v in emb.edges) == 3
+
+    def test_tutte_minus_vertex_profile_is_empty(self, tutte):
+        frag = delete_vertex(tutte, 5)
+        prof = hamiltonian_path_profile(frag.embedding, frag.terminals)
+        assert prof.feasible_pairs == frozenset() and prof.undecided_pairs == frozenset()
+
+    def test_no_hamiltonian_cycle(self):
+        r = find_hamiltonian_cycle(tutte_pair())
+        assert r.proved_absent and r.expansions == 1146
+
+    def test_cycle_of_length_n_minus_two(self):
+        emb = tutte_pair()
+        sub, keep = without(emb, {1, 46})
+        r = find_hamiltonian_cycle(sub)
+        assert r.certificate is not None and r.expansions == 198
+        cert = verify_cycle(emb, [keep[v] for v in r.certificate.vertices])
+        assert cert.is_cycle and cert.length == 88
+        assert set(range(90)) - set(cert.vertices) == {1, 46}
+
+    @pytest.mark.slow
+    def test_no_cycle_misses_just_one_vertex(self):
+        # longest_cycle's drop-one pass, on its own: each of the 90
+        # vertices removed in turn, and no remainder has a spanning cycle.
+        emb = tutte_pair()
+        expansions = 0
+        for v in range(emb.vertex_count):
+            r = find_hamiltonian_cycle(without(emb, {v})[0])
+            assert r.proved_absent, v
+            expansions += r.expansions
+        assert expansions == 402_120
