@@ -162,17 +162,22 @@ def _cmd_faces(args, out) -> int:
     return 0
 
 
+def _checked_status(emb: PlanarEmbedding, res: CarveResult) -> tuple[CarveStatus, bool]:
+    """Verifier gate: a claimed cycle is reported only once it checks as a
+    cycle through all n vertices, or n - 1 for a near cycle; a claim that
+    fails the check is reported as Failure."""
+    status = res.status
+    if status not in (CarveStatus.HAMILTONIAN_CYCLE, CarveStatus.NEAR_CYCLE):
+        return status, False
+    cert = verify_cycle(emb, res.cycle)
+    want = emb.vertex_count - 1 if status is CarveStatus.NEAR_CYCLE else emb.vertex_count
+    if cert.is_cycle and cert.length == want:
+        return status, True
+    return CarveStatus.FAILURE, False
+
+
 def _emit_carve(args, out, emb: PlanarEmbedding, res: CarveResult) -> None:
-    # Verifier gate: a claimed cycle is reported only once it checks as a
-    # cycle through all n vertices, or n - 1 for a near cycle.
-    status, verified = res.status, False
-    if status in (CarveStatus.HAMILTONIAN_CYCLE, CarveStatus.NEAR_CYCLE):
-        cert = verify_cycle(emb, res.cycle)
-        n = emb.vertex_count
-        want = n - 1 if status is CarveStatus.NEAR_CYCLE else n
-        verified = cert.is_cycle and cert.length == want
-        if not verified:
-            status = CarveStatus.FAILURE
+    status, verified = _checked_status(emb, res)
     if args.machine:
         emit_record(
             out,
@@ -279,13 +284,11 @@ def _compare_one(path: str, all_entrances: bool, budget: int) -> RunReport:
     sound = True
     for e in entrances:
         res = carve(emb, e)
-        status = res.status
-        if status is CarveStatus.HAMILTONIAN_CYCLE:
-            if verify_cycle(emb, res.cycle).is_hamiltonian:
-                any_hc_cycle = res.cycle
-            else:
-                status = CarveStatus.FAILURE
-                sound = False
+        status = _checked_status(emb, res)[0]
+        if status is not res.status:
+            sound = False
+        elif status is CarveStatus.HAMILTONIAN_CYCLE:
+            any_hc_cycle = res.cycle
         outcomes.append((e, status.value, len(res.cycle)))
     t_carve1 = time.perf_counter()
     oracle_res = find_hamiltonian_cycle(emb, budget=budget)
@@ -496,10 +499,10 @@ _DOT_STYLE = {
 
 def to_dot(emb: PlanarEmbedding, res: CarveResult | None = None) -> str:
     """DOT text; with a carve result, edges are styled by role and the
-    face-opening order is recorded as comments."""
+    verified status and face-opening order are recorded as comments."""
     lines = ["graph G {"]
     if res is not None:
-        lines.append(f"  // carve status: {res.status.value}")
+        lines.append(f"  // carve status: {_checked_status(emb, res)[0].value}")
         for ev in res.trace:
             if ev.kind in ("open", "promote"):
                 lines.append(f"  // step {ev.step}: {ev.kind} face {ev.face_id} "

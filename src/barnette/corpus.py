@@ -80,7 +80,15 @@ class Fragment:
 
     @property
     def boundary_face(self) -> Face:
-        return _boundary_face(self.embedding, self.terminals)
+        """The longest face through all three terminals, ties to the least
+        id.  Such a face holds the first terminal, so that vertex's two
+        darts name the candidates."""
+        emb, index, t = self.embedding, self.embedding.dart_index, self.terminals[0]
+        faces = map(emb.faces.__getitem__, set(index.dart_face[index.off[t]:index.off[t + 1]]))
+        cands = [f for f in faces if set(self.terminals) <= set(f.vertices)]
+        if not cands:
+            raise CompositionError(f"no face contains all terminals {self.terminals}")
+        return max(cands, key=lambda f: (f.length, -f.id))
 
 
 # -- elementary constructions ---------------------------------------------
@@ -231,14 +239,13 @@ def cycle_fragment(length: int, terminals: tuple[int, int, int]) -> Fragment:
 
 
 # -- fragment surgery ------------------------------------------------------
-
-def _boundary_face(emb: PlanarEmbedding, terminals: tuple[int, ...]) -> Face:
-    want = set(terminals)
-    cands = [f for f in emb.faces if want <= set(f.vertices)]
-    if not cands:
-        raise CompositionError(f"no face contains all terminals {terminals}")
-    return max(cands, key=lambda f: (f.length, -f.id))
-
+#
+# A wiring glues boundary faces back to back, and two faces glued back to
+# back are walked in opposite directions: seen from one piece, the other's
+# terminals come in the reverse of their own walk order.  So each wiring
+# below joins terminals in opposite walk orders, which gives a sphere map,
+# and it is built once; an error from that build is a CompositionError
+# with the same message.
 
 def _walk_predecessor(face: Face, t: int) -> int:
     for u, v in face.darts:
@@ -247,54 +254,51 @@ def _walk_predecessor(face: Face, t: int) -> int:
     raise CompositionError(f"terminal {t} not on boundary face")
 
 
-def _insert_after(rot: list[int], p: int, w: int) -> list[int]:
-    out = list(rot)
-    out.insert(out.index(p) + 1, w)
+def _terminal_walk_order(face: Face, terminals: tuple[int, ...]) -> tuple[int, ...]:
+    """The terminals in the order the walk of ``face`` first meets them."""
+    out = tuple(v for v in dict.fromkeys(face.vertices) if v in terminals)
+    if len(out) != len(terminals):
+        raise CompositionError("terminals missing from boundary walk")
     return out
 
 
+def _union(fragments) -> tuple[list[list[int]], list[int]]:
+    """The fragments' rotations side by side, with each one's vertex offset."""
+    rots: list[list[int]] = []
+    offs: list[int] = []
+    for f in fragments:
+        offs.append(len(rots))
+        rots += [[u + offs[-1] for u in r] for r in f.embedding.rotations]
+    return rots, offs
+
+
+def _attach(rots: list[list[int]], face: Face, t: int, off: int, w: int) -> None:
+    """Insert ``w`` into terminal ``t``'s rotation just after the vertex
+    before ``t`` on ``face``, so the new edge leaves into that face."""
+    rot = rots[t + off]
+    rot.insert(rot.index(_walk_predecessor(face, t) + off) + 1, w)
+
+
+def _build(rots: list[list[int]]) -> PlanarEmbedding:
+    try:
+        emb = PlanarEmbedding(rots)
+        emb.dart_index
+    except ValueError as exc:
+        raise CompositionError(str(exc)) from exc
+    return emb
+
+
 def glue_fragments(a: Fragment, b: Fragment) -> PlanarEmbedding:
-    """Join two 3-terminal fragments with a 3-edge bridge.
-
-    Matchings between the terminal triples are tried in a fixed order and
-    the first one producing a sphere embedding wins, so the result is
-    deterministic.
-    """
-    na = a.embedding.vertex_count
-    bfa, bfb = a.boundary_face, b.boundary_face
-    oa = _terminal_walk_order(bfa, a.terminals)
-    ob = _terminal_walk_order(bfb, b.terminals)
-    for flip in (True, False):
-        obv = tuple(reversed(ob)) if flip else ob
-        for r in range(3):
-            pairs = [(oa[i], obv[(i + r) % 3]) for i in range(3)]
-            rots = [list(x) for x in a.embedding.rotations]
-            rots += [[u + na for u in x] for x in b.embedding.rotations]
-            try:
-                for ta, tb in pairs:
-                    rots[ta] = _insert_after(rots[ta], _walk_predecessor(bfa, ta), tb + na)
-                    rots[tb + na] = _insert_after(
-                        rots[tb + na], _walk_predecessor(bfb, tb) + na, ta
-                    )
-                emb = PlanarEmbedding(rots)
-                emb.faces
-                return emb
-            except ValueError:
-                continue
-    raise CompositionError("no planar terminal matching for the bridge")
-
-
-def _terminal_walk_order(face: Face, terminals: tuple[int, ...]) -> tuple[int, ...]:
-    ts = set(terminals)
-    seen: set[int] = set()
-    out: list[int] = []
-    for v, _ in face.darts:
-        if v in ts and v not in seen:
-            seen.add(v)
-            out.append(v)
-    if len(out) != len(terminals):
-        raise CompositionError("terminals missing from boundary walk")
-    return tuple(out)
+    """Join two 3-terminal fragments with a 3-edge bridge: A's terminals,
+    in the order A's boundary walk meets them, go to B's in the reverse
+    of B's walk order."""
+    rots, (_, nb) = _union((a, b))
+    fa, fb = a.boundary_face, b.boundary_face
+    ob = _terminal_walk_order(fb, b.terminals)
+    for ta, tb in zip(_terminal_walk_order(fa, a.terminals), reversed(ob)):
+        _attach(rots, fa, ta, 0, tb + nb)
+        _attach(rots, fb, tb, nb, ta)
+    return _build(rots)
 
 
 def compose_fragments(
@@ -304,69 +308,39 @@ def compose_fragments(
     """Hub wiring: a central vertex takes each fragment's z terminal and
     the remaining six terminals close a ring around the outside.
 
-    Wiring variants (hub orientation, ring direction) are tried in a fixed
-    order; the first sphere embedding wins.  With ``require_cubic`` the
+    Fragment i's boundary walk meets its terminals as z_i, u_i, w_i.  The
+    hub takes z_0, z_1, z_2 in fragment order, and the ring joins w_i to
+    u_{i+1}: the face closed between fragments i and i + 1 runs z_i, hub,
+    z_{i+1}, along fragment i + 1's walk to u_{i+1}, across to w_i and
+    along fragment i's walk back to z_i.  With ``require_cubic`` the
     result must be 3-regular, which rejects pieces with leftover degree-2
     vertices.
     """
     frags = list(fragments)
     if len(frags) != 3:
         raise CompositionError("hub wiring takes exactly three fragments")
-    offs: list[int] = []
-    total = 0
-    for f in frags:
-        offs.append(total)
-        total += f.embedding.vertex_count
-    hub = total
+    rots, offs = _union(frags)
+    hub = len(rots)
     bfs = [f.boundary_face for f in frags]
-    # Walk order of (x, y) starting just after z, per fragment.
-    infos: list[tuple[int, int, int]] = []
+    zuw = []
     for f, bf in zip(frags, bfs):
-        x, y, z = f.terminals
-        walk = [v for v, _ in bf.darts]
-        zi = walk.index(z)
-        rest = []
-        for v in walk[zi:] + walk[:zi]:
-            if v in (x, y) and v not in rest:
-                rest.append(v)
-        infos.append((z, rest[0], rest[1]))
-
-    for hub_flip in (False, True):
-        for ring_mode in (0, 1):
-            rots = []
-            for f, off in zip(frags, offs):
-                rots.extend([[u + off for u in r] for r in f.embedding.rotations])
-            zs = [infos[i][0] + offs[i] for i in range(3)]
-            rots.append(list(reversed(zs)) if hub_flip else list(zs))
-            try:
-                for i in range(3):
-                    j = (i + 1) % 3
-                    zi, ui, wi = infos[i]
-                    _, uj, wj = infos[j]
-                    rots[zi + offs[i]] = _insert_after(
-                        rots[zi + offs[i]], _walk_predecessor(bfs[i], zi) + offs[i], hub
-                    )
-                    if ring_mode == 0:
-                        a, b = ui + offs[i], wj + offs[j]
-                    else:
-                        a, b = wi + offs[i], uj + offs[j]
-                    rots[a] = _insert_after(
-                        rots[a], _walk_predecessor(bfs[i], a - offs[i]) + offs[i], b
-                    )
-                    rots[b] = _insert_after(
-                        rots[b], _walk_predecessor(bfs[j], b - offs[j]) + offs[j], a
-                    )
-                emb = PlanarEmbedding(rots)
-                emb.faces
-                if require_cubic and not emb.is_cubic():
-                    raise CompositionError(
-                        "composition left degree-2 vertices; pass require_cubic=False "
-                        "to study the non-cubic graph anyway"
-                    )
-                return emb
-            except ValueError:
-                continue
-    raise CompositionError("no planar hub wiring found")
+        order = _terminal_walk_order(bf, f.terminals)
+        i = order.index(f.terminals[2])
+        zuw.append(order[i:] + order[:i])
+    rots.append([z + off for (z, _, _), off in zip(zuw, offs)])
+    for i in range(3):
+        j = (i + 1) % 3
+        (z, _, w), u = zuw[i], zuw[j][1]
+        _attach(rots, bfs[i], z, offs[i], hub)
+        _attach(rots, bfs[i], w, offs[i], u + offs[j])
+        _attach(rots, bfs[j], u, offs[j], w + offs[i])
+    emb = _build(rots)
+    if require_cubic and not emb.is_cubic():
+        raise CompositionError(
+            "composition left degree-2 vertices; pass require_cubic=False "
+            "to study the non-cubic graph anyway"
+        )
+    return emb
 
 
 def chain_graph(
@@ -425,6 +399,13 @@ def _two_cubes_bridge() -> PlanarEmbedding:
     return glue_fragments(delete_vertex(_cube(), 7), delete_vertex(_cube(), 1))
 
 
+def _tutte_pair() -> PlanarEmbedding:
+    """Two copies of the Tutte graph minus vertex 5, glued along their
+    terminals: 90 vertices, circumference 88 (see README)."""
+    tutte = _tutte_graph()
+    return glue_fragments(delete_vertex(tutte, 5), delete_vertex(tutte, 5))
+
+
 def _three_cubes_chain() -> PlanarEmbedding:
     return chain_graph(
         delete_vertex(_cube(), 1),
@@ -452,6 +433,9 @@ _BUILDERS = {
         "tutte_fragment",
         _tutte_fragment().embedding,
         GraphFacts(False, None, "cut-side-of-tutte_graph"),
+    ),
+    "tutte_pair": lambda: NamedGraph(
+        "tutte_pair", _tutte_pair(), GraphFacts(False, False, "glued-pair-of-tutte-minus-vertex")
     ),
     "two_cubes_bridge": lambda: NamedGraph(
         "two_cubes_bridge", _two_cubes_bridge(), GraphFacts(True, True, "glued-cube-fragments")

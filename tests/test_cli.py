@@ -315,6 +315,27 @@ def test_carve_gate_checks_each_claim_at_its_length(capsys, claimed, cycle, repo
     assert (rec["status"], rec["verified"]) == (reported, verified)
 
 
+@pytest.mark.parametrize("cycle, reported, agreement", [
+    ((0, 1, 2, 5, 3), "NearCycle", "true"),
+    ((0, 1, 2, 5, 4, 3), "Failure", "false"),  # spans all n
+    ((0, 1, 1), "Failure", "false"),  # not a cycle
+])
+def test_compare_and_dot_gate_a_near_cycle_claim(capsys, tmp_path, monkeypatch, cycle, reported,
+                                                 agreement):
+    # The triangular prism: rings 0-1-2 and 3-4-5, spokes i - i + 3.
+    prism = PlanarEmbedding([[1, 3, 2], [2, 4, 0], [0, 5, 1], [0, 4, 5], [1, 5, 3], [2, 3, 4]])
+    path = tmp_path / "prism_3.rot"
+    path.write_text(serialize_embedding(prism), encoding="utf-8")
+    claim = lambda emb, entrance: CarveResult(CarveStatus.NEAR_CYCLE, cycle, bytes(18), (),
+                                              (entrance,), emb)
+    monkeypatch.setattr(cli, "carve", claim)
+    code, out = run_cli(capsys, "compare", "--machine", str(path))
+    [rec] = parse_machine_records(out)
+    assert code == 0 and (rec["carve"], rec["agreement"]) == (reported, agreement)
+    code, out = run_cli(capsys, "dot", "--carve", str(path))
+    assert code == 0 and f"// carve status: {reported}\n" in out
+
+
 class TestErrors:
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/g.rot"]) == 2
@@ -368,8 +389,8 @@ class TestDeterminism:
 
 # SHA-256 of `barnette faces --machine` over every sample file and every
 # `corpus emit` graph, each rooted at every one of its faces in turn.
-FACES_DIGEST = "550fb1c6a7af35cfae6e77a03099cbed23d0b5b12ec31ddb706c7788eb1a84e8"
-FACES_RUNS = 198
+FACES_DIGEST = "aa1127aa3786196ac55415143cc70b722605a4fc2b5d03202fc6a1a7679e8d5e"
+FACES_RUNS = 292
 
 
 def test_faces_output_is_pinned(capsys, tmp_path):

@@ -23,7 +23,7 @@ from barnette.corpus import (
     truncate_embedding,
 )
 from barnette import oracle
-from barnette.embedding import edge_key
+from barnette.embedding import edge_key, validate
 from barnette.oracle import (
     CycleCertificate,
     _EdgeStateSearch,
@@ -471,10 +471,9 @@ class TestContractedConnectivity:
 
 
 def tutte_pair():
-    """Two copies of the Tutte graph minus vertex 5, glued along their
-    three terminals: 90 vertices, cubic, planar and 3-connected."""
-    tutte = build_named("tutte_graph").embedding
-    return glue_fragments(delete_vertex(tutte, 5), delete_vertex(tutte, 5))
+    """The corpus graph ``tutte_pair``: two copies of the Tutte graph minus
+    vertex 5, glued along their three terminals; 90 vertices."""
+    return build_named("tutte_pair").embedding
 
 
 def without(emb, dropped):
@@ -497,6 +496,14 @@ class TestTuttePair:
     of 45 vertices.  So every cycle misses at least two vertices: the
     circumference is at most n - 2 = 88, and an 88-cycle exists.
     """
+
+    def test_corpus_entry_is_the_glued_pair(self, tutte):
+        g = build_named("tutte_pair")
+        assert g.embedding == glue_fragments(delete_vertex(tutte, 5), delete_vertex(tutte, 5))
+        assert (g.expected.barnette, g.expected.hamiltonian) == (False, False)
+        rep = validate(g.embedding)
+        assert rep.is_cubic and rep.is_planar_embedding and rep.vertex_connectivity_at_least_3
+        assert not rep.is_bipartite
 
     def test_glue_edges_are_a_three_edge_cut(self):
         emb = tutte_pair()
