@@ -34,6 +34,12 @@ no edge-keyed index is built and no ``Face`` but the outer one is read.
 Edges are ``(u, v)`` pairs only in trace events, failure reasons and the
 result's role views.
 
+The trace is a journal of ids: each frontier step appends one tuple of
+its kind, door id, face id, side and the ids of its new cycle edges and
+new doors (a promotion stores only its door).  The result's ``trace`` is a
+read-only view over that journal; its length builds nothing, and the
+``TraceEvent`` pairs are built the first time an event is read.
+
 A carve costs one pass per opened face.  Set-up touches the outer edges
 only: the faces that hold an outer-Hamiltonian edge are read off the dart
 arrays and stay fixed for the run, since that role is never assigned
@@ -51,7 +57,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from collections import Counter, deque
-from collections.abc import Set
+from collections.abc import Sequence, Set
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations, compress, count, repeat
@@ -64,6 +70,7 @@ __all__ = [
     "EdgeRole",
     "CarveStatus",
     "TraceEvent",
+    "TraceView",
     "ChamberState",
     "CarveResult",
     "EntranceChoice",
@@ -174,6 +181,62 @@ class TraceEvent(NamedTuple):
         )
 
 
+class TraceView(Sequence):
+    """A carve's trace: a read-only sequence of ``TraceEvent`` over its
+    journal of ids.  ``len`` builds no event; the first read builds them
+    all and keeps them.  The view equals, and hashes like, the tuple of
+    its events.  It holds the journal and the rotations, never the
+    carve's state."""
+
+    def __init__(self, journal: list[tuple], rotations: tuple[tuple[int, ...], ...]):
+        self._journal = journal
+        self._rotations = rotations
+        self._events: tuple[TraceEvent, ...] | None = None
+
+    def _built(self) -> tuple[TraceEvent, ...]:
+        events = self._events
+        if events is None:
+            rot = self._rotations
+
+            def pair(e: int) -> Edge:
+                u = e // 3
+                return (u, rot[u][e - 3 * u])
+
+            built = []
+            for step, (kind, door, fid, side, ham, doors) in enumerate(self._journal):
+                door_pair = pair(door)
+                if kind == "promote":  # its one cycle edge is the door
+                    built.append(TraceEvent(step, kind, door_pair, fid, (door_pair,), (), side))
+                else:
+                    ham_pairs, door_pairs = tuple(map(pair, ham)), tuple(map(pair, doors))
+                    built.append(TraceEvent(step, kind, door_pair, fid, ham_pairs, door_pairs, side))
+            # The events replace the ids, which are no longer read.
+            events = self._events = self._journal = tuple(built)
+        return events
+
+    def __len__(self) -> int:
+        return len(self._journal)
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return iter(self._built())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TraceView):
+            other = other._built()
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return len(self) == len(other) and self._built() == other
+
+    def __hash__(self) -> int:
+        return hash(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+
 def _role_map(embedding: PlanarEmbedding, codes) -> dict[Edge, EdgeRole]:
     """Edge -> role from role bytes, in ``embedding.edges`` order."""
     rot, roles, edges = embedding.rotations, _ROLES, embedding.edges
@@ -188,7 +251,7 @@ class CarveResult:
     status: CarveStatus
     cycle: tuple[int, ...]
     role_bytes: bytes
-    trace: tuple[TraceEvent, ...]
+    trace: TraceView
     entrances: tuple[Edge, ...]
     embedding: PlanarEmbedding = field(repr=False)
     failure_reason: str | None = None
@@ -283,7 +346,8 @@ class ChamberState:
         self.entered_faces: set[int] = set()
         self.frontier: tuple[deque[int], ...] = ()  # one door queue per side
         self.h_count = 0
-        self.trace: list[TraceEvent] = []
+        # One tuple of ids per frontier step; see _event.
+        self.journal: list[tuple] = []
         self.deg_h = [0] * n
         self.deg_door = [0] * n
         self._end = [-1] * n
@@ -301,6 +365,11 @@ class ChamberState:
         self._bridge_candidates: dict[
             int, tuple[dict[int, int], list[tuple[int, int, int]]]
         ] = {}
+
+    @property
+    def trace(self) -> TraceView:
+        """The steps so far, as events built when read."""
+        return TraceView(self.journal, self.rotations)
 
     def edge_id(self, u: int, v: int) -> int:
         """Id of edge {u, v}: the dart from its smaller end."""
@@ -690,7 +759,7 @@ def _finish(state: ChamberState, reason: str | None) -> CarveResult:
         status=status,
         cycle=cycle,
         role_bytes=bytes(state.roles).translate(_SWEEP),
-        trace=tuple(state.trace),
+        trace=TraceView(state.journal, state.rotations),
         entrances=state.entrances,
         embedding=state.embedding,
         failure_reason=reason,
@@ -734,13 +803,12 @@ def carve_double(
 
 
 def _event(
-    state: ChamberState, kind: str, door: Edge, fid: int, side: int,
-    ham: tuple[Edge, ...] = (), doors: tuple[Edge, ...] = (),
+    state: ChamberState, kind: str, door: int, fid: int, side: int,
+    ham: Sequence[int] = (), doors: Sequence[int] = (),
 ) -> None:
-    """Trace one frontier step.  Its edges arrive as pairs: most steps are
-    promotions, whose one cycle edge is the door pair already at hand."""
-    trace = state.trace
-    trace.append(TraceEvent(len(trace), kind, door, fid, ham, doors, side))
+    """Journal one frontier step as ids; ``TraceView`` builds its event
+    when read.  A promotion stores only its door, its one cycle edge."""
+    state.journal.append((kind, door, fid, side, ham, doors))
 
 
 def _run_one(state: ChamberState, door: int, side: int, left_walk: bool) -> str | None:
@@ -749,7 +817,6 @@ def _run_one(state: ChamberState, door: int, side: int, left_walk: bool) -> str 
     state.trail.clear()  # only this pop's moves can be undone
     if state.roles[door] < _D_I:
         return None
-    door_pair = state.edge_of(door)
     fid = state.unentered_face(door)
     if fid is None:
         hit = detect_bridge_face(state, door)
@@ -760,8 +827,8 @@ def _run_one(state: ChamberState, door: int, side: int, left_walk: bool) -> str 
                 state.add_ham_edge(hit[1])
             except CarveError as exc:
                 state._undo_to(0, h_count)
-                return f"bridge promotion failed at door {door_pair}: {exc}"
-            _event(state, "bridge", door_pair, -1, side, tuple(map(state.edge_of, hit)))
+                return f"bridge promotion failed at door {state.edge_of(door)}: {exc}"
+            _event(state, "bridge", door, -1, side, hit)
             return None
         # A door into fully explored territory is promoted when it still
         # borders the outer-Hamiltonian region and the move is legal;
@@ -773,9 +840,9 @@ def _run_one(state: ChamberState, door: int, side: int, left_walk: bool) -> str 
             except CarveError:
                 pass
             else:
-                _event(state, "promote", door_pair, -1, side, (door_pair,))
+                _event(state, "promote", door, -1, side)
                 return None
-        _event(state, "drop", door_pair, -1, side)
+        _event(state, "drop", door, -1, side)
         return None
     # A door whose opening is blocked at its first move, checked before any
     # write, is promoted without trying the opening; an opening that fails
@@ -792,19 +859,17 @@ def _run_one(state: ChamberState, door: int, side: int, left_walk: bool) -> str 
             if state.roles[door] == _D_E:
                 return f"cannot open the entrance face: {open_err}"
             if not state.face_borders_outer_ham(fid):
-                return f"door {door_pair} face {fid}: {open_err}"
+                return f"door {state.edge_of(door)} face {fid}: {open_err}"
         else:
             state.frontier[side].extend(new_doors)
-            edge_of = state.edge_of
-            ham, doors = tuple(map(edge_of, new_h)), tuple(map(edge_of, new_doors))
-            _event(state, "open", door_pair, fid, side, ham, doors)
+            _event(state, "open", door, fid, side, new_h, new_doors)
             return None
     try:
         state.add_ham_edge(door)
     except CarveError as exc:
-        return f"door {door_pair} face {fid}: promotion failed: {exc}"
+        return f"door {state.edge_of(door)} face {fid}: promotion failed: {exc}"
     state.entered_faces.add(fid)
-    _event(state, "promote", door_pair, fid, side, (door_pair,))
+    _event(state, "promote", door, fid, side)
     return None
 
 
@@ -840,7 +905,9 @@ def chamber_count(embedding: PlanarEmbedding, cycle) -> int:
     r"""Closed regions induced by a Hamiltonian cycle H of a cubic plane map
     whose outer boundary is C: the cycles that the chamber edges, H Δ C,
     form.  There is one per outer edge that H skips, so the count is
-    |C \ H|, read off the outer face after ``verify_cycle``.
+    |C \ H|, read off the outer face.  ``cycle`` is a vertex sequence,
+    checked here by ``verify_cycle``, or the ``CycleCertificate`` that
+    ``verify_cycle`` returned for it, which is not checked again.
 
     Why: H is Hamiltonian, so the map is 2-connected and C is a simple
     cycle.  At a vertex of C, H and C each take two of its three edges,
@@ -856,12 +923,12 @@ def chamber_count(embedding: PlanarEmbedding, cycle) -> int:
     H \ C whose outside face is in the subtree.  Every edge of H Δ C
     lies on exactly one of these boundaries.
     """
-    from .oracle import verify_cycle
+    from .oracle import CycleCertificate, verify_cycle
 
     if not embedding.is_cubic():
         raise ValueError("chamber analysis needs a cubic graph")
-    cert = verify_cycle(embedding, cycle)
-    if not cert.is_hamiltonian:
+    cert = cycle if isinstance(cycle, CycleCertificate) else verify_cycle(embedding, cycle)
+    if not cert.is_hamiltonian or cert.length != embedding.vertex_count:
         raise ValueError("chamber analysis needs a verified Hamiltonian cycle")
     seq = cert.vertices
     after = dict(zip(seq, seq[1:] + seq[:1])).__getitem__

@@ -35,7 +35,7 @@ from .embedding import (
     trace_faces,
     validate,
 )
-from .oracle import find_hamiltonian_cycle, longest_cycle, verify_cycle
+from .oracle import CycleCertificate, find_hamiltonian_cycle, longest_cycle, verify_cycle
 
 _WHITESPACE = re.compile(r"\s+")
 
@@ -162,22 +162,26 @@ def _cmd_faces(args, out) -> int:
     return 0
 
 
-def _checked_status(emb: PlanarEmbedding, res: CarveResult) -> tuple[CarveStatus, bool]:
+def _checked_status(
+    emb: PlanarEmbedding, res: CarveResult
+) -> tuple[CarveStatus, CycleCertificate | None]:
     """Verifier gate: a claimed cycle is reported only once it checks as a
     cycle through all n vertices, or n - 1 for a near cycle; a claim that
-    fails the check is reported as Failure."""
+    fails the check is reported as Failure.  The certificate comes back
+    with a claim that passed, None otherwise."""
     status = res.status
     if status not in (CarveStatus.HAMILTONIAN_CYCLE, CarveStatus.NEAR_CYCLE):
-        return status, False
+        return status, None
     cert = verify_cycle(emb, res.cycle)
     want = emb.vertex_count - 1 if status is CarveStatus.NEAR_CYCLE else emb.vertex_count
     if cert.is_cycle and cert.length == want:
-        return status, True
-    return CarveStatus.FAILURE, False
+        return status, cert
+    return CarveStatus.FAILURE, None
 
 
 def _emit_carve(args, out, emb: PlanarEmbedding, res: CarveResult) -> None:
-    status, verified = _checked_status(emb, res)
+    status, cert = _checked_status(emb, res)
+    verified = cert is not None
     if args.machine:
         emit_record(
             out,
@@ -280,15 +284,15 @@ def _compare_one(path: str, all_entrances: bool, budget: int) -> RunReport:
         entrances = [select_entrance(emb, enumerate_3_edge_cuts(emb)).edge]
     t_carve0 = time.perf_counter()
     outcomes: list[tuple[Edge, str, int]] = []
-    any_hc_cycle = None
+    any_hc_cert = None
     sound = True
     for e in entrances:
         res = carve(emb, e)
-        status = _checked_status(emb, res)[0]
+        status, cert = _checked_status(emb, res)
         if status is not res.status:
             sound = False
         elif status is CarveStatus.HAMILTONIAN_CYCLE:
-            any_hc_cycle = res.cycle
+            any_hc_cert = cert
         outcomes.append((e, status.value, len(res.cycle)))
     t_carve1 = time.perf_counter()
     oracle_res = find_hamiltonian_cycle(emb, budget=budget)
@@ -303,7 +307,7 @@ def _compare_one(path: str, all_entrances: bool, budget: int) -> RunReport:
         verdict == "non-hamiltonian"
         and any(s == CarveStatus.HAMILTONIAN_CYCLE.value for _, s, _ in outcomes)
     )
-    chamber = chamber_count(emb, any_hc_cycle) if any_hc_cycle is not None else None
+    chamber = chamber_count(emb, any_hc_cert) if any_hc_cert is not None else None
     return RunReport(
         name=path,
         n=emb.vertex_count,
@@ -388,7 +392,7 @@ def _cmd_corpus(args, out) -> int:
 
 
 BENCH_FAMILIES = ("prism", "leapfrog")
-BENCH_LAYERS = ("carve", "front", "finish", "oracle")
+BENCH_LAYERS = ("carve", "front", "finish", "trace", "oracle")
 
 
 def _bench_graph(family: str, k: int) -> PlanarEmbedding:
@@ -414,10 +418,13 @@ def bench_scaling(
     ``outer`` line makes the parse trace the dart arrays and build the at
     most two faces the outer match compares, not the others.  Layer
     ``finish`` runs that carve untimed, then times ``verify_cycle`` plus
-    ``chamber_count`` on its cycle; a carve that finds no Hamiltonian
-    cycle raises ValueError, since there is nothing to finish.  Layer
-    ``oracle`` times ``find_hamiltonian_cycle`` on the graph, and its
-    status is the search's expansion count.
+    ``chamber_count`` on the certificate ``verify_cycle`` returned; a
+    carve that finds no Hamiltonian cycle raises ValueError, since there is
+    nothing to finish.  Layer ``trace`` runs a fresh carve untimed before
+    each rep, then times building its trace events, ``tuple(res.trace)``;
+    its status is the event count.  Layer ``oracle`` times
+    ``find_hamiltonian_cycle`` on the graph, and its status is the
+    search's expansion count.
     """
     rows = []
     for k in sizes:
@@ -439,9 +446,17 @@ def bench_scaling(
                     f"ended {carved.status.value}: {carved.failure_reason}"
                 )
             cycle = carved.cycle
-            run = lambda: (verify_cycle(emb, cycle), chamber_count(emb, cycle))
+
+            def run():
+                cert = verify_cycle(emb, cycle)
+                return cert, chamber_count(emb, cert)
+        elif layer == "trace":
+            # Reads the ``trace`` of the rep's fresh carve, set below.
+            run = lambda: tuple(trace)
         best = float("inf")
         for _ in range(repeats):
+            if layer == "trace":
+                trace = carve(emb, entrance).trace  # untimed; no event built yet
             t0 = time.perf_counter()
             res = run()
             best = min(best, time.perf_counter() - t0)
@@ -449,6 +464,8 @@ def bench_scaling(
             status = "parsed"
         elif layer == "finish":
             status = f"chambers:{res[1]}"
+        elif layer == "trace":
+            status = f"events:{len(res)}"
         elif layer == "oracle":
             status = f"expansions:{res.expansions}"
         else:
@@ -580,6 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--layer", default="carve",
                     help="carve; front: parse of a document with its outer line; "
                          "finish: verify_cycle plus chamber_count on the carve's cycle; "
+                         "trace: building the events of a finished carve's trace; "
                          "oracle: find_hamiltonian_cycle, status its expansion count")
     sp.add_argument("--sizes", help="comma-separated k values")
 

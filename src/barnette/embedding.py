@@ -65,9 +65,10 @@ class Face:
     def length(self) -> int:
         return len(self.darts)
 
-    @property
+    @cached_property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(u for u, _ in self.darts)
+        """Built once per face; not a field, so equality and hash ignore it."""
+        return tuple([u for u, _ in self.darts])
 
     @property
     def edges(self) -> tuple[Edge, ...]:

@@ -1,7 +1,9 @@
 """Chamber expansion: entrance choice, face openings, full runs, chambers."""
 
+import gc
 import hashlib
 import importlib
+import weakref
 from collections import Counter
 
 import pytest
@@ -18,6 +20,8 @@ from barnette.carve import (
     EntranceChoice,
     OddFaceError,
     RoleConflictError,
+    TraceEvent,
+    TraceView,
     _ROLES,
     _apply_opening,
     _first_move_blocked,
@@ -31,6 +35,7 @@ from barnette.carve import (
     detect_bridge_face,
     select_entrance,
 )
+from barnette.cli import main
 from barnette.corpus import build_named, dual_embedding, generate_prism, truncate_embedding
 from barnette.embedding import (
     PlanarEmbedding,
@@ -38,6 +43,7 @@ from barnette.embedding import (
     edge_key,
     enumerate_3_edge_cuts,
     parse_embedding,
+    serialize_embedding,
 )
 from barnette.oracle import (
     enumerate_hamiltonian_cycles,
@@ -509,6 +515,67 @@ class TestRoleBytes:
         assert len(state._walks) <= len(state.trace) + 2 < len(emb.faces)
 
 
+class TestTraceView:
+    @staticmethod
+    def spy_on_events(monkeypatch) -> list:
+        """Record every ``TraceEvent`` the carve module builds."""
+        built = []
+        real = carve_module.TraceEvent
+
+        def recording(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(carve_module, "TraceEvent", recording)
+        return built
+
+    def test_len_and_machine_output_build_no_event(self, monkeypatch, capsys, tmp_path):
+        built = self.spy_on_events(monkeypatch)
+        emb = generate_prism(6).embedding
+        res = carve(emb, min(emb.outer_edges))
+        steps = len(res.trace)
+        assert steps > 2 and res.trace != () and built == []
+        path = tmp_path / "prism.rot"
+        path.write_text(serialize_embedding(emb), encoding="utf-8")
+        assert main(["carve", "--machine", str(path)]) == 0
+        assert "record=carve" in capsys.readouterr().out and built == []
+        # The first read builds every event once; later reads reuse them.
+        events = tuple(res.trace)
+        assert len(built) == len(events) == steps
+        assert res.trace[0] is events[0] and res.trace[1:3] == events[1:3]
+        assert [ev.step for ev in res.trace] == list(range(steps)) and len(built) == steps
+        # --trace reads the events: the positive control of the spy.
+        assert main(["carve", "--machine", "--trace", str(path)]) == 0
+        assert capsys.readouterr().out.count("record=trace") == steps == len(built) - steps
+
+    def test_equals_and_hashes_like_its_events(self):
+        emb = generate_prism(5).embedding
+        first, *rest = sorted(emb.outer_edges)
+        second = next(e for e in rest if not set(e) & set(first))
+        runs = [carve(emb, first), carve(emb, first, left_walk=True), carve_double(emb, (first, second))]
+        for res in runs:
+            events = tuple(res.trace)
+            assert all(type(ev) is TraceEvent for ev in events)
+            assert res.trace == events and events == res.trace
+            assert hash(res.trace) == hash(events)
+            assert res.trace != list(events) and res.trace != events[:-1]
+        fresh = carve(emb, first)
+        assert isinstance(fresh.trace, TraceView)
+        assert fresh.trace == runs[0].trace and fresh == runs[0] and hash(fresh) == hash(runs[0])
+        assert runs[0].trace != runs[1].trace
+        assert repr(fresh.trace) == repr(tuple(fresh.trace))
+
+    def test_result_keeps_no_chamber_state(self):
+        emb = generate_prism(5).embedding
+        state = _init_state(emb, (min(emb.outer_edges),))
+        res = carve_module._finish(state, _run(state, False))
+        alive = weakref.ref(state)
+        del state
+        gc.collect()
+        assert alive() is None
+        assert res.ok and tuple(res.trace) == tuple(carve(emb, min(emb.outer_edges)).trace)
+
+
 class TestCarveDouble:
     def test_cube_opposite_entrances(self, cube):
         res = carve_double(cube, ((0, 1), (2, 3)))
@@ -729,6 +796,30 @@ class TestChamberCount:
         counts = sorted(chamber_count(cube, c.vertices) for c in certs)
         assert counts == [1, 1, 1, 1, 2, 2]
         assert 1 in counts
+
+    def test_certificate_counts_like_its_sequence(self, corpus_graphs):
+        # Every Hamiltonian cycle of each cubic corpus graph.
+        counted = 0
+        for name, g in corpus_graphs.items():
+            emb = g.embedding
+            certs, exhausted = enumerate_hamiltonian_cycles(emb)
+            assert not exhausted, name
+            for cert in certs:
+                assert chamber_count(emb, cert) == chamber_count(emb, cert.vertices), name
+                counted += 1
+        assert counted > 100
+
+    def test_rejects_a_bad_certificate(self, cube, hex_prism):
+        for short in ((0, 1, 5, 4), (0, 1, 2, 3)):
+            cert = verify_cycle(cube, short)
+            assert cert.is_cycle and not cert.is_hamiltonian
+            with pytest.raises(ValueError, match="verified Hamiltonian"):
+                chamber_count(cube, cert)
+        # A Hamiltonian certificate of another graph has the wrong length.
+        other = find_hamiltonian_cycle(hex_prism).certificate
+        assert other.is_hamiltonian and other.length != cube.vertex_count
+        with pytest.raises(ValueError, match="verified Hamiltonian"):
+            chamber_count(cube, other)
 
     def test_rejects_non_hamiltonian_input(self, cube):
         with pytest.raises(ValueError):

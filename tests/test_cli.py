@@ -482,6 +482,22 @@ class TestBenchScaling:
         assert code == 0 and [r["n"] for r in recs] == ["8", "100"]
         assert all(r["layer"] == "finish" and r["status"] == "chambers:1" for r in recs)
 
+    def test_trace_layer(self, capsys):
+        # Each rep times building the events of a fresh carve's trace; the
+        # status counts them.
+        for family, sizes in (("prism", [2, 25]), ("leapfrog", [1])):
+            rows = bench_scaling(sizes, repeats=2, family=family, layer="trace")
+            want = []
+            for k in sizes:
+                emb = cli._bench_graph(family, k)
+                want.append(f"events:{len(carve(emb, min(emb.outer_edges)).trace)}")
+            assert [r["status"] for r in rows] == want
+            assert all(r["seconds"] >= 0 and r["per_vertex_us"] >= 0 for r in rows)
+        code, out = run_cli(capsys, "bench", "--machine", "--layer", "trace", "--sizes", "2,25")
+        recs = parse_machine_records(out)
+        assert code == 0 and all(r["layer"] == "trace" for r in recs)
+        assert [(r["n"], r["status"]) for r in recs] == [("8", "events:3"), ("100", "events:26")]
+
     def test_finish_layer_needs_a_hamiltonian_carve(self, capsys):
         # The 72-vertex cube leapfrog's carve fails, so there is no cycle
         # to verify and count.
