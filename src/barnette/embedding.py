@@ -15,6 +15,7 @@ a run that enters a few faces builds only those.
 
 from __future__ import annotations
 
+import json
 import re
 import struct
 from array import array
@@ -22,7 +23,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, pairwise, product
+from itertools import accumulate, chain, pairwise, product
 from operator import sub
 from typing import NamedTuple
 
@@ -158,7 +159,7 @@ class PlanarEmbedding:
     """
 
     def __init__(self, rotations: Sequence[Sequence[int]]):
-        rots = tuple(tuple(nbrs) for nbrs in rotations)
+        rots = tuple(map(tuple, rotations))
         n = len(rots)
         if n < 1:
             raise EmbeddingError("embedding needs at least one vertex")
@@ -166,18 +167,21 @@ class PlanarEmbedding:
         # rotation (ties: at the smaller vertex).  A simple symmetric map pairs
         # every dart once; any fault leaves a neighbour out of range, a dart
         # unpaired or one paired twice, and the checks are then replayed.
-        off = list(accumulate(map(len, rots), initial=0))
+        # The rule reads degrees from a list: a rotation is fetched only to
+        # be searched.
+        deg = list(map(len, rots))
+        off = list(accumulate(deg, initial=0))
         twin = array("i", [-1]) * off[-1]
         d = 0
         for v, nbrs in enumerate(rots):
-            k = len(nbrs)
+            k = deg[v]
             for u in nbrs:
                 if not 0 <= u < n:
                     raise _rotation_fault(rots)
-                far = rots[u]
-                if len(far) < k or len(far) == k and u < v:
+                j = deg[u]
+                if j < k or j == k and u < v:
                     try:
-                        t = off[u] + far.index(v)
+                        t = off[u] + rots[u].index(v)
                     except ValueError:
                         raise _rotation_fault(rots) from None
                     if twin[t] >= 0:
@@ -404,6 +408,11 @@ def trace_faces(embedding: PlanarEmbedding) -> FaceSequence:
 # -- parsing / serialization ----------------------------------------------
 
 _INT = re.compile(r"-?\d+")
+# A canonical document: an ``n`` line, an optional ``outer`` line of at
+# least 3 vertices, then ``v: a b c`` lines, in ASCII digits, every line
+# ending in "\n".  The body's spacing and leading zeros are left to the
+# JSON decoder, which rejects ``1  2``, a trailing space and ``01``.
+_CANONICAL = re.compile(r"n ([0-9]+)\n(?:outer((?: [0-9]+){3,})\n)?((?:[0-9]+:[0-9 ]*\n)*)")
 
 
 def parse_embedding(text: str) -> PlanarEmbedding:
@@ -416,7 +425,65 @@ def parse_embedding(text: str) -> PlanarEmbedding:
         <vertex_id>: <nbr> <nbr> ...  # one line per vertex, CCW order
 
     ``#`` starts a comment.  Vertex ids are 0-based and contiguous.
+
+    A canonical document, the shape ``serialize_embedding`` writes (ASCII
+    digits, one space between tokens, ``outer`` before the vertex lines,
+    a newline after every line, no comment, tab, blank line or carriage
+    return), is read in bulk passes by ``_canonical_rows``.  Every other
+    document, and a canonical one that fails a bulk check (a repeated or
+    missing vertex id, a neighbour out of range, a leading zero), is read
+    line by line by ``_line_rows``, the only source of line and column
+    numbers.  The two give the same map or the same error.
     """
+    rows, outer_cycle = _canonical_rows(text) or _line_rows(text)
+    try:
+        emb = PlanarEmbedding(rows)
+    except EmbeddingError as exc:
+        raise RotationFormatError(str(exc)) from exc
+
+    if outer_cycle is not None:
+        emb = emb.with_outer_face(_match_outer_face(emb, outer_cycle))
+    return emb
+
+
+def _canonical_rows(text: str) -> tuple[list[list[int]], list[int] | None] | None:
+    """The rotations and outer cycle of a canonical document, or None when
+    the document is not canonical or fails a check that ``_line_rows``
+    reports.  One decode reads the vertex lines, rewritten as the JSON
+    array ``[v, [a, b, c], w, [], ...]``; the checks are C-level passes."""
+    doc = _CANONICAL.fullmatch(text)
+    if doc is None:
+        return None
+    count, outer, body = doc.groups()
+    try:
+        n = int(count)
+        outer_cycle = None if outer is None else list(map(int, outer.split()))
+    except ValueError:  # past int's 4300-digit limit
+        return None
+    if body.count("\n") != n:
+        return None
+    try:
+        # A colon followed by neither a space nor "\n" is left in the text,
+        # where the decoder rejects it.
+        flat = json.loads("[" + body.replace(": ", ",[").replace(":\n", ",[\n")
+                          .replace(" ", ",").replace("\n", "],")[:-1] + "]")
+    except ValueError:  # a leading zero, stray spacing or a 4300-digit int
+        return None
+    ids, rows = flat[::2], flat[1::2]
+    vertices = list(range(n))
+    if ids != vertices:
+        if sorted(ids) != vertices:
+            return None
+        rows = list(map(rows.__getitem__, sorted(vertices, key=ids.__getitem__)))
+    if max(chain.from_iterable(rows), default=0) >= n:  # or n is 0
+        return None
+    return rows, outer_cycle
+
+
+def _line_rows(text: str) -> tuple[list[Sequence[int]], list[int] | None]:
+    """The rotations and outer cycle of any document, read line by line;
+    RotationFormatError, with the line and, where a token is to blame, its
+    column, at the first fault."""
     n: int | None = None
     outer_cycle: list[int] | None = None
     rows: dict[int, Sequence[int]] = {}
@@ -448,7 +515,7 @@ def parse_embedding(text: str) -> PlanarEmbedding:
         if n is None:
             raise RotationFormatError("vertex line before 'n' directive", lineno)
         if head[-1] != ":":
-            col = raw.index(head) + 1
+            col = _column(raw, toks, 0)
             raise RotationFormatError(f"expected '<vertex>:' at {head!r}", lineno, col)
         vid = head[:-1]
         if not (vid.isdecimal() or _INT.fullmatch(vid)):
@@ -464,9 +531,9 @@ def parse_embedding(text: str) -> PlanarEmbedding:
         body = toks[1:]
         nbrs = tuple(map(int, body)) if "".join(body).isdecimal() else ()
         if not nbrs or max(nbrs) >= n:
-            for tok in body:
+            for i, tok in enumerate(body, start=1):
                 if not _INT.fullmatch(tok):
-                    col = raw.index(tok) + 1
+                    col = _column(raw, toks, i)
                     raise RotationFormatError(f"neighbor {tok!r} is not an integer", lineno, col)
                 if not 0 <= (u := int(tok)) < n:
                     raise RotationFormatError(f"neighbor {u} out of range 0..{n - 1}", lineno)
@@ -480,15 +547,18 @@ def parse_embedding(text: str) -> PlanarEmbedding:
         # lie below len(rows) + 8 whatever n is.
         missing = [v for v in range(min(n, len(rows) + 8)) if v not in rows]
         raise RotationFormatError(f"missing rotation line for vertices {missing[:8]}")
+    return [rows[v] for v in range(n)], outer_cycle
 
-    try:
-        emb = PlanarEmbedding([rows[v] for v in range(n)])
-    except EmbeddingError as exc:
-        raise RotationFormatError(str(exc)) from exc
 
-    if outer_cycle is not None:
-        emb = emb.with_outer_face(_match_outer_face(emb, outer_cycle))
-    return emb
+def _column(raw: str, toks: list[str], i: int) -> int:
+    """1-based column of ``toks[i]`` in ``raw``, ``toks`` being its
+    whitespace-split tokens: each token is searched for after the end of
+    the one before it, so a token that repeats an earlier one gets its
+    own column."""
+    end = 0
+    for tok in toks[:i]:
+        end = raw.index(tok, end) + len(tok)
+    return raw.index(toks[i], end) + 1
 
 
 def _match_outer_face(emb: PlanarEmbedding, cycle: list[int]) -> int:

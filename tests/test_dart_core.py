@@ -4,11 +4,13 @@ checked against the per-token regex parser it replaced."""
 import random
 import re
 from itertools import accumulate, pairwise
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from barnette import embedding
 from barnette.carve import carve
 from barnette.corpus import build_named, dual_embedding, generate_prism, truncate_embedding
 from barnette.embedding import (
@@ -25,10 +27,17 @@ from barnette.embedding import (
 _REF_INT = re.compile(r"-?\d+")
 
 
+def _ref_token_starts(raw: str) -> list[int]:
+    """Offsets of the whitespace-separated tokens of ``raw``: ``\\s`` and
+    ``str.split`` agree on what whitespace is."""
+    return [m.start() for m in re.finditer(r"\S+", raw)]
+
+
 def reference_parse(text: str) -> PlanarEmbedding:
     """The parser as it was before the all-decimal fast path and the dart
     arrays: every token through the regex, the outer line matched through
-    a dict from dart pairs to face ids."""
+    a dict from dart pairs to face ids.  A bad token's column is where
+    that token starts, not where its text first occurs on the line."""
     n = None
     outer_cycle = None
     rows: dict[int, list[int]] = {}
@@ -69,9 +78,9 @@ def reference_parse(text: str) -> PlanarEmbedding:
         if v in rows:
             raise RotationFormatError(f"duplicate rotation line for vertex {v}", lineno)
         nbrs: list[int] = []
-        for tok in toks[1:]:
+        for i, tok in enumerate(toks[1:], start=1):
             if not _REF_INT.fullmatch(tok):
-                col = raw.index(tok) + 1
+                col = _ref_token_starts(raw.split("#", 1)[0])[i] + 1
                 raise RotationFormatError(f"neighbor {tok!r} is not an integer", lineno, col)
             u = int(tok)
             if not 0 <= u < n:
@@ -123,36 +132,71 @@ def outcome(parse, text: str):
 # -- document strategies ----------------------------------------------------
 
 NOISE = ["0", "1", "2", "3", "5", "7", "8", "12", "+5", "1_0", "-0", "-1", "٣", "²", "x",
-         "0:", "1:", "3:", "٣:", ":", "#", "n", "outer", "\t", "# note"]
+         "0:", "1:", "3:", "٣:", ":", "#", "n", "outer", "\t", "# note",
+         "01", "007", "00:", str(10**30), f"{10**30}:"]
 BASES = {name: serialize_embedding(build_named(name).embedding).splitlines()
          for name in ("cube", "prism_6", "prism_4")}
 
 
 @st.composite
 def edited_documents(draw):
-    """A corpus document with a few lines edited: a token replaced, a line
-    dropped, duplicated or moved, tabs for spaces, a comment, or the outer
-    line replaced (a face rotated or reversed, or any vertices)."""
+    """A corpus document with a few lines edited: a token replaced (by any
+    noise, or by a number below n, n, n + 1 or 10^30), the vertex count
+    changed, a line dropped, duplicated or moved, two vertex lines
+    swapped, tabs for spaces, a comment, a trailing space, a blank or
+    comment line, a vertex id repeated in place of another, a row emptied,
+    the outer line moved below the vertex lines or replaced (a face
+    rotated or reversed, or any vertices); then joined by "\n" or "\r\n",
+    with or without a final line end."""
     name = draw(st.sampled_from(sorted(BASES)))
     lines = list(BASES[name])
     emb = build_named(name).embedding
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(lines) - 1))
-        kind = draw(st.sampled_from(["token", "drop", "dup", "move", "tabs", "comment", "outer"]))
+        # Half the edits keep the canonical shape, so the bulk path and its
+        # checks are tried as often as the line loop.
+        kind = draw(st.sampled_from(["number", "count", "drop", "swap", "repeat_id", "empty_row"])
+                    | st.sampled_from(["token", "dup", "move", "tabs", "comment", "outer",
+                                       "trailing", "blank", "outer_last"]))
         if kind == "token":
             toks = lines[i].split(" ")
             toks[draw(st.integers(0, len(toks) - 1))] = draw(st.sampled_from(NOISE))
             lines[i] = " ".join(toks)
+        elif kind == "number":  # in range or out of it, the line's shape kept
+            n = emb.vertex_count
+            toks = lines[i].split(" ")
+            if len(toks) > 1:
+                toks[draw(st.integers(1, len(toks) - 1))] = str(draw(
+                    st.integers(0, n - 1) | st.sampled_from([n, n + 1, 10**30])))
+                lines[i] = " ".join(toks)
+        elif kind == "count":
+            lines[0] = f"n {draw(st.integers(0, emb.vertex_count + 1))}"
         elif kind == "drop":
             del lines[i]
         elif kind == "dup":
             lines.insert(i, lines[i])
         elif kind == "move":
             lines.insert(draw(st.integers(0, len(lines))), lines.pop(i))
+        elif kind == "swap":  # two vertex lines out of id order
+            j = draw(st.integers(0, len(lines) - 1))
+            if ":" in lines[i] and ":" in lines[j]:
+                lines[i], lines[j] = lines[j], lines[i]
         elif kind == "tabs":
             lines[i] = lines[i].replace(" ", "\t")
         elif kind == "comment":
             lines[i] += " # " + draw(st.sampled_from(NOISE))
+        elif kind == "trailing":
+            lines[i] += " "
+        elif kind == "blank":
+            lines.insert(i, draw(st.sampled_from(["", " ", "# note"])))
+        elif kind == "repeat_id":  # the row count stays right
+            head = draw(st.sampled_from(lines)).split(" ", 1)[0]
+            lines[i] = " ".join([head] + lines[i].split(" ")[1:])
+        elif kind == "empty_row":
+            lines[i] = lines[i].split(" ", 1)[0]
+        elif kind == "outer_last":
+            outer = [line for line in lines if line.startswith("outer")]
+            lines = [line for line in lines if not line.startswith("outer")] + outer
         else:
             face = draw(st.sampled_from(emb.faces)).vertices
             r = draw(st.integers(0, len(face) - 1))
@@ -165,7 +209,8 @@ def edited_documents(draw):
             lines.insert(min(i, len(lines)), "outer " + " ".join(map(str, cycle)))
         if not lines:
             break
-    return "\n".join(lines)
+    end = draw(st.sampled_from(["\n"] * 5 + ["\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end] * 5 + [""]))
 
 
 noise_documents = st.lists(
@@ -192,12 +237,69 @@ def test_parse_matches_reference_on_any_text(text):
     ("0: 9 x 2", "neighbor 9 out of range 0..3"),
     ("0: 1 2 9", "neighbor 9 out of range 0..3"),
     ("0: 1 4 2", "neighbor 4 out of range 0..3"),
+    # A bad token whose text occurs earlier on its line: the column is the
+    # token's own, counted by hand.
+    ("1: 2 1:", "neighbor '1:' is not an integer (line 2, column 6)"),
+    ("0: 1 :", "neighbor ':' is not an integer (line 2, column 6)"),
+    ("2: 0 1 2:", "neighbor '2:' is not an integer (line 2, column 8)"),
+    ("1:\t2\t1: # 1:", "neighbor '1:' is not an integer (line 2, column 6)"),
 ])
 def test_fallback_keeps_errors_and_columns(line, message):
     doc = f"n 4\n{line}\n"
     with pytest.raises(RotationFormatError) as err:
         parse_embedding(doc)
     assert str(err.value).startswith(message) and err.value.line == 2
+    assert outcome(parse_embedding, doc) == outcome(reference_parse, doc)
+
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def canonical_documents(corpus_graphs):
+    """Documents as serialize_embedding writes them, plus the samples."""
+    rng = random.Random(16)
+    bases = [g.embedding for g in corpus_graphs.values()] + list(leapfrogs(4))
+    for base in bases:
+        yield serialize_embedding(base)
+        for _ in range(2):
+            yield serialize_embedding(relabeled(base, rng))
+    for path in sorted(SAMPLES.glob("*.rot")):
+        yield path.read_text(encoding="utf-8")
+
+
+def test_canonical_documents_never_reach_the_line_loop(corpus_graphs, monkeypatch):
+    def line_loop(text):
+        raise AssertionError("a canonical document reached the line loop")
+
+    docs = list(canonical_documents(corpus_graphs))
+    assert max(parse_embedding(doc).vertex_count for doc in docs) == 648
+    monkeypatch.setattr(embedding, "_line_rows", line_loop)
+    for doc in docs:
+        assert outcome(parse_embedding, doc) == outcome(reference_parse, doc)
+
+
+CUBE_DOC = serialize_embedding(build_named("cube").embedding)
+# Canonical in shape, at the edges of the bulk path: most fail one of its
+# checks or its decoder and take the line loop; ids out of order are put
+# in order, and a count with a leading zero reads as int reads it.
+BULK_EDGES = {
+    "neighbour_out_of_range": CUBE_DOC.replace("0: 1 4 3", "0: 1 4 8"),
+    "leading_zero": CUBE_DOC.replace("0: 1 4 3", "0: 1 4 03"),
+    "no_space_after_colon": CUBE_DOC.replace("0: 1 4 3", "0:1 4 3"),
+    "two_spaces": CUBE_DOC.replace("0: 1 4 3", "0: 1  4 3"),
+    "empty_row": CUBE_DOC.replace("0: 1 4 3", "0:"),
+    "repeated_id": CUBE_DOC.replace("1: 2 5 0", "0: 2 5 0"),
+    "ids_out_of_order": CUBE_DOC.replace("0: 1 4 3\n1: 2 5 0", "1: 2 5 0\n0: 1 4 3"),
+    "count_too_high": CUBE_DOC.replace("n 8", "n 9"),
+    "count_zero_no_rows": "n 0\n",
+    "count_leading_zero": CUBE_DOC.replace("n 8", "n 08"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BULK_EDGES))
+def test_bulk_path_edges_parse_as_before(name):
+    doc = BULK_EDGES[name]
+    assert doc != CUBE_DOC
     assert outcome(parse_embedding, doc) == outcome(reference_parse, doc)
 
 
@@ -462,6 +564,16 @@ def default_outer_reference(emb):
     """The default outer face as first defined: the longest face, ties by
     the lexicographically smallest sorted vertex tuple."""
     return min(emb.faces, key=lambda f: (-f.length, tuple(sorted(f.vertices)))).id
+
+
+def relabeled(base, rng):
+    """``base`` under a seeded vertex permutation."""
+    perm = list(range(base.vertex_count))
+    rng.shuffle(perm)
+    rots = [()] * base.vertex_count
+    for v, nbrs in enumerate(base.rotations):
+        rots[perm[v]] = [perm[u] for u in nbrs]
+    return PlanarEmbedding(rots)
 
 
 def rootings(base, rng):
