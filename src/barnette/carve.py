@@ -19,7 +19,12 @@ its error names the failure.
 
 One driver runs both carves: each entrance has a FIFO queue of doors,
 and the sides take turns, so one entrance grows a spiral and two a
-double spiral.  A door's new doors join its own side's queue.
+double spiral.  A door's new doors join its own side's queue.  The
+frontier loop, ``_run``, decides and commits the common promotion
+itself; every other door goes through ``_run_one``.  Every move after
+the set-up, of an opening, a promotion or the bridge, is checked and
+written by one loop, ``_commit``, the only place that holds the rules
+guarding a move.
 
 The carve runs on integer ids.  The graph is cubic, so the dart from
 ``u`` to ``rotations[u][i]`` has id ``3u + i``, and an edge is named by
@@ -34,9 +39,16 @@ no edge-keyed index is built and no ``Face`` but the outer one is read.
 Edges are ``(u, v)`` pairs only in trace events, failure reasons and the
 result's role views.
 
+On a map above ``_LIST_STATE_MAX`` vertices the per-vertex state lives
+in zero-filled columns (see ``ChamberState``), so a carve allocates it
+without a write per vertex and frees it without a decref per vertex.  Each cycle edge records its two ends as each
+other's cycle neighbours when it is committed, and the set-up records
+its outer paths whole, so the cycle of a finished carve is walked off
+those records, not found by a scan of the role bytes.
+
 The trace is a journal of ids: each frontier step appends one tuple of
-its kind, door id, face id, side and the ids of its new cycle edges and
-new doors (a promotion stores only its door).  The result's ``trace`` is a
+its kind, door id, face id, side and the ids of its new cycle edges (a
+promotion's one is its door) and new doors.  The result's ``trace`` is a
 read-only view over that journal; its length builds nothing, and the
 ``TraceEvent`` pairs are built the first time an event is read.
 
@@ -45,11 +57,13 @@ only: the faces that hold an outer-Hamiltonian edge are read off the dart
 arrays and stay fixed for the run, since that role is never assigned
 later.  The promotion and bridge tests are answered from per-carve
 sets built from them once per face, so no door rescans its face or the map.
-``CarveResult`` keeps the role bytes: a ``role_class`` view counts its
-size off them and builds its edge set only when the edges are read, and
-the ``roles`` map is built the first time it is read, so a carve that
-stops after a few events does Python work only on the outer face and the
-faces it touched.
+``CarveResult`` keeps the carve's own role codes and sweeps them into its
+``role_bytes`` (every unassigned edge an inner door) the first time they
+are read; a ``role_class`` view counts its size off those bytes and builds
+its edge set only when the edges are read, and the ``roles`` map is built
+the first time it is read, so a carve that stops after a few events does
+Python work only on the outer face and the faces it touched, and a result
+whose roles nobody reads copies no role byte.
 """
 
 from __future__ import annotations
@@ -106,9 +120,15 @@ _ROLES = (
     EdgeRole.ENTRANCE_DOOR,
 )
 _UNASSIGNED, _H_O, _H_I, _D_I, _D_E = range(5)
-# Translate tables over role codes: 1 on the cycle roles, 0 elsewhere; and
-# unassigned to inner door, every other code kept.
-_IS_HAM = bytes(_H_O <= c <= _H_I for c in range(256))
+# The largest map whose per-vertex carve state is lists rather than
+# zero-filled columns (ChamberState).  Carving the outer edges in one
+# process, lists took 15-26% less time than columns on prisms of 40 to
+# 1000 vertices and 4-17% less on cube leapfrogs of 24 to 216, the same
+# at 648 and 6% more at 1944, where a carve that fails fast touches too
+# little of the map to repay filling the lists.
+_LIST_STATE_MAX = 1024
+# Translate table over role codes: unassigned to inner door, every other
+# code kept.
 _SWEEP = bytes((_D_I,)) + bytes(range(1, 256))
 # Per role, a translate table that is 1 on that role's code only.
 _IS_ROLE = {role: bytes(c == code for c in range(256)) for code, role in enumerate(_ROLES)}
@@ -153,6 +173,8 @@ _THIRD_CYCLE_EDGE = _Refusal(RoleConflictError, "edge {} would give a vertex thr
 _SHORT_CYCLE = _Refusal(RoleConflictError, "edge {} would close a cycle shorter than n")
 _HAS_ROLE = _Refusal(RoleConflictError, "edge {} already holds a role")
 _DOOR_TOUCHES_DOOR = _Refusal(DoorAdjacencyError, "door {} would touch another door edge")
+_CYCLE_ON_DOOR_SLOT = _Refusal(RoleConflictError, "edge {} is in the cycle but lands on a door slot")
+_DOOR_ON_CYCLE_SLOT = _Refusal(RoleConflictError, "edge {} is a door but lands on a cycle slot")
 
 
 class TraceEvent(NamedTuple):
@@ -245,12 +267,15 @@ def _role_map(embedding: PlanarEmbedding, codes) -> dict[Edge, EdgeRole]:
 
 @dataclass(frozen=True)
 class CarveResult:
-    """One carve's outcome.  ``role_bytes`` holds a role code per edge id;
-    the ``roles`` map is built from it on first read."""
+    """One carve's outcome.  ``role_bytes`` holds a role code per edge id,
+    swept from the carve's own codes, where every edge the carve left
+    unassigned is an inner door, the first time it is read; the ``roles``
+    map is built from it on first read.  ``_codes`` are those unswept
+    codes, compared in ``==`` but not hashed."""
 
     status: CarveStatus
     cycle: tuple[int, ...]
-    role_bytes: bytes
+    _codes: bytearray = field(repr=False, hash=False)
     trace: TraceView
     entrances: tuple[Edge, ...]
     embedding: PlanarEmbedding = field(repr=False)
@@ -259,6 +284,12 @@ class CarveResult:
     @property
     def ok(self) -> bool:
         return self.status is CarveStatus.HAMILTONIAN_CYCLE
+
+    @cached_property
+    def role_bytes(self) -> bytes:
+        # Ids of no edge (the darts from a larger end) are 0 as well and
+        # are never read.
+        return bytes(self._codes).translate(_SWEEP)
 
     @cached_property
     def roles(self) -> dict[Edge, EdgeRole]:
@@ -323,17 +354,38 @@ class EntranceChoice:
 class ChamberState:
     """Mutable expansion state over one immutable cubic embedding.
 
-    Tracks the role codes (a ``bytearray`` indexed by edge id), one FIFO
-    queue of door ids per entrance side and per-vertex cycle and door
-    degrees.  Cycle edges always form vertex-disjoint paths until the
-    n-th one closes the spanning cycle, since ``add_ham_edge`` refuses an
-    earlier closing; ``_end`` holds, for each path end, the path's other
-    end, and -1 for a vertex no cycle edge has touched, which is a path
-    of its own (a list of -1s is built in C; ``range`` would build an int
-    object per vertex, the largest cost of a carve that fails fast).
-    Each move pushes the ints that undo it onto ``trail``:
-    ``(a, b, e, old role)`` for a cycle edge joining path ends ``a`` and
-    ``b``, and ``(e, -1)`` for a door.
+    Tracks the role codes (a ``bytearray`` indexed by edge id) and one
+    FIFO queue of door ids per entrance side.  Per-vertex state lives in
+    zero-filled columns, allocated with one memset and freed without a
+    decref per vertex, so a carve that fails after a few events costs
+    little more than its outer face:
+
+    - ``deg_h`` and ``deg_door``, a ``bytearray`` each: the cycle and door
+      degree of every vertex.
+    - Three int32 views of one zero-filled buffer, field by field:
+      - ``_end``: for each path end, the path's far end plus one, and 0
+        for a vertex no cycle edge has touched, which is a path of its
+        own.  Cycle edges always form vertex-disjoint paths until the
+        n-th one closes the spanning cycle, since ``_commit`` refuses an
+        earlier closing.
+      - ``_nbr``, slot 0 and slot 1 of every vertex: each cycle edge
+        ``(u, v)`` that ``_commit`` writes puts ``v`` into slot
+        ``deg_h[u]`` of ``u`` and ``u`` into slot ``deg_h[v]`` of ``v``, so
+        a vertex's live slots name its cycle neighbours.
+    - ``_outer_paths``: the outer paths the set-up commits, whole (see
+      ``_init_state``).  With the slots they are all ``_walk_cycle`` reads.
+
+    The fields are laid out one after another, not interleaved per
+    vertex: both layouts cost the same to allocate, and this one needs no
+    index arithmetic.  On a map of at most ``_LIST_STATE_MAX`` vertices
+    the five fields are lists of zeros instead: there, filling them costs
+    less than making the views, and a list subscript is faster than a
+    byte or int32 one, so lists win whatever share of the map a carve
+    touches (see the constant).  Each move pushes the ints that undo it onto
+    ``trail``: ``(a, b, e, old role)`` for a cycle edge joining path ends
+    ``a`` and ``b``, and ``(e, -1)`` for a door.  A rollback writes no
+    neighbour slot: it lowers ``deg_h``, so the next cycle edge at that
+    vertex reuses the slot.
     """
 
     def __init__(self, embedding: PlanarEmbedding, entrances: tuple[Edge, ...]):
@@ -348,11 +400,24 @@ class ChamberState:
         self.h_count = 0
         # One tuple of ids per frontier step; see _event.
         self.journal: list[tuple] = []
-        self.deg_h = [0] * n
-        self.deg_door = [0] * n
-        self._end = [-1] * n
         self.trail: list[int] = []
+        if n <= _LIST_STATE_MAX:
+            self.deg_h, self.deg_door, self._end = [0] * n, [0] * n, [0] * n
+            self._nbr = ([0] * n, [0] * n)
+        else:
+            self.deg_h = bytearray(n)
+            self.deg_door = bytearray(n)
+            ints = memoryview(bytearray(12 * n)).cast("i")
+            self._end = ints[:n]
+            self._nbr = (ints[n:2 * n], ints[2 * n:])
+        # The columns the commit loop reads, in one attribute: a call of
+        # it, once per promotion, starts with one load.
+        self._columns = (self.roles, self.rotations, self.trail, self.deg_h,
+                         self.deg_door, self._end, *self._nbr)
         self.entrances = entrances
+        # Each end of an outer path of the set-up -> the path's vertices
+        # from that end; see _init_state.
+        self._outer_paths: dict[int, tuple[int, ...]] = {}
         # Faces that hold at least one outer-Hamiltonian edge.  That role
         # is only assigned at set-up, so the set is fixed for the run and
         # the promotion and bridge rules below are answered per face,
@@ -405,67 +470,17 @@ class ChamberState:
                 deg_door[v] += 1
             # Before the move, a and b were the far ends of the paths that
             # ended at u and v, or u and v themselves when untouched.
-            end[a] = u if a != u else -1
-            end[b] = v if b != v else -1
+            end[a] = u + 1 if a != u else 0
+            end[b] = v + 1 if b != v else 0
         self.h_count = h_count
-
-    def _ham_refusal(self, e: int, u: int, v: int, short_cycle_ok: bool = False) -> _Refusal | None:
-        """The rule that keeps edge ``e`` = (u, v) out of the cycle, or
-        None; reads only."""
-        if _H_O <= self.roles[e] <= _H_I:
-            return _HAS_CYCLE_ROLE
-        deg_h = self.deg_h
-        if deg_h[u] >= 2 or deg_h[v] >= 2:
-            return _THIRD_CYCLE_EDGE
-        if self._end[u] == v and not short_cycle_ok and self.h_count + 1 != self.embedding.vertex_count:
-            return _SHORT_CYCLE
-        return None
-
-    def _door_refusal(self, e: int, u: int, v: int) -> _Refusal | None:
-        """The rule that keeps edge ``e`` = (u, v) from becoming a door, or
-        None; reads only."""
-        if self.roles[e]:
-            return _HAS_ROLE
-        if self.deg_door[u] or self.deg_door[v]:
-            return _DOOR_TOUCHES_DOOR
-        return None
 
     def add_ham_edge(self, e: int, short_cycle_ok: bool = False) -> None:
         """Raises before any write when the edge cannot join the cycle."""
-        u = e // 3
-        v = self.rotations[u][e - 3 * u]
-        refusal = self._ham_refusal(e, u, v, short_cycle_ok)
-        if refusal is not None:
-            raise refusal.error(refusal.text.format((u, v)))
-        roles, deg_h, end = self.roles, self.deg_h, self._end
-        old = roles[e]
-        a, b = end[u], end[v]
-        if a < 0:
-            a = u
-        if b < 0:
-            b = v
-        self.trail.extend((a, b, e, old))
-        if old:  # a door joins the cycle
-            self.deg_door[u] -= 1
-            self.deg_door[v] -= 1
-        roles[e] = _H_I
-        deg_h[u] += 1
-        deg_h[v] += 1
-        end[a] = b
-        end[b] = a
-        self.h_count += 1
+        _commit(self, (e,), short_cycle_ok=short_cycle_ok)
 
     def add_door_edge(self, e: int) -> None:
-        u = e // 3
-        v = self.rotations[u][e - 3 * u]
-        refusal = self._door_refusal(e, u, v)
-        if refusal is not None:
-            raise refusal.error(refusal.text.format((u, v)))
-        deg_door = self.deg_door
-        self.trail.extend((e, -1))
-        self.roles[e] = _D_I
-        deg_door[u] += 1
-        deg_door[v] += 1
+        """Raises before any write when the edge cannot become a door."""
+        _commit(self, (e,), slot=_D_I)
 
     # -- queries -------------------------------------------------------
 
@@ -553,9 +568,12 @@ def _init_state(embedding: PlanarEmbedding, entrances: tuple[Edge, ...]) -> Cham
     """Commit the outer cycle minus the entrances; queue each on its side.
 
     Nothing before the first frontier pop is ever undone, so these writes
-    bypass the trail.  On a simple outer cycle the non-entrance edges form
-    one path per entrance, from the head of one entrance to the tail of
-    the next, so no cycle-edge guard can fire.
+    bypass the trail and the commit loop.  On a simple outer cycle the
+    non-entrance edges form one path per entrance, from the head of one
+    entrance to the tail of the next, so no cycle-edge guard can fire.
+    Those outer paths are recorded whole, as slices of the outer walk,
+    not as neighbour slots: a carve pays nothing per outer vertex for
+    them, and the cycle walk copies each in one slice.
     """
     state = ChamberState(embedding, entrances)
     outer = embedding.outer_face
@@ -579,8 +597,12 @@ def _init_state(embedding: PlanarEmbedding, entrances: tuple[Edge, ...]) -> Cham
         positions.append(walk.index(e))
     positions.sort()
     for j, p in enumerate(positions):
-        head, tail = verts[(positions[j - 1] + 1) % k], verts[p]
-        end[head], end[tail] = tail, head
+        # Walk edge p joins verts[p] and verts[p + 1].
+        h = (positions[j - 1] + 1) % k
+        head, tail = verts[h], verts[p]
+        end[head], end[tail] = tail + 1, head + 1
+        path = verts[h:p + 1] if h <= p else verts[h:] + verts[:p + 1]
+        state._outer_paths[head], state._outer_paths[tail] = path, path[::-1]
     state.h_count = k - len(entrances)
     # The outer face and the far face of every outer edge but the entrances.
     far = list(state.far_faces(outer.id))
@@ -590,6 +612,104 @@ def _init_state(embedding: PlanarEmbedding, entrances: tuple[Edge, ...]) -> Cham
     state.entered_faces.add(outer.id)
     state.frontier = tuple(deque((e,)) for e in ids)
     return state
+
+
+def _commit(
+    state: ChamberState,
+    moves: Sequence[int],
+    opening: bool = False,
+    slot: int = _H_I,
+    short_cycle_ok: bool = False,
+    dry: bool = False,
+) -> tuple[list[int], list[int]] | _Refusal | None:
+    """The one move-commit loop: every rule that guards a move is here.
+
+    In an opening the moves alternate cycle and door slots, a cycle slot
+    first, and an edge that already holds its slot's kind of role is
+    skipped, while one holding the other kind is a conflict.  Otherwise
+    every move takes ``slot``: a door on a cycle slot joins the cycle, and
+    any other role is refused.  A cycle edge is refused at a vertex that
+    has two, and when it would close a cycle before the n-th cycle edge
+    (unless ``short_cycle_ok``); a door, at a vertex that has one.
+
+    Returns the new cycle edges and new doors.  A refused move raises,
+    after the moves before it are undone, so the call is atomic.  With
+    ``dry``, nothing is written: the first move's refusal is returned,
+    or None.
+    """
+    roles, rot, trail, deg_h, deg_door, end, lo, hi = state._columns
+    h_count = state.h_count
+    if not dry:  # a dry check returns before it would append
+        new_h: list[int] = []
+        new_doors: list[int] = []
+    # An opening flips this before each move, so its first is a cycle slot.
+    on_cycle = slot == _H_I and not opening
+    for e in moves:
+        if opening:
+            on_cycle = not on_cycle
+        u = e // 3
+        v = rot[u][e - 3 * u]
+        role = roles[e]
+        if role:
+            held = role <= _H_I  # a cycle role, else a door role
+            if held == on_cycle:
+                if opening:
+                    continue
+                refusal = _HAS_CYCLE_ROLE if held else _HAS_ROLE
+                break
+            if opening:
+                refusal = _CYCLE_ON_DOOR_SLOT if held else _DOOR_ON_CYCLE_SLOT
+                break
+            if held:
+                refusal = _HAS_ROLE
+                break
+        if on_cycle:
+            du, dv = deg_h[u], deg_h[v]
+            if du >= 2 or dv >= 2:
+                refusal = _THIRD_CYCLE_EDGE
+                break
+            # The far ends of the paths that end at u and v, which join; a
+            # vertex no cycle edge touches is a path of its own.
+            a = end[u] - 1 if du else u
+            b = end[v] - 1 if dv else v
+            if a == v and not short_cycle_ok and h_count + 1 != len(deg_h):
+                refusal = _SHORT_CYCLE
+                break
+        elif deg_door[u] or deg_door[v]:
+            refusal = _DOOR_TOUCHES_DOOR
+            break
+        if dry:
+            return None
+        if not on_cycle:
+            trail.extend((e, -1))
+            roles[e] = _D_I
+            deg_door[u] += 1
+            deg_door[v] += 1
+            new_doors.append(e)
+            continue
+        trail.extend((a, b, e, role))
+        if role:  # a door joins the cycle
+            deg_door[u] -= 1
+            deg_door[v] -= 1
+        roles[e] = _H_I
+        (hi if du else lo)[u] = v
+        (hi if dv else lo)[v] = u
+        deg_h[u] = du + 1
+        deg_h[v] = dv + 1
+        end[a] = b + 1
+        end[b] = a + 1
+        h_count += 1
+        new_h.append(e)
+    else:
+        if dry:
+            return None
+        state.h_count = h_count
+        return new_h, new_doors
+    if dry:
+        return refusal
+    # A cycle move pushed four ints onto the trail, a door two.
+    state._undo_to(len(trail) - 4 * len(new_h) - 2 * len(new_doors), state.h_count)
+    raise refusal.error(refusal.text.format((u, v)))
 
 
 def _apply_opening(
@@ -615,46 +735,18 @@ def _apply_opening(
         rest = walk[pos - 1::-1] + walk[:pos:-1] if pos else walk[:0:-1]
     else:
         rest = walk[pos + 1:] + walk[:pos]
-    mark, h_count = len(state.trail), state.h_count
-    roles = state.roles
-    new_h: list[int] = []
-    new_doors: list[int] = []
-    try:
-        for i, e in enumerate(rest, start=1):
-            role = roles[e]
-            if role:
-                if (role <= _H_I) != (i & 1):
-                    edge = state.edge_of(e)
-                    if role <= _H_I:
-                        raise RoleConflictError(f"edge {edge} is in the cycle but lands on a door slot")
-                    raise RoleConflictError(f"edge {edge} is a door but lands on a cycle slot")
-                continue
-            if i & 1:
-                state.add_ham_edge(e)
-                new_h.append(e)
-            else:
-                state.add_door_edge(e)
-                new_doors.append(e)
-    except CarveError:
-        state._undo_to(mark, h_count)
-        raise
+    moves = _commit(state, rest, opening=True)
     state.entered_faces.add(fid)
-    return new_h, new_doors
+    return moves
 
 
 def _first_move_blocked(state: ChamberState, door: int, fid: int, left_walk: bool) -> bool:
     """Would opening face ``fid`` from ``door`` fail at its first move?
-    Reads only.  That move is a cycle slot, so it fails on a door there
-    and on an unassigned edge that the cycle refuses.  False when the
-    first move is not known without the walk."""
+    Reads only: the opening's commit loop is asked, without writing,
+    whether it refuses that move.  False when the first move is not known
+    without the walk."""
     e = state.first_move(door, fid, left_walk)
-    if e < 0:
-        return False
-    role = state.roles[e]
-    if role:
-        return role >= _D_I
-    u = e // 3
-    return state._ham_refusal(e, u, state.rotations[u][e - 3 * u]) is not None
+    return e >= 0 and _commit(state, (e,), opening=True, dry=True) is not None
 
 
 def detect_bridge_face(state: ChamberState, door: int) -> tuple[int, int] | None:
@@ -681,14 +773,32 @@ def detect_bridge_face(state: ChamberState, door: int) -> tuple[int, int] | None
 
 def _run(state: ChamberState, left_walk: bool) -> str | None:
     """Drive the frontier to exhaustion, the sides taking turns and an
-    empty side skipped; returns a failure reason or None."""
+    empty side skipped; returns a failure reason or None.
+
+    The common promotion is decided and committed here: a door that is not
+    the entrance, whose opening is blocked at its first move, checked
+    before any write, and whose face borders the outer-Hamiltonian region
+    is promoted without trying the opening.  Every other door goes through
+    ``_run_one``."""
     n = state.embedding.vertex_count
-    queues = state.frontier
+    queues, roles, trail = state.frontier, state.roles, state.trail
+    borders = state._borders_outer_ham  # face_borders_outer_ham's cache
     side = 0
     while state.h_count < n and any(queues):
         while not queues[side]:
             side = (side + 1) % len(queues)
-        reason = _run_one(state, queues[side].popleft(), side, left_walk)
+        door = queues[side].popleft()
+        fid = state.unentered_face(door)
+        if (
+            fid is not None
+            and roles[door] == _D_I
+            and _first_move_blocked(state, door, fid, left_walk)
+            and (borders.get(fid) or state.face_borders_outer_ham(fid))
+        ):
+            trail.clear()  # only this pop's moves can be undone
+            reason = _promote(state, door, fid, side)
+        else:
+            reason = _run_one(state, door, fid, side, left_walk)
         if reason is not None:
             return reason
         side = (side + 1) % len(queues)
@@ -696,28 +806,37 @@ def _run(state: ChamberState, left_walk: bool) -> str | None:
 
 
 def _walk_cycle(state: ChamberState) -> tuple[int, ...]:
-    """The cycle-role edges, which form one cycle here, in walk order from
-    the least covered vertex toward its smaller neighbour."""
-    rot, roles = state.rotations, state.roles
-    # nbr[2v] and nbr[2v + 1]: the two cycle neighbours of v, in flat
-    # lists so that the walk allocates no per-vertex container.
-    nbr = [-1] * (2 * state.embedding.vertex_count)
-    for e in compress(range(len(roles)), roles.translate(_IS_HAM)):
-        u = e // 3
-        v = rot[u][e - 3 * u]
-        nbr[2 * u + (nbr[2 * u] >= 0)] = v
-        nbr[2 * v + (nbr[2 * v] >= 0)] = u
-    start = next(v for v, d in enumerate(state.deg_h) if d)
-    seq = [start, min(nbr[2 * start], nbr[2 * start + 1])]
-    a, b = seq
-    while True:
-        c = nbr[2 * b]
-        if c == a:
-            c = nbr[2 * b + 1]
-        if c == start:
-            return tuple(seq)
-        seq.append(c)
-        a, b = b, c
+    """The cycle, in walk order from the least covered vertex toward its
+    smaller neighbour.  Each outer path of the set-up is copied in one
+    slice; between them the walk follows the recorded cycle neighbours.
+    An outer path's end has its one other cycle edge in slot 1."""
+    lo, hi = state._nbr
+    paths = state._outer_paths
+    if paths:
+        seq = list(next(iter(paths.values())))
+        cur = seq[-1]
+        step = hi[cur]
+    else:  # a state built without the set-up: every edge has its slots
+        cur = state.deg_h.index(2)
+        seq = [cur]
+        step = lo[cur]
+    while step != seq[0]:
+        path = paths.get(step)
+        if path is None:
+            seq.append(step)
+            prev, cur = cur, step
+            step = lo[cur] if lo[cur] != prev else hi[cur]
+        else:
+            seq += path
+            cur = path[-1]
+            step = hi[cur]
+    # Every vertex on the cycle has cycle degree 2, so the least covered
+    # one is the first 2 in deg_h.
+    i = seq.index(state.deg_h.index(2))
+    seq = seq[i:] + seq[:i]
+    if seq[-1] < seq[1]:
+        seq[1:] = seq[:0:-1]
+    return tuple(seq)
 
 
 def _near_cycle(state: ChamberState) -> tuple[int, ...] | None:
@@ -753,12 +872,12 @@ def _finish(state: ChamberState, reason: str | None) -> CarveResult:
             reason = f"frontier exhausted at {state.h_count} of {n} cycle edges"
     if reason is not None:
         reason += _NO_CYCLE_IN_ROLES
-    # Every unassigned edge becomes an inner door.  Ids of no edge (the
-    # darts from a larger end) are 0 as well and are never read.
+    # The result takes the state's role codes, which nothing writes after
+    # this; it sweeps them when they are first read.
     return CarveResult(
         status=status,
         cycle=cycle,
-        role_bytes=bytes(state.roles).translate(_SWEEP),
+        _codes=state.roles,
         trace=TraceView(state.journal, state.rotations),
         entrances=state.entrances,
         embedding=state.embedding,
@@ -807,17 +926,38 @@ def _event(
     ham: Sequence[int] = (), doors: Sequence[int] = (),
 ) -> None:
     """Journal one frontier step as ids; ``TraceView`` builds its event
-    when read.  A promotion stores only its door, its one cycle edge."""
+    when read.  A promotion's one new cycle edge is its door."""
     state.journal.append((kind, door, fid, side, ham, doors))
 
 
-def _run_one(state: ChamberState, door: int, side: int, left_walk: bool) -> str | None:
-    """Handle one door popped from side ``side``; its new doors join that
-    side's queue."""
+def _promote(state: ChamberState, door: int, fid: int, side: int) -> str | None:
+    """Promote ``door`` into the cycle and close face ``fid``; returns a
+    failure reason or None."""
+    moves = (door,)
+    try:
+        _commit(state, moves)
+    except CarveError as exc:
+        return f"door {state.edge_of(door)} face {fid}: promotion failed: {exc}"
+    state.entered_faces.add(fid)
+    _event(state, "promote", door, fid, side, moves)
+    return None
+
+
+def _run_one(
+    state: ChamberState, door: int, fid: int | None, side: int, left_walk: bool
+) -> str | None:
+    """Handle one door popped from side ``side``, whose first unentered
+    face is ``fid``; its new doors join that side's queue.  With no such
+    face, the bridge rule is tried, then a promotion, then the door is
+    dropped.  Otherwise the door's opening is tried; one that fails is undone,
+    so its error names the failure, and the door is then promoted unless
+    it is the entrance or its face is away from the outer-Hamiltonian
+    region.  ``_run`` promotes a door whose opening is blocked at its first
+    move before it gets here; on such a door this reaches the same
+    promotion through the failed opening."""
     state.trail.clear()  # only this pop's moves can be undone
-    if state.roles[door] < _D_I:
+    if state.roles[door] < _D_I:  # a stale door, which has joined the cycle
         return None
-    fid = state.unentered_face(door)
     if fid is None:
         hit = detect_bridge_face(state, door)
         if hit is not None:
@@ -840,36 +980,20 @@ def _run_one(state: ChamberState, door: int, side: int, left_walk: bool) -> str 
             except CarveError:
                 pass
             else:
-                _event(state, "promote", door, -1, side)
+                _event(state, "promote", door, -1, side, (door,))
                 return None
         _event(state, "drop", door, -1, side)
         return None
-    # A door whose opening is blocked at its first move, checked before any
-    # write, is promoted without trying the opening; an opening that fails
-    # later, or on the entrance, or away from the outer-Hamiltonian region,
-    # is tried and undone, and its error names the failure.
-    if not (
-        _first_move_blocked(state, door, fid, left_walk)
-        and state.roles[door] != _D_E
-        and state.face_borders_outer_ham(fid)
-    ):
-        try:
-            new_h, new_doors = _apply_opening(state, door, fid, left_walk)
-        except CarveError as open_err:
-            if state.roles[door] == _D_E:
-                return f"cannot open the entrance face: {open_err}"
-            if not state.face_borders_outer_ham(fid):
-                return f"door {state.edge_of(door)} face {fid}: {open_err}"
-        else:
-            state.frontier[side].extend(new_doors)
-            _event(state, "open", door, fid, side, new_h, new_doors)
-            return None
     try:
-        state.add_ham_edge(door)
-    except CarveError as exc:
-        return f"door {state.edge_of(door)} face {fid}: promotion failed: {exc}"
-    state.entered_faces.add(fid)
-    _event(state, "promote", door, fid, side)
+        new_h, new_doors = _apply_opening(state, door, fid, left_walk)
+    except CarveError as open_err:
+        if state.roles[door] == _D_E:
+            return f"cannot open the entrance face: {open_err}"
+        if not state.face_borders_outer_ham(fid):
+            return f"door {state.edge_of(door)} face {fid}: {open_err}"
+        return _promote(state, door, fid, side)
+    state.frontier[side].extend(new_doors)
+    _event(state, "open", door, fid, side, new_h, new_doors)
     return None
 
 

@@ -498,7 +498,7 @@ def _line_rows(text: str) -> tuple[list[Sequence[int]], list[int] | None]:
                 raise RotationFormatError("duplicate 'n' directive", lineno)
             if len(toks) != 2 or not _INT.fullmatch(toks[1]):
                 raise RotationFormatError("expected 'n <vertex_count>'", lineno)
-            n = int(toks[1])
+            n = _token_int(toks[1], "vertex count", lineno, raw, toks, 1)
             if n < 1:
                 raise RotationFormatError(f"vertex count {n} must be positive", lineno)
             continue
@@ -520,7 +520,7 @@ def _line_rows(text: str) -> tuple[list[Sequence[int]], list[int] | None]:
         vid = head[:-1]
         if not (vid.isdecimal() or _INT.fullmatch(vid)):
             raise RotationFormatError(f"vertex id {vid!r} is not an integer", lineno)
-        v = int(vid)
+        v = _token_int(vid, "vertex id", lineno, raw, toks, 0)
         if not 0 <= v < n:
             raise RotationFormatError(f"vertex id {v} out of range 0..{n - 1}", lineno)
         if v in rows:
@@ -529,13 +529,16 @@ def _line_rows(text: str) -> tuple[list[Sequence[int]], list[int] | None]:
         # line whose neighbors join to one decimal string skips the token
         # checks; its ints need only the range check, against their max.
         body = toks[1:]
-        nbrs = tuple(map(int, body)) if "".join(body).isdecimal() else ()
+        try:
+            nbrs = tuple(map(int, body)) if "".join(body).isdecimal() else ()
+        except ValueError:  # a token past int()'s digit limit, reported below
+            nbrs = ()
         if not nbrs or max(nbrs) >= n:
             for i, tok in enumerate(body, start=1):
                 if not _INT.fullmatch(tok):
                     col = _column(raw, toks, i)
                     raise RotationFormatError(f"neighbor {tok!r} is not an integer", lineno, col)
-                if not 0 <= (u := int(tok)) < n:
+                if not 0 <= (u := _token_int(tok, "neighbor", lineno, raw, toks, i)) < n:
                     raise RotationFormatError(f"neighbor {u} out of range 0..{n - 1}", lineno)
             nbrs = tuple(map(int, body))
         rows[v] = nbrs
@@ -548,6 +551,19 @@ def _line_rows(text: str) -> tuple[list[Sequence[int]], list[int] | None]:
         missing = [v for v in range(min(n, len(rows) + 8)) if v not in rows]
         raise RotationFormatError(f"missing rotation line for vertices {missing[:8]}")
     return [rows[v] for v in range(n)], outer_cycle
+
+
+def _token_int(tok: str, what: str, lineno: int, raw: str, toks: list[str], i: int) -> int:
+    """``int(tok)`` of an integer token, ``tok`` being ``toks[i]`` or, for
+    a vertex id, all of it but the colon.  A token past ``int()``'s digit
+    limit (4300 by default) is a RotationFormatError naming ``what``, with
+    the line and the token's column."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise RotationFormatError(
+            f"{what} has {len(tok.lstrip('-'))} digits, too many to read", lineno, _column(raw, toks, i)
+        ) from None
 
 
 def _column(raw: str, toks: list[str], i: int) -> int:

@@ -7,8 +7,10 @@ claims themselves, except on the prism family where Hamiltonicity is
 independently certain and failure would be a regression.
 """
 
+import gc
 import math
 import random
+import statistics
 import subprocess
 import sys
 import time
@@ -393,24 +395,32 @@ def test_criterion_11_short_outer_linear_scaling():
 
 def test_criterion_12_linear_cut_enumeration():
     with criterion(12, "3-cut enumeration scaling", 120.0):
-        cases = [truncate_embedding(generate_prism(k).embedding) for k in (125, 1000)]
-        assert [emb.vertex_count for emb in cases] == [1500, 12000]
+        cases = [truncate_embedding(generate_prism(k).embedding) for k in (125, 375, 1000)]
+        assert [emb.vertex_count for emb in cases] == [1500, 4500, 12000]
         for emb in cases:
             emb.dart_index  # trace outside the timing
             # One triangle cut per vertex of the prism, none elsewhere.
             assert len(enumerate_3_edge_cuts(emb)) == emb.vertex_count // 3
-        # Interleaved rounds, the small case batched to the large one's
-        # size, so both see the host's speed drift over the same span.
+        # Interleaved rounds, each smaller case batched to the largest
+        # one's size, so all see the host's speed drift over the same span;
+        # the collector is off while timing, as timeit has it.  The
+        # exponent is fitted to all three sizes by least squares, so one
+        # slow sample moves it less than it moves a two-size ratio.
         best = [float("inf")] * len(cases)
-        for _ in range(5):
-            for i, emb in enumerate(cases):
-                batch = cases[-1].vertex_count // emb.vertex_count
-                t0 = time.perf_counter()
-                for _ in range(batch):
-                    enumerate_3_edge_cuts(emb)
-                best[i] = min(best[i], (time.perf_counter() - t0) / batch)
-        (n0, n1), (t0, t1) = [emb.vertex_count for emb in cases], best
-        exponent = math.log(t1 / t0) / math.log(n1 / n0)
+        gc.disable()
+        try:
+            for _ in range(7):
+                for i, emb in enumerate(cases):
+                    batch = cases[-1].vertex_count // emb.vertex_count
+                    t0 = time.perf_counter()
+                    for _ in range(batch):
+                        enumerate_3_edge_cuts(emb)
+                    best[i] = min(best[i], (time.perf_counter() - t0) / batch)
+        finally:
+            gc.enable()
+        exponent = statistics.linear_regression(
+            [math.log(emb.vertex_count) for emb in cases], list(map(math.log, best))
+        ).slope
         print(f"\ncut-enumeration-report: seconds = {[round(t, 4) for t in best]} "
               f"exponent={exponent:.2f}")
         assert exponent <= 1.25

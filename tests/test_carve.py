@@ -3,8 +3,10 @@
 import gc
 import hashlib
 import importlib
+import random
 import weakref
 from collections import Counter
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,41 @@ def assert_cycle_counts(emb, res):
     assert len(h_o) == emb.outer_face.length - len(res.entrances)
 
 
+def walk_cycle_reference(emb, codes):
+    """The cycle walk as first written: the cycle neighbours of every
+    vertex found by a scan of the role codes for the cycle roles, then the
+    walk from the least covered vertex toward its smaller neighbour."""
+    rot = emb.rotations
+    is_ham = bytes(c in (_ROLES.index(role) for role in HAM) for c in range(256))
+    nbr = [-1] * (2 * emb.vertex_count)
+    for e in compress(range(len(codes)), codes.translate(is_ham)):
+        u = e // 3
+        v = rot[u][e - 3 * u]
+        nbr[2 * u + (nbr[2 * u] >= 0)] = v
+        nbr[2 * v + (nbr[2 * v] >= 0)] = u
+    start = next(v for v in range(emb.vertex_count) if nbr[2 * v] >= 0)
+    seq = [start, min(nbr[2 * start], nbr[2 * start + 1])]
+    a, b = seq
+    while True:
+        c = nbr[2 * b]
+        if c == a:
+            c = nbr[2 * b + 1]
+        if c == start:
+            return tuple(seq)
+        seq.append(c)
+        a, b = b, c
+
+
+def relabelled(emb, rng):
+    """The same map under a seeded vertex permutation."""
+    perm = list(range(emb.vertex_count))
+    rng.shuffle(perm)
+    rotations = [None] * emb.vertex_count
+    for v, nbrs in enumerate(emb.rotations):
+        rotations[perm[v]] = [perm[u] for u in nbrs]
+    return PlanarEmbedding(rotations)
+
+
 def select_entrance_by_sides(emb, cuts):
     """The entrance rule as first written: an outer edge is excluded by
     each cut that does not hold it and has both its ends in one side."""
@@ -195,16 +232,21 @@ class TestOpenFace:
 
     @staticmethod
     def snapshot(state):
+        # A vertex's live neighbour slots are the first deg_h of its two;
+        # a rollback leaves the others as they were written.
+        lo, hi = state._nbr
+        live_slots = [(lo[v], hi[v])[:d] for v, d in enumerate(state.deg_h)]
         return (
             bytes(state.roles), list(state.deg_h), list(state.deg_door),
-            list(state._end), state.h_count, set(state.entered_faces),
+            list(state._end), live_slots, state.h_count, set(state.entered_faces),
             [list(queue) for queue in state.frontier], list(state.trace),
         )
 
     @staticmethod
     def pop(state):
         """Run the first door of side 0's queue."""
-        return _run_one(state, state.frontier[0].popleft(), 0, False)
+        door = state.frontier[0].popleft()
+        return _run_one(state, door, state.unentered_face(door), 0, False)
 
     @staticmethod
     def inner_doors(state):
@@ -281,7 +323,8 @@ class TestOpenFace:
         state = self.entrance_state(cube, (0, 1))
         assert role_of(state, (1, 2)) is EdgeRole.OUTER_HAMILTONIAN
         before = self.snapshot(state)
-        assert _run_one(state, state.edge_id(1, 2), 0, False) is None
+        door = state.edge_id(1, 2)
+        assert _run_one(state, door, state.unentered_face(door), 0, False) is None
         assert self.snapshot(state) == before
 
 
@@ -317,21 +360,30 @@ class TestFirstMove:
 
     def test_blocked_first_move_means_the_opening_fails(self, corpus_graphs, monkeypatch):
         # Wherever the check says blocked during a carve, the opening
-        # itself raises and leaves the state as it was.
-        real = carve_module._first_move_blocked
+        # itself raises and leaves the state as it was.  The frontier loop
+        # promotes a door only after this check, so every door it promotes
+        # that way has been checked here.
+        real, real_promote = carve_module._first_move_blocked, carve_module._promote
         seen = Counter()
+        checked = set()
 
-        def checked(state, door, fid, left_walk):
+        def checking(state, door, fid, left_walk):
             blocked = real(state, door, fid, left_walk)
             if blocked:
                 before = TestOpenFace.snapshot(state)
                 with pytest.raises(CarveError):
                     _apply_opening(state, door, fid, left_walk)
                 assert TestOpenFace.snapshot(state) == before
+                checked.add((state, door, fid))
             seen[blocked] += 1
             return blocked
 
-        monkeypatch.setattr(carve_module, "_first_move_blocked", checked)
+        def promoting(state, door, fid, side):
+            seen["promoted after a check"] += (state, door, fid) in checked
+            return real_promote(state, door, fid, side)
+
+        monkeypatch.setattr(carve_module, "_first_move_blocked", checking)
+        monkeypatch.setattr(carve_module, "_promote", promoting)
         for base in self.cubic_bases(corpus_graphs):
             for face in base.faces:
                 emb = base.with_outer_face(face.id)
@@ -339,6 +391,7 @@ class TestFirstMove:
                     for lw in (False, True):
                         carve(emb, e, left_walk=lw)
         assert seen[True] > 1000 and seen[False] > 1000
+        assert len(checked) > 0 and seen["promoted after a check"] > 1000
 
     @pytest.mark.parametrize("left_walk", [False, True])
     def test_blocked_squares_promote_without_an_opening(self, monkeypatch, left_walk):
@@ -503,6 +556,18 @@ class TestRoleBytes:
             roles = res.roles
             assert "roles" in vars(res) and res.roles is roles
 
+    def test_role_bytes_swept_on_first_read_only(self):
+        # A result keeps the carve's own codes; the swept copy is made the
+        # first time the role bytes are read, here through a role class.
+        for _, res in self.results():
+            res.status, res.cycle, res.trace, res.failure_reason, res.ok
+            assert "role_bytes" not in vars(res)
+            assert len(res.role_class(EdgeRole.UNASSIGNED)) == 0
+            swept = vars(res)["role_bytes"]
+            assert type(swept) is bytes and res.role_bytes is swept
+            assert _ROLES.index(EdgeRole.UNASSIGNED) in res._codes
+            assert len(swept) == len(res._codes)
+
     def test_fail_fast_walks_only_touched_faces(self):
         # A leapfrog carve that fails within a few events builds the walks
         # of the outer face, the faces it entered and the one it failed on.
@@ -574,6 +639,89 @@ class TestTraceView:
         gc.collect()
         assert alive() is None
         assert res.ok and tuple(res.trace) == tuple(carve(emb, min(emb.outer_edges)).trace)
+
+
+class TestRecordedWalk:
+    """The cycle is walked off the neighbours each cycle edge records as
+    it is committed, and off the outer paths of the set-up; it must equal
+    the walk over a scan of the role codes."""
+
+    @pytest.mark.parametrize("k", [3, 8, 45, 300])  # 300: columns, not lists
+    def test_matches_reference_on_relabelled_prisms(self, k):
+        rng = random.Random(k)
+        base = relabelled(generate_prism(k).embedding, rng)
+        square = next(f for f in base.faces if f.length == 4)
+        compared = 0
+        # Rooted at a ring (the default rule) and at a square.
+        for emb in (base, base.with_outer_face(square.id)):
+            outer = sorted(emb.outer_edges)
+            entrances = rng.sample(outer, min(4, len(outer)))
+            runs = [carve(emb, e, left_walk=lw) for e in entrances for lw in (False, True)]
+            runs += [carve_double(emb, (a, b)) for a in entrances for b in outer
+                     if a < b and not set(a) & set(b)][:4]
+            for res in runs:
+                if res.ok:
+                    assert res.cycle == walk_cycle_reference(emb, res.role_bytes)
+                    compared += 1
+        assert compared >= 10
+
+    @pytest.mark.parametrize("list_state_max", [None, -1])  # lists, then columns
+    def test_slots_reused_after_a_rollback(self, monkeypatch, list_state_max):
+        # On the truncated octahedron rooted at face 0 and entered at
+        # (0, 3), an opening writes a cycle edge, fails and is undone
+        # before the carve succeeds: the next cycle edge at each of that
+        # edge's ends writes over the slot the undone one left.
+        if list_state_max is not None:
+            monkeypatch.setattr(carve_module, "_LIST_STATE_MAX", list_state_max)
+        real = ChamberState._undo_to
+        undone = []
+
+        def undoing(state, mark, h_count):
+            before = sum(state.deg_h)
+            real(state, mark, h_count)
+            undone.append((before - sum(state.deg_h)) // 2)
+
+        monkeypatch.setattr(ChamberState, "_undo_to", undoing)
+        emb = build_named("truncated_octahedron").embedding.with_outer_face(0)
+        res = carve(emb, (0, 3))
+        assert res.ok and max(undone) >= 1
+        assert res.cycle == walk_cycle_reference(emb, res.role_bytes)
+        assert verify_cycle(emb, res.cycle).is_hamiltonian
+
+
+class TestStateLayouts:
+    """A map of at most ``_LIST_STATE_MAX`` vertices keeps its per-vertex
+    carve state in lists, a larger one in zero-filled columns; a carve
+    gives the same result either way."""
+
+    @staticmethod
+    def carves(emb):
+        outer = sorted(emb.outer_edges)
+        runs = [carve(emb, e, left_walk=lw) for e in outer[:4] for lw in (False, True)]
+        pair = next(((a, b) for a in outer for b in outer if a < b and not set(a) & set(b)), None)
+        if pair is not None:
+            runs.append(carve_double(emb, pair))
+        return runs
+
+    def test_columns_and_lists_carve_alike(self, corpus_graphs, monkeypatch):
+        small = TestFirstMove.cubic_bases(corpus_graphs)
+        large = [relabelled(generate_prism(300).embedding, random.Random(300)),
+                 relabelled(leapfrog(leapfrog(leapfrog(leapfrog(leapfrog(
+                     build_named("cube").embedding))))), random.Random(1944))]
+        assert max(e.vertex_count for e in small) <= carve_module._LIST_STATE_MAX
+        assert min(e.vertex_count for e in large) > carve_module._LIST_STATE_MAX
+        compared = Counter()
+        for bases, forced, layout in ((small, -1, bytearray), (large, 10**9, list)):
+            for base in bases:
+                rootings = [base.with_outer_face(f.id) for f in base.faces]
+                for emb in rootings[:6]:
+                    expected = self.carves(emb)
+                    monkeypatch.setattr(carve_module, "_LIST_STATE_MAX", forced)
+                    assert type(ChamberState(emb, ()).deg_h) is layout
+                    assert self.carves(emb) == expected
+                    monkeypatch.undo()
+                    compared[layout] += len(expected)
+        assert compared[bytearray] > 300 and compared[list] > 50
 
 
 class TestCarveDouble:
@@ -716,12 +864,12 @@ class TestNearCycle:
         state.add_ham_edge(state.edge_id(2, 3))
         if closing_role is EdgeRole.INNER_DOOR:
             state.add_door_edge(state.edge_id(1, 3))
-            assert state.deg_door == [0, 1, 0, 1]
+            assert list(state.deg_door) == [0, 1, 0, 1]
         assert _near_cycle(state) == (1, 2, 3)
         assert role_of(state, (1, 3)) is EdgeRole.INNER_HAMILTONIAN
         assert state.h_count == 3
-        assert state.deg_h == [0, 2, 2, 2]
-        assert state.deg_door == [0, 0, 0, 0]
+        assert list(state.deg_h) == [0, 2, 2, 2]
+        assert list(state.deg_door) == [0, 0, 0, 0]
 
     def test_two_missing_vertices_is_plain_failure(self):
         from barnette.carve import _finish
@@ -865,7 +1013,8 @@ def golden_digests(corpus_graphs):
 
     Returns (runs, failed runs whose cycle edges are not a path forest,
     trace digest, role digest, runs whose ``role_class`` answers differ
-    from the ``roles`` map or built that map)."""
+    from the ``roles`` map or built that map, (Hamiltonian runs, those
+    whose cycle differs from the reference walk over their role codes)))."""
     bases = [g.embedding for g in corpus_graphs.values()]
     bases += [generate_prism(k).embedding for k in range(3, 14)]
     leapfrog = build_named("cube").embedding
@@ -873,8 +1022,8 @@ def golden_digests(corpus_graphs):
         leapfrog = truncate_embedding(dual_embedding(leapfrog))
         bases.append(leapfrog)
     trace_digest, role_digest = hashlib.sha256(), hashlib.sha256()
-    runs = 0
-    not_forest, class_mismatch = [], []
+    runs = walked = 0
+    not_forest, class_mismatch, walk_mismatch = [], [], []
     for base in bases:
         for face in base.faces:
             emb = base.with_outer_face(face.id)
@@ -894,6 +1043,10 @@ def golden_digests(corpus_graphs):
                         assert_path_forest(res)
                     except AssertionError:
                         not_forest.append((emb, res.entrances))
+                else:
+                    walked += 1
+                    if res.cycle != walk_cycle_reference(emb, res.role_bytes):
+                        walk_mismatch.append((emb, res.entrances))
                 record = (
                     res.status.value,
                     res.cycle,
@@ -906,7 +1059,8 @@ def golden_digests(corpus_graphs):
                 if built_map or classes != from_map:
                     class_mismatch.append((emb, res.entrances))
             runs += len(results)
-    return runs, not_forest, trace_digest.hexdigest(), role_digest.hexdigest(), class_mismatch
+    return (runs, not_forest, trace_digest.hexdigest(), role_digest.hexdigest(), class_mismatch,
+            (walked, walk_mismatch))
 
 
 def test_trace_digest_is_pinned(golden_digests):
@@ -924,3 +1078,8 @@ def test_role_class_reads_role_bytes_on_golden_runs(golden_digests):
     # Every class of every golden run equals the one derived from the
     # roles map, and reading the classes did not build that map.
     assert golden_digests[4] == []
+
+
+def test_recorded_walk_matches_reference_on_golden_runs(golden_digests):
+    walked, mismatch = golden_digests[5]
+    assert walked > 1000 and mismatch == []

@@ -345,6 +345,18 @@ class TestErrors:
         bad.write_text("n 2\n0: 1 1\n1: 0\n", encoding="utf-8")
         assert main(["validate", str(bad)]) == 2
 
+    @pytest.mark.parametrize("what, text, where", [
+        ("vertex count", "n {}\n", "line 1, column 3"),
+        ("vertex id", "n 4\n{}: 1 2 3\n", "line 2, column 1"),
+        ("neighbor", "n 4\n0: 1 {} 3\n", "line 2, column 6"),
+    ])
+    def test_oversized_integer_names_its_line_and_column(self, tmp_path, capsys, what, text, where):
+        # Past int()'s 4300-digit limit.
+        bad = tmp_path / "big.rot"
+        bad.write_text(text.format("7" * 5000), encoding="utf-8")
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {what} has 5000 digits, too many to read ({where})\n"
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -164,6 +164,25 @@ class TestParse:
             parse_embedding(doc)
         assert err.value.line == 3
 
+    # Past int()'s 4300-digit limit, for the count, a vertex id and a
+    # neighbour: a typed error at the token, not a bare ValueError.
+    OVERSIZED = "9" * 5000
+    OVERSIZED_DOCS = {
+        "vertex count": (f"n {OVERSIZED}\n", 1, 3),
+        "vertex id": (f"n 4\n0: 1 2 3\n{OVERSIZED}: 0 2 3\n", 3, 1),
+        "neighbor": (f"n 4\n0: 1 2 3\n1:  0 {OVERSIZED} 3\n", 3, 7),
+    }
+
+    @pytest.mark.parametrize("what", OVERSIZED_DOCS)
+    def test_oversized_integer_is_a_format_error(self, what):
+        doc, line, column = self.OVERSIZED_DOCS[what]
+        with pytest.raises(RotationFormatError) as err:
+            parse_embedding(doc)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value) == (
+            f"{what} has 5000 digits, too many to read (line {line}, column {column})"
+        )
+
     def test_missing_vertex_line(self):
         with pytest.raises(RotationFormatError, match="missing rotation line"):
             parse_embedding("n 2\n0: 1\n")
