@@ -57,6 +57,9 @@ only: the faces that hold an outer-Hamiltonian edge are read off the dart
 arrays and stay fixed for the run, since that role is never assigned
 later.  The promotion and bridge tests are answered from per-carve
 sets built from them once per face, so no door rescans its face or the map.
+The bridge rule skips the faces the journal shows opened, and reads a far
+face only when per-face door counts, kept from the journal, say that it
+holds an inner door.
 ``CarveResult`` keeps the carve's own role codes and sweeps them into its
 ``role_bytes`` (every unassigned edge an inner door) the first time they
 are read; a ``role_class`` view counts its size off those bytes and builds
@@ -178,7 +181,7 @@ _DOOR_ON_CYCLE_SLOT = _Refusal(RoleConflictError, "edge {} is a door but lands o
 
 
 class TraceEvent(NamedTuple):
-    """One frontier step.  kind: open, promote, bridge, drop, close.
+    """One frontier step.  kind: open, promote, bridge or drop.
 
     A named tuple, not a frozen dataclass: a carve builds one per door,
     and the dataclass took two to three times as long to build.
@@ -430,6 +433,15 @@ class ChamberState:
         self._bridge_candidates: dict[
             int, tuple[dict[int, int], list[tuple[int, int, int]]]
         ] = {}
+        # Inner-door darts per face id, their sum over the faces above, the
+        # doors counted and the journal steps read; see door_counts.
+        self._door_counts: list[int] | None = None
+        self._ham_doors = 0
+        self._doors: set[int] = set()
+        self._doors_read = 0
+        # The faces opened in the journal's first ``_opened_read`` steps.
+        self._opened: set[int] = set()
+        self._opened_read = 0
 
     @property
     def trace(self) -> TraceView:
@@ -562,6 +574,49 @@ class ChamberState:
             cached = (position, entries)
             self._bridge_candidates[fid] = cached
         return cached
+
+    def _count_door(self, e: int, step: int) -> None:
+        """Count inner door ``e`` in (``step`` 1) or out (-1) of the door
+        counts of its two faces."""
+        if step > 0:
+            self._doors.add(e)
+        else:
+            self._doors.remove(e)
+        for fid in (self._dart_face[e], self._dart_face[self._twin[e]]):
+            self._door_counts[fid] += step
+            if fid in self._outer_ham_faces:
+                self._ham_doors += step
+
+    def opened_faces(self) -> set[int]:
+        """The faces of the journal's open steps."""
+        journal = self.journal
+        self._opened.update(step[2] for step in journal[self._opened_read:] if step[0] == "open")
+        self._opened_read = len(journal)
+        return self._opened
+
+    def door_counts(self) -> list[int]:
+        """For each face id, how many of its darts lie on an inner door;
+        ``_ham_doors`` sums them over the outer-Hamiltonian faces.
+
+        Counted off the role bytes the first time it is asked for, then
+        kept up to date from the journal: a carve makes an edge an inner
+        door only as a new door of a step, and an inner door leaves that
+        role only as a new cycle edge of a step."""
+        if self._door_counts is None:
+            self._door_counts = [0] * (len(self._index.face_start) - 1)
+            e = self.roles.find(_D_I)
+            while e >= 0:
+                self._count_door(e, 1)
+                e = self.roles.find(_D_I, e + 1)
+            self._doors_read = len(self.journal)
+        for _, _, _, _, ham, doors in self.journal[self._doors_read:]:
+            for e in ham:
+                if e in self._doors:
+                    self._count_door(e, -1)
+            for e in doors:
+                self._count_door(e, 1)
+        self._doors_read = len(self.journal)
+        return self._door_counts
 
 
 def _init_state(embedding: PlanarEmbedding, entrances: tuple[Edge, ...]) -> ChamberState:
@@ -756,14 +811,29 @@ def detect_bridge_face(state: ChamberState, door: int) -> tuple[int, int] | None
 
     Edges are tried in the walk order from the door, and only those whose
     far face is one of the state's outer-Hamiltonian faces can qualify.
+    A face is skipped unread when it was opened, since the opening gave
+    each of its edges a role, and when the state's door counts show that
+    every other inner door on an outer-Hamiltonian face lies on that face
+    itself, which is no candidate's far face.  A far face is read only
+    when the counts say it holds an inner door, so a door beside a long
+    face costs one test per candidate.
     """
-    roles = state.roles
-    for fid in state.faces_of(door):
+    faces, opened = state.faces_of(door), state.opened_faces()
+    if opened.issuperset(faces):
+        return None
+    roles, counts, ham = state.roles, state.door_counts(), state._outer_ham_faces
+    is_door = roles[door] == _D_I
+    # Inner-door darts on outer-Hamiltonian faces, the door's own excepted.
+    others = state._ham_doors - is_door * sum(map(ham.__contains__, faces))
+    for fid in faces:
+        on_fid = counts[fid] - is_door * faces.count(fid) if fid in ham else 0
+        if fid in opened or others == on_fid:
+            continue
         position, entries = state.bridge_candidates(fid)
         start = position[door]
         split = bisect_right(entries, start, key=lambda entry: entry[0])
         for i, e, other in entries[split:] + entries[:split]:
-            if i == start or roles[e]:
+            if i == start or roles[e] or not counts[other]:
                 continue
             for x in state.walk(other):
                 if x != door and roles[x] == _D_I:

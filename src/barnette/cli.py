@@ -392,7 +392,7 @@ def _cmd_corpus(args, out) -> int:
 
 
 BENCH_FAMILIES = ("prism", "leapfrog")
-BENCH_LAYERS = ("carve", "front", "finish", "trace", "oracle")
+BENCH_LAYERS = ("carve", "double", "front", "finish", "trace", "oracle")
 
 
 def _bench_graph(family: str, k: int) -> PlanarEmbedding:
@@ -422,9 +422,12 @@ def bench_scaling(
     carve that finds no Hamiltonian cycle raises ValueError, since there is
     nothing to finish.  Layer ``trace`` runs a fresh carve untimed before
     each rep, then times building its trace events, ``tuple(res.trace)``;
-    its status is the event count.  Layer ``oracle`` times
-    ``find_hamiltonian_cycle`` on the graph, and its status is the
-    search's expansion count.
+    its status is the event count.  Layer ``double`` times
+    ``carve_double`` from the outer walk's first edge and the edge three
+    steps along it, an odd spacing, and its status is the result's; an
+    outer face of fewer than 6 edges raises ValueError, since it has no
+    such pair.  Layer ``oracle`` times ``find_hamiltonian_cycle`` on the
+    graph, and its status is the search's expansion count.
     """
     rows = []
     for k in sizes:
@@ -434,6 +437,14 @@ def bench_scaling(
             run = lambda: trace_faces(parse_embedding(text))
         elif layer == "oracle":
             run = lambda: find_hamiltonian_cycle(emb)
+        elif layer == "double":
+            darts = emb.outer_face.darts  # traces the faces outside the first rep
+            if len(darts) < 6:
+                raise ValueError(
+                    f"bench layer double needs an outer face of at least 6 edges: "
+                    f"{family} k={k} has {len(darts)}"
+                )
+            run = lambda: carve_double(emb, (darts[0], darts[3]))
         else:
             trace_faces(emb)  # cache the face structure outside the first rep
             entrance = min(emb.outer_edges)
@@ -595,7 +606,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", default="prism",
                     help="prism (n = 4k, long spiral) or leapfrog (n = 8 * 3^k, fail-fast)")
     sp.add_argument("--layer", default="carve",
-                    help="carve; front: parse of a document with its outer line; "
+                    help="carve; double: carve_double from the outer walk's first edge "
+                         "and the edge three steps along; "
+                         "front: parse of a document with its outer line; "
                          "finish: verify_cycle plus chamber_count on the carve's cycle; "
                          "trace: building the events of a finished carve's trace; "
                          "oracle: find_hamiltonian_cycle, status its expansion count")

@@ -4,9 +4,11 @@ import gc
 import hashlib
 import importlib
 import random
+import re
 import weakref
 from collections import Counter
-from itertools import compress
+from itertools import compress, count
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,7 @@ from barnette.embedding import (
     enumerate_3_edge_cuts,
     parse_embedding,
     serialize_embedding,
+    validate,
 )
 from barnette.oracle import (
     enumerate_hamiltonian_cycles,
@@ -55,6 +58,7 @@ from barnette.oracle import (
 
 # The package exports a function named carve, so the module is looked up.
 carve_module = importlib.import_module("barnette.carve")
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 HAM = (EdgeRole.OUTER_HAMILTONIAN, EdgeRole.INNER_HAMILTONIAN)
 
@@ -784,6 +788,32 @@ def test_entry_errors(cube, graph, run, entrances, error, message):
     assert str(info.value) == message
 
 
+IS_INNER_DOOR = bytes(c == _ROLES.index(EdgeRole.INNER_DOOR) for c in range(256))
+
+
+def sample(name):
+    return parse_embedding((SAMPLES / f"{name}.rot").read_text(encoding="utf-8"))
+
+
+def bridge_face_reference(state, door):
+    """The bridge rule as a plain scan: every edge of the door's faces in
+    walk order from the door, each unassigned one whose far face is
+    another outer-Hamiltonian face tried against every edge of that far
+    face."""
+    inner_door = _ROLES.index(EdgeRole.INNER_DOOR)
+    for fid in state.faces_of(door):
+        walk, far = state.walk(fid), list(state.far_faces(fid))
+        start = walk.index(door)
+        for i in list(range(start + 1, len(walk))) + list(range(start)):
+            e, other = walk[i], far[i]
+            if state.roles[e] or other == fid or other not in state._outer_ham_faces:
+                continue
+            for x in state.walk(other):
+                if x != door and state.roles[x] == inner_door:
+                    return e, x
+    return None
+
+
 class TestBridgeRule:
     def test_detects_synthetic_double_cut_setup(self):
         # Build the rule's trigger by hand: C_j holds an outer-cycle edge
@@ -834,6 +864,87 @@ class TestBridgeRule:
             state._outer_ham_faces.update(cube.edge_faces[e])
         set_role(state, (4, 5), EdgeRole.INNER_DOOR)
         assert detect_bridge_face(state, state.edge_id(4, 5)) is None
+
+    def test_fires_on_a_barnette_graph_and_breaks_its_carve(self, monkeypatch):
+        # Two hexagonal prisms minus a vertex, glued along their terminals:
+        # 22 vertices, bipartite, cubic, 3-connected.  The double carve
+        # from two hexagon edges reaches a door whose faces are both
+        # entered, the rule finds a bridge, and its promotion fails.  With
+        # the rule off the same carve finds a Hamiltonian cycle.
+        emb = sample("glued_prisms")
+        assert validate(emb).is_barnette
+        res = carve_double(emb, ((5, 6), (16, 17)))
+        assert [ev.record() for ev in res.trace] == [
+            "step=0 side=0 kind=open door=5-6 face=7 ham=5-10,8-9,6-7 doors=9-10,7-8",
+            "step=1 side=1 kind=open door=16-17 face=12 ham=16-21,19-20,17-18 doors=20-21,18-19",
+            "step=2 side=0 kind=open door=9-10 face=5 ham=4-10,3-9 doors=3-4",
+            "step=3 side=1 kind=open door=20-21 face=11 ham=15-21,14-20 doors=14-15",
+            "step=4 side=0 kind=open door=7-8 face=3 ham=2-8,1-7 doors=1-2",
+            "step=5 side=1 kind=open door=18-19 face=9 ham=13-19,12-18 doors=12-13",
+            "step=6 side=0 kind=promote door=3-4 face=0 ham=3-4 doors=none",
+            "step=7 side=1 kind=promote door=14-15 face=6 ham=14-15 doors=none",
+        ]
+        assert res.failure_reason == (
+            "bridge promotion failed at door (1, 2): edge (4, 15) would give a vertex "
+            "three cycle edges; longest cycle in role set: 0"
+        )
+        monkeypatch.setattr(carve_module, "detect_bridge_face", lambda state, door: None)
+        without = carve_double(emb, ((5, 6), (16, 17)))
+        assert without.ok and verify_cycle(emb, without.cycle).is_hamiltonian
+
+    def test_bridge_step_on_a_barnette_graph(self):
+        # A hexagonal prism minus a vertex glued to two_cubes_bridge minus
+        # a vertex: 24 vertices, rooted at a square.  The rule fires at the
+        # ninth step and its two cycle edges are committed: the one trace
+        # step of kind bridge.  The carve still ends short of a cycle.
+        emb = sample("glued_prism_cubes")
+        assert validate(emb).is_barnette
+        res = carve(emb, (12, 15))
+        assert [ev.kind for ev in res.trace] == [
+            "open", "open", "open", "promote", "open", "open", "open", "promote", "bridge",
+        ]
+        assert res.trace[-1].record() == (
+            "step=8 side=0 kind=bridge door=9-10 face=-1 ham=5-6,17-19 doors=none"
+        )
+        assert res.failure_reason == (
+            "frontier exhausted at 22 of 24 cycle edges; longest cycle in role set: 0"
+        )
+
+    def test_matches_the_face_scan_at_every_call(self, monkeypatch):
+        # The rule skips faces and far faces off door counts kept from the
+        # journal.  At every call over every rooting, entrance, walk and
+        # double pair of the glued samples it returns what a scan of every
+        # candidate's far face returns, and its counts equal a recount off
+        # the role bytes.
+        rule = carve_module.detect_bridge_face
+        hits = []
+
+        def checked(state, door):
+            got = rule(state, door)
+            assert got == bridge_face_reference(state, door)
+            recount = [0] * len(state.embedding.faces)
+            for e in compress(count(), state.roles.translate(IS_INNER_DOOR)):
+                for fid in state.faces_of(e):
+                    recount[fid] += 1
+            assert state.door_counts() == recount
+            assert state._ham_doors == sum(recount[f] for f in state._outer_ham_faces)
+            hits.append(got is not None)
+            return got
+
+        monkeypatch.setattr(carve_module, "detect_bridge_face", checked)
+        for name in ("glued_prisms", "glued_prism_cubes"):
+            base = sample(name)
+            for face in base.faces:
+                emb = base.with_outer_face(face.id)
+                outer = sorted(emb.outer_edges)
+                for e in outer:
+                    carve(emb, e)
+                    carve(emb, e, left_walk=True)
+                for i, a in enumerate(outer):
+                    for b in outer[i + 1:]:
+                        if not set(a) & set(b):
+                            carve_double(emb, (a, b))
+        assert len(hits) > 100 and 0 < sum(hits) < len(hits)
 
 
 class TestNearCycle:
@@ -1014,7 +1125,8 @@ def golden_digests(corpus_graphs):
     Returns (runs, failed runs whose cycle edges are not a path forest,
     trace digest, role digest, runs whose ``role_class`` answers differ
     from the ``roles`` map or built that map, (Hamiltonian runs, those
-    whose cycle differs from the reference walk over their role codes)))."""
+    whose cycle differs from the reference walk over their role codes),
+    (event kinds, failure reasons)))."""
     bases = [g.embedding for g in corpus_graphs.values()]
     bases += [generate_prism(k).embedding for k in range(3, 14)]
     leapfrog = build_named("cube").embedding
@@ -1024,6 +1136,7 @@ def golden_digests(corpus_graphs):
     trace_digest, role_digest = hashlib.sha256(), hashlib.sha256()
     runs = walked = 0
     not_forest, class_mismatch, walk_mismatch = [], [], []
+    kinds, reasons = set(), set()
     for base in bases:
         for face in base.faces:
             emb = base.with_outer_face(face.id)
@@ -1054,13 +1167,16 @@ def golden_digests(corpus_graphs):
                     res.failure_reason,
                 )
                 trace_digest.update(repr(record).encode())
+                kinds.update(ev.kind for ev in res.trace)
+                if res.failure_reason is not None:
+                    reasons.add(res.failure_reason)
                 role_digest.update(repr(sorted((e, r.value) for e, r in res.roles.items())).encode())
                 from_map = {role: {e for e, r in res.roles.items() if r is role} for role in EdgeRole}
                 if built_map or classes != from_map:
                     class_mismatch.append((emb, res.entrances))
             runs += len(results)
     return (runs, not_forest, trace_digest.hexdigest(), role_digest.hexdigest(), class_mismatch,
-            (walked, walk_mismatch))
+            (walked, walk_mismatch), (kinds, reasons))
 
 
 def test_trace_digest_is_pinned(golden_digests):
@@ -1083,3 +1199,34 @@ def test_role_class_reads_role_bytes_on_golden_runs(golden_digests):
 def test_recorded_walk_matches_reference_on_golden_runs(golden_digests):
     walked, mismatch = golden_digests[5]
     assert walked > 1000 and mismatch == []
+
+
+# Every failure text the carve writes: a refused move, an odd face, the
+# frontier running dry or a non-simple outer face, behind the step it
+# ended, and the suffix every failure carries.
+_EDGE = r"\(\d+, \d+\)"
+_CAUSE = "(" + "|".join(
+    [refusal.text.replace("(", r"\(").replace(")", r"\)").format(_EDGE)
+     for refusal in vars(carve_module).values() if isinstance(refusal, carve_module._Refusal)]
+    + [r"face \d+ has odd length \d+"]
+) + ")"
+FAILURE_REASON = re.compile(
+    "(" + "|".join([
+        rf"door {_EDGE} face \d+: (promotion failed: )?{_CAUSE}",
+        rf"cannot open the entrance face: {_CAUSE}",
+        rf"bridge promotion failed at door {_EDGE}: {_CAUSE}",
+        r"frontier exhausted at \d+ of \d+ cycle edges",
+        r"outer face \d+ is not a simple cycle",
+    ]) + r"); longest cycle in role set: 0"
+)
+
+
+def test_golden_runs_take_known_steps_and_fail_for_known_reasons(golden_digests):
+    # The golden runs open, promote and drop; the bridge rule never fires
+    # on them (it does on glued graphs, see TestBridgeRule).  Every failure
+    # text is one the carve writes.
+    kinds, reasons = golden_digests[6]
+    assert kinds == {"open", "promote", "drop"}
+    assert reasons and all(FAILURE_REASON.fullmatch(r) for r in reasons), [
+        r for r in reasons if not FAILURE_REASON.fullmatch(r)
+    ]

@@ -12,7 +12,15 @@ import pytest
 
 from barnette import cli
 from barnette.cli import bench_scaling, main, parse_machine_records, to_dot
-from barnette.carve import _ROLES, CarveResult, CarveStatus, EdgeRole, carve, select_entrance
+from barnette.carve import (
+    _ROLES,
+    CarveResult,
+    CarveStatus,
+    EdgeRole,
+    carve,
+    carve_double,
+    select_entrance,
+)
 from barnette.corpus import (
     build_named,
     corpus_names,
@@ -401,8 +409,10 @@ class TestDeterminism:
 
 # SHA-256 of `barnette faces --machine` over every sample file and every
 # `corpus emit` graph, each rooted at every one of its faces in turn.
-FACES_DIGEST = "aa1127aa3786196ac55415143cc70b722605a4fc2b5d03202fc6a1a7679e8d5e"
-FACES_RUNS = 292
+# Without the two glued samples the sweep is 292 runs with digest
+# aa1127aa3786196ac55415143cc70b722605a4fc2b5d03202fc6a1a7679e8d5e.
+FACES_DIGEST = "11a6e3c24aba09dd73482f06c0eeb441cf9cee38c6380a7ab61462960ac8fe35"
+FACES_RUNS = 319
 
 
 def test_faces_output_is_pinned(capsys, tmp_path):
@@ -509,6 +519,29 @@ class TestBenchScaling:
         recs = parse_machine_records(out)
         assert code == 0 and all(r["layer"] == "trace" for r in recs)
         assert [(r["n"], r["status"]) for r in recs] == [("8", "events:3"), ("100", "events:26")]
+
+    def test_double_layer(self, capsys):
+        # Each rep times carve_double from the outer walk's first edge and
+        # the edge three steps along; the status is the result's.
+        code, out = run_cli(capsys, "bench", "--machine", "--layer", "double",
+                            "--family", "prism", "--sizes", "3,25")
+        recs = parse_machine_records(out)
+        assert code == 0 and [r["n"] for r in recs] == ["12", "100"]
+        assert all(r["layer"] == "double" and float(r["seconds"]) >= 0 for r in recs)
+        for rec, k in zip(recs, (3, 25)):
+            emb = cli._bench_graph("prism", k)
+            darts = emb.outer_face.darts
+            assert rec["status"] == carve_double(emb, (darts[0], darts[3])).status.value
+
+    def test_double_layer_needs_six_outer_edges(self, capsys):
+        # The cube (prism k = 2) has a 4-edge outer face: no edge lies three
+        # steps from the first without touching it.
+        assert main(["bench", "--layer", "double", "--sizes", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: bench layer double needs an outer face of at least 6 edges: prism k=2 has 4\n"
+        )
 
     def test_finish_layer_needs_a_hamiltonian_carve(self, capsys):
         # The 72-vertex cube leapfrog's carve fails, so there is no cycle
