@@ -10,6 +10,7 @@ are reserved for bad invocations and unreadable input.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 import time
@@ -35,7 +36,13 @@ from .embedding import (
     trace_faces,
     validate,
 )
-from .oracle import CycleCertificate, find_hamiltonian_cycle, longest_cycle, verify_cycle
+from .oracle import (
+    CycleCertificate,
+    enumerate_hamiltonian_cycles,
+    find_hamiltonian_cycle,
+    longest_cycle,
+    verify_cycle,
+)
 
 _WHITESPACE = re.compile(r"\s+")
 
@@ -261,6 +268,8 @@ def _cmd_oracle(args, out) -> int:
             proved_absent=r.proved_absent,
             exhausted=r.exhausted,
             expansions=r.expansions,
+            max_depth=r.max_depth,
+            decided=r.decided,
             cycle=_fmt_seq(r.certificate.vertices if r.certificate else ()),
         )
     else:
@@ -392,7 +401,7 @@ def _cmd_corpus(args, out) -> int:
 
 
 BENCH_FAMILIES = ("prism", "leapfrog")
-BENCH_LAYERS = ("carve", "double", "front", "finish", "trace", "oracle")
+BENCH_LAYERS = ("carve", "double", "front", "finish", "trace", "oracle", "enumerate")
 
 
 def _bench_graph(family: str, k: int) -> PlanarEmbedding:
@@ -427,7 +436,10 @@ def bench_scaling(
     steps along it, an odd spacing, and its status is the result's; an
     outer face of fewer than 6 edges raises ValueError, since it has no
     such pair.  Layer ``oracle`` times ``find_hamiltonian_cycle`` on the
-    graph, and its status is the search's expansion count.
+    graph; its status is the search's expansion count, and its rows also
+    carry the search's ``max_depth`` and ``decided`` counters.  Layer
+    ``enumerate`` times ``enumerate_hamiltonian_cycles``, and its status
+    is the number of cycles.
     """
     rows = []
     for k in sizes:
@@ -437,6 +449,8 @@ def bench_scaling(
             run = lambda: trace_faces(parse_embedding(text))
         elif layer == "oracle":
             run = lambda: find_hamiltonian_cycle(emb)
+        elif layer == "enumerate":
+            run = lambda: enumerate_hamiltonian_cycles(emb)
         elif layer == "double":
             darts = emb.outer_face.darts  # traces the faces outside the first rep
             if len(darts) < 6:
@@ -479,12 +493,31 @@ def bench_scaling(
             status = f"events:{len(res)}"
         elif layer == "oracle":
             status = f"expansions:{res.expansions}"
+        elif layer == "enumerate":
+            status = f"cycles:{len(res[0])}"
         else:
             status = res.status.value
         n = emb.vertex_count
-        rows.append({"k": k, "n": n, "status": status, "seconds": best,
-                     "per_vertex_us": best / n * 1e6})
+        row = {"k": k, "n": n, "status": status, "seconds": best,
+               "per_vertex_us": best / n * 1e6}
+        if layer == "oracle":
+            row.update(max_depth=res.max_depth, decided=res.decided)
+        rows.append(row)
     return rows
+
+
+def bench_exponent(rows: list[dict[str, float]]) -> float | None:
+    """Least-squares slope of log(seconds) over log(n) across the rows: 1
+    is linear.  None below three distinct sizes, where a slope is one
+    pair's ratio and a single slow sample sets it.  Written out rather
+    than taken from ``statistics``, whose import pulls in ``decimal`` and
+    ``fractions`` for every user of this module."""
+    if len({row["n"] for row in rows}) < 3 or min(row["seconds"] for row in rows) <= 0:
+        return None
+    xs = [math.log(row["n"]) for row in rows]
+    ys = [math.log(row["seconds"]) for row in rows]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
 def _cmd_bench(args, out) -> int:
@@ -495,6 +528,7 @@ def _cmd_bench(args, out) -> int:
     sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else []
     rows = bench_scaling(sizes, family=args.family, layer=args.layer)
     for row in rows:
+        counters = {key: row[key] for key in ("max_depth", "decided") if key in row}
         if args.machine:
             emit_record(
                 out,
@@ -506,13 +540,19 @@ def _cmd_bench(args, out) -> int:
                 status=row["status"],
                 seconds=f"{row['seconds']:.6f}",
                 per_vertex_us=f"{row['per_vertex_us']:.3f}",
+                **counters,
             )
         else:
+            extra = "".join(f"  {key}:{value}" for key, value in counters.items())
             print(f"k={row['k']:<7d} n={row['n']:<8d} {row['status']:<17s} "
-                  f"{row['seconds']:.4f}s  {row['per_vertex_us']:.2f}us/vertex")
-    if not args.machine and len(rows) >= 2:
-        ratio = rows[-1]["per_vertex_us"] / rows[0]["per_vertex_us"]
-        print(f"per-vertex ratio largest/smallest: {ratio:.2f}")
+                  f"{row['seconds']:.4f}s  {row['per_vertex_us']:.2f}us/vertex{extra}")
+    exponent = bench_exponent(rows)
+    if exponent is not None:
+        if args.machine:
+            emit_record(out, record="bench_fit", family=args.family, layer=args.layer,
+                        sizes=len(rows), exponent=f"{exponent:.3f}")
+        else:
+            print(f"scaling exponent, least squares over {len(rows)} sizes: {exponent:.2f}")
     return 0
 
 
@@ -611,8 +651,10 @@ def build_parser() -> argparse.ArgumentParser:
                          "front: parse of a document with its outer line; "
                          "finish: verify_cycle plus chamber_count on the carve's cycle; "
                          "trace: building the events of a finished carve's trace; "
-                         "oracle: find_hamiltonian_cycle, status its expansion count")
-    sp.add_argument("--sizes", help="comma-separated k values")
+                         "oracle: find_hamiltonian_cycle, status its expansion count; "
+                         "enumerate: enumerate_hamiltonian_cycles, status its cycle count")
+    sp.add_argument("--sizes", help="comma-separated k values; three or more sizes "
+                                    "add a least-squares scaling exponent")
 
     sp = add("dot", _cmd_dot, help="DOT export, optionally carve-annotated")
     sp.add_argument("file")

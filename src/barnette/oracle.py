@@ -7,6 +7,7 @@ undecided, in the cycle, or excluded) with unit propagation:
 
 * a vertex with 2 chosen edges excludes its remaining edges,
 * a vertex that can no longer reach 2 chosen edges fails,
+* a vertex with just as many undecided edges as it still needs takes them,
 * chosen edges are tracked as paths; closing a cycle early fails,
 * the not-excluded subgraph must stay connected.
 
@@ -17,13 +18,24 @@ jumps from a path's end to its far end.  A test costs O(n - chosen +
 undecided), not O(n + m).
 
 All prunings are sound, so a completed search is a nonexistence proof.
-Budgets are counted in branch expansions, never wall clock.  The state
-is flat integer arrays plus one undo trail of ints, one entry per
-decided edge; a solution is read off the search as a vertex cycle.
+Budgets are counted in branch expansions, never wall clock.
+
+The state is flat.  Edges are ids in sorted order, with endpoint
+columns ``eu``, ``ev`` and ``ex = eu ^ ev`` (so ``ex[e] ^ w`` is the far
+end of edge e from w); each vertex holds a tuple of its edge ids.  Edge
+states sit in a ``bytearray``; cycle and undecided degrees and path
+mates in int lists.  A decision touches only the edges it decides: the
+propagation visits each touched vertex and forces all of its undecided
+edges in one pass over its ids.  The undo trail holds one edge id per
+decided edge and nothing else: undoing replays the cut slice newest
+first, and reads the path ends a cycle edge joined back off ``mate``
+and the cycle degrees.  A solution is read off the search as a vertex
+cycle.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from operator import contains
@@ -54,9 +66,16 @@ class PathProfile:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """A search's outcome and counters.  ``max_depth`` is the most branch
+    decisions above any node the search reached; ``decided`` counts the
+    edge states set, by branches, forced pins and propagation alike,
+    including those a failed branch set before it was undone."""
+
     certificate: CycleCertificate | None
     exhausted: bool
     expansions: int
+    max_depth: int = 0
+    decided: int = 0
 
     @property
     def proved_absent(self) -> bool:
@@ -96,33 +115,41 @@ class _EdgeStateSearch:
 
     ``run`` leaves its outcome in ``solutions`` (canonical vertex cycles:
     the first found, or all of them with ``count_all``), ``exhausted``
-    (the budget ran out) and ``expansions`` (branches taken).
+    (the budget ran out), ``expansions`` (branches taken), ``max_depth``
+    (the most branch decisions above any node reached) and ``decided``
+    (edge states set, by branches, forced pins and propagation alike).
     """
 
     UND, IN, OUT = 0, 1, 2
 
-    def __init__(self, adj: list[list[int]], budget: int, count_all: bool = False):
+    def __init__(self, adj: Sequence[Sequence[int]], budget: int, count_all: bool = False):
         n = self.n = len(adj)
-        self.edges = sorted({edge_key(u, v) for u in range(n) for v in adj[u]})
-        # Per vertex, an ``(edge, neighbour)`` link for each incident edge.
-        self.links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        self.edges = sorted({(u, v) if u < v else (v, u) for u in range(n) for v in adj[u]})
+        # Edge columns: edge e joins eu[e] < ev[e], and ex[e] = eu[e] ^ ev[e]
+        # turns either end into the other.  Per vertex, its edge ids in
+        # ascending order, which fixes the edge ``_pick_edge`` branches on.
+        self.eu = [u for u, _ in self.edges]
+        self.ev = [v for _, v in self.edges]
+        self.ex = [u ^ v for u, v in self.edges]
+        inc: list[list[int]] = [[] for _ in range(n)]
         for i, (u, v) in enumerate(self.edges):
-            self.links[u].append((i, v))
-            self.links[v].append((i, u))
+            inc[u].append(i)
+            inc[v].append(i)
+        self.inc = [tuple(ids) for ids in inc]
         self.budget = budget
         self.count_all = count_all
         self.state = bytearray(len(self.edges))
         self.deg_in = [0] * n
-        self.deg_und = [len(links) for links in self.links]
+        self.deg_und = list(map(len, inc))
         self.mate = list(range(n))
         self.in_count = 0
-        # One entry per decided edge: ``e`` when excluded, ``a, b, e`` when
-        # in the cycle, where a and b were the far ends of the paths it
-        # joined.  The edge's state tells which.
+        # The decided edges in the order they were set, one entry each.
         self.trail: list[int] = []
         self.solutions: list[tuple[int, ...]] = []
         self.exhausted = False
         self.expansions = 0
+        self.max_depth = 0
+        self.decided = 0
 
     def run(
         self, forced_in: tuple[Edge, ...] = (), forced_out: tuple[Edge, ...] = ()
@@ -136,7 +163,9 @@ class _EdgeStateSearch:
                 raise ValueError(f"forced edge {tuple(pair)} is not an edge of the graph")
             decisions.append((e, s))
         # A vertex of degree below 2 lies on no spanning cycle.
-        if min(self.deg_und) >= 2 and all(self._assign(e, s) for e, s in decisions):
+        ok = min(self.deg_und) >= 2 and all(self._assign(e, s) for e, s in decisions)
+        self.decided = len(self.trail)
+        if ok:
             self._search()
         return self
 
@@ -145,77 +174,113 @@ class _EdgeStateSearch:
     def _assign(self, e: int, s: int) -> bool:
         """Assign edge state and propagate; False on contradiction.
 
-        The queue is flat, ``edge, state`` per entry, worked last in first
-        out.  On success every vertex has at least as many undecided edges
-        as cycle edges it still needs, and none with an undecided edge has
-        two cycle edges.
+        Each vertex an edge decision touches is checked once it is popped
+        from a stack: one that needs no more cycle edges excludes all its
+        undecided edges, and one with exactly as many undecided edges as
+        it needs takes them all, in one pass over its edge ids.  The far
+        end of each edge so decided is pushed in turn.  On success every
+        vertex has at least as many undecided edges as cycle edges it
+        still needs, and none with an undecided edge has two cycle edges.
         """
-        state, edges, links = self.state, self.edges, self.links
+        state = self.state
+        if state[e]:
+            return state[e] == s
+        eu, ev, ex, inc = self.eu, self.ev, self.ex, self.inc
         deg_in, deg_und, mate, trail = self.deg_in, self.deg_und, self.mate, self.trail
-        UND, IN, OUT = self.UND, self.IN, self.OUT
-        queue = [e, s]
-        pop, push = queue.pop, queue.append
-        while queue:
-            s = pop()
-            e = pop()
-            cur = state[e]
-            if cur != UND:
-                if cur != s:
-                    return False
-                continue
-            u, v = edges[e]
-            if s == IN:
-                if deg_in[u] >= 2 or deg_in[v] >= 2:
-                    return False
-                a, b = mate[u], mate[v]
-                # closing a cycle (a == v, b == u): only the spanning one
-                # is allowed, and the mate writes below change nothing
-                if a == v and self.in_count + 1 != self.n:
-                    return False
-                mate[a], mate[b] = b, a
-                trail.append(a)
-                trail.append(b)
-                self.in_count += 1
-                deg_in[u] += 1
-                deg_in[v] += 1
-            state[e] = s
-            trail.append(e)
-            deg_und[u] -= 1
-            deg_und[v] -= 1
-            for w in (u, v):
-                need = 2 - deg_in[w]
+        push = trail.append
+        IN, OUT, n = self.IN, self.OUT, self.n
+        in_count = self.in_count
+        u, v = eu[e], ev[e]
+        if s == IN:
+            if deg_in[u] >= 2 or deg_in[v] >= 2:
+                return False
+            a, b = mate[u], mate[v]
+            # closing a cycle (a == v, b == u): only the spanning one
+            # is allowed, and the mate writes below change nothing
+            if a == v and in_count + 1 != n:
+                return False
+            mate[a], mate[b] = b, a
+            in_count += 1
+            deg_in[u] += 1
+            deg_in[v] += 1
+        state[e] = s
+        push(e)
+        deg_und[u] -= 1
+        deg_und[v] -= 1
+        todo = [u, v]
+        pop, later = todo.pop, todo.append
+        try:
+            while todo:
+                w = pop()
                 und = deg_und[w]
-                if und < need:
+                need = 2 - deg_in[w]
+                if und > need:
+                    if need:
+                        continue
+                    for f in inc[w]:
+                        if not state[f]:
+                            state[f] = OUT
+                            push(f)
+                            x = ex[f] ^ w
+                            deg_und[x] -= 1
+                            later(x)
+                    deg_und[w] = 0
+                elif und < need:
                     return False
-                if need == 0:
-                    forced = OUT
-                elif und == need:
-                    forced = IN
-                else:
-                    continue
-                for f, _ in links[w]:
-                    if state[f] == UND:
-                        push(f)
-                        push(forced)
-        return True
+                elif und:
+                    # Each edge joins w's path to x's; w is a path end or
+                    # free until its last edge is in.
+                    for f in inc[w]:
+                        if not state[f]:
+                            x = ex[f] ^ w
+                            if deg_in[x] >= 2:
+                                return False
+                            a, b = mate[w], mate[x]
+                            if a == x and in_count + 1 != n:
+                                return False
+                            mate[a], mate[b] = b, a
+                            in_count += 1
+                            deg_in[w] += 1
+                            deg_in[x] += 1
+                            state[f] = IN
+                            push(f)
+                            deg_und[w] -= 1
+                            deg_und[x] -= 1
+                            later(x)
+            return True
+        finally:
+            self.in_count = in_count
 
     def _undo_to(self, mark: int) -> None:
-        state, edges, deg_in, deg_und, mate, trail = (
-            self.state, self.edges, self.deg_in, self.deg_und, self.mate, self.trail
+        """Undo every decision after the trail's first ``mark`` entries.
+
+        The cut slice is replayed newest first, so each cycle edge is
+        undone in the state its join left: an end u of the edge that now
+        has one cycle edge was free before it, and one with two was a
+        path end whose far end ``mate[u]`` still names, since the joins
+        write only the mates of path ends.  Those far ends get u and v
+        back as their mates.
+        """
+        trail = self.trail
+        if len(trail) <= mark:
+            return
+        cut = trail[mark:]
+        del trail[mark:]
+        state, eu, ev, deg_in, deg_und, mate = (
+            self.state, self.eu, self.ev, self.deg_in, self.deg_und, self.mate
         )
-        pop = trail.pop
+        IN = self.IN
         joined = 0
-        while len(trail) > mark:
-            e = pop()
-            u, v = edges[e]
-            if state[e] == self.IN:
-                b = pop()
-                a = pop()
+        for e in reversed(cut):
+            u, v = eu[e], ev[e]
+            if state[e] == IN:
+                a = mate[u] if deg_in[u] == 2 else u
+                b = mate[v] if deg_in[v] == 2 else v
                 mate[a], mate[b] = u, v
                 deg_in[u] -= 1
                 deg_in[v] -= 1
                 joined += 1
-            state[e] = self.UND
+            state[e] = 0
             deg_und[u] += 1
             deg_und[v] += 1
         self.in_count -= joined
@@ -230,25 +295,28 @@ class _EdgeStateSearch:
         path reaches its far end, ``mate``, too, and it stops once every
         node is reached.
         """
-        deg_in, mate, state, links = self.deg_in, self.mate, self.state, self.links
-        und = self.UND
+        deg_in, mate, state, inc, ex = self.deg_in, self.mate, self.state, self.inc, self.ex
         # Vertex 0, or a path end when 0 is inside a path.
         start = 0 if deg_in[0] < 2 else deg_in.index(1)
         far = mate[start]
         seen = bytearray(self.n)
         seen[start] = seen[far] = 1
         stack = [start] if far == start else [start, far]
+        pop, push = stack.pop, stack.append
         left = self.n - self.in_count - 1  # nodes not reached yet
         while left and stack:
-            for f, u in links[stack.pop()]:
-                if not seen[u] and state[f] == und:
-                    seen[u] = 1
-                    left -= 1
-                    stack.append(u)
-                    far = mate[u]
-                    if far != u:
-                        seen[far] = 1
-                        stack.append(far)
+            w = pop()
+            for f in inc[w]:
+                if not state[f]:
+                    u = ex[f] ^ w
+                    if not seen[u]:
+                        seen[u] = 1
+                        left -= 1
+                        push(u)
+                        far = mate[u]
+                        if far != u:
+                            seen[far] = 1
+                            push(far)
         return not left
 
     def _pick_edge(self) -> int:
@@ -259,62 +327,94 @@ class _EdgeStateSearch:
         every vertex with fewer than two cycle edges at least one
         undecided edge, and every vertex with an undecided edge fewer
         than two cycle edges, so such a vertex exists and still needs an
-        edge.
+        edge.  It also leaves no vertex with exactly one undecided edge
+        (that edge would be forced either way), and a vertex no decision
+        has touched keeps its degree, at least 2: so the first vertex
+        with two undecided edges, if any, is the one.
         """
         deg_und, state = self.deg_und, self.state
-        v = deg_und.index(min(filter(None, deg_und)))
-        return next(f for f, _ in self.links[v] if state[f] == self.UND)
+        try:
+            v = deg_und.index(2)
+        except ValueError:
+            v = deg_und.index(min(filter(None, deg_und)))
+        for f in self.inc[v]:
+            if not state[f]:
+                return f
+        raise AssertionError("propagation left a vertex with no undecided edge")
 
     def _cycle(self) -> tuple[int, ...]:
         """The in-cycle edges as a vertex cycle, canonically: from vertex 0
-        toward its smaller neighbour, so equal cycles read identically."""
-        state, links, IN = self.state, self.links, self.IN
-        prev, v = 0, min(u for f, u in links[0] if state[f] == IN)
+        toward its smaller neighbour, so equal cycles read identically.
+
+        Each vertex's two cycle neighbours are kept as their XOR, so the
+        walk steps from ``prev`` to ``v`` to ``side[v] ^ prev``.
+        """
+        state, eu, ev, IN = self.state, self.eu, self.ev, self.IN
+        side = [0] * self.n
+        for e, s in enumerate(state):
+            if s == IN:
+                u, v = eu[e], ev[e]
+                side[u] ^= v
+                side[v] ^= u
+        prev, v = 0, min(self.ex[f] for f in self.inc[0] if state[f] == IN)
         seq = [0, v]
         for _ in range(self.n - 2):
-            for f, u in links[v]:
-                if u != prev and state[f] == IN:
-                    break
-            seq.append(u)
-            prev, v = v, u
+            prev, v = v, side[v] ^ prev
+            seq.append(v)
         return tuple(seq)
 
     def _search(self) -> None:
         """Depth-first over edge decisions, on an explicit stack so the
         depth is not bounded by the interpreter's recursion limit.
 
-        Each frame is [edge, next state index, trail mark]: the edge is
-        tried IN, then OUT, each from the trail mark.  Stops at the first
-        solution unless ``count_all``, or when the budget is spent.
+        The stack holds two ints per open branch, the trail mark and the
+        edge: ``e`` while the edge is tried IN with OUT still to come,
+        ``~e`` once it is tried OUT.  Stops at the first solution unless
+        ``count_all``, or when the budget is spent.
         """
-        choices = (self.IN, self.OUT)
-        stack: list[list[int]] = []
+        IN, OUT, n, budget = self.IN, self.OUT, self.n, self.budget
+        trail = self.trail
+        assign, undo, connected = self._assign, self._undo_to, self._connected_without_out
+        stack: list[int] = []
+        max_depth = decided = expansions = 0
         while True:
             # Expand the current node: record a solution or push a branch.
-            if self.in_count == self.n:
+            if len(stack) > max_depth:
+                max_depth = len(stack)
+            if self.in_count == n:
                 self.solutions.append(self._cycle())
                 if not self.count_all:
-                    return
-            elif self._connected_without_out():
+                    break
+            elif connected():
                 e = self._pick_edge()
-                self.expansions += 1
-                if self.expansions > self.budget:
+                expansions += 1
+                if expansions > budget:
                     self.exhausted = True
-                    return
-                stack.append([e, 0, len(self.trail)])
+                    break
+                mark = len(trail)
+                stack += (mark, e)
+                ok = assign(e, IN)
+                decided += len(trail) - mark
+                if ok:
+                    continue
             # Backtrack to the next untried branch and descend into it.
             while stack:
-                frame = stack[-1]
-                e, i, mark = frame
-                self._undo_to(mark)
-                if i == len(choices):
-                    stack.pop()
+                e = stack[-1]
+                mark = stack[-2]
+                undo(mark)
+                if e < 0:
+                    del stack[-2:]
                     continue
-                frame[1] = i + 1
-                if self._assign(e, choices[i]):
+                stack[-1] = ~e
+                ok = assign(e, OUT)
+                decided += len(trail) - mark
+                if ok:
                     break
             else:
-                return
+                break
+        self.expansions = expansions
+        self.max_depth = max_depth // 2
+        self.decided += decided
 
 
 def find_hamiltonian_cycle(
@@ -329,13 +429,17 @@ def find_hamiltonian_cycle(
     ask single-chamber style questions (all outer edges in the cycle).
     A forced pair that is not an edge raises ValueError.
     """
-    search = _EdgeStateSearch([list(r) for r in embedding.rotations], budget)
+    search = _EdgeStateSearch(embedding.rotations, budget)
     search.run(forced_in, forced_out)
     cert = None
     if search.solutions:
         cert = verify_cycle(embedding, search.solutions[0])
     return SearchResult(
-        certificate=cert, exhausted=search.exhausted, expansions=search.expansions
+        certificate=cert,
+        exhausted=search.exhausted,
+        expansions=search.expansions,
+        max_depth=search.max_depth,
+        decided=search.decided,
     )
 
 
@@ -343,7 +447,7 @@ def enumerate_hamiltonian_cycles(
     embedding: PlanarEmbedding, budget: int = DEFAULT_BUDGET
 ) -> tuple[list[CycleCertificate], bool]:
     """All distinct Hamiltonian cycles (as undirected edge sets)."""
-    search = _EdgeStateSearch([list(r) for r in embedding.rotations], budget, count_all=True).run()
+    search = _EdgeStateSearch(embedding.rotations, budget, count_all=True).run()
     certs = [verify_cycle(embedding, cycle) for cycle in search.solutions]
     certs.sort(key=lambda c: c.vertices)
     return certs, search.exhausted
@@ -390,10 +494,12 @@ def longest_cycle(embedding: PlanarEmbedding, budget: int = DEFAULT_BUDGET) -> S
     Tries a spanning cycle first, then each single-vertex exclusion, then
     pairs, and so on; the first length with a hit is the circumference.
     The search holds no cycle until that hit, so a spent budget returns
-    ``certificate=None`` with the exhausted flag raised.
+    ``certificate=None`` with the exhausted flag raised.  The counters
+    sum (``expansions``, ``decided``) or take the maximum (``max_depth``)
+    over the searches run.
     """
     n = embedding.vertex_count
-    spent = 0
+    spent = depth = decided = 0
     for drop in range(0, n - 2):
         for excluded in combinations(range(n), drop):
             keep = [v for v in range(n) if v not in excluded]
@@ -406,13 +512,11 @@ def longest_cycle(embedding: PlanarEmbedding, budget: int = DEFAULT_BUDGET) -> S
                 continue
             search = _EdgeStateSearch(adj, budget - spent).run()
             spent += search.expansions
+            depth = max(depth, search.max_depth)
+            decided += search.decided
             if search.solutions:
                 cycle = tuple(keep[i] for i in search.solutions[0])
-                return SearchResult(
-                    certificate=verify_cycle(embedding, cycle),
-                    exhausted=False,
-                    expansions=spent,
-                )
+                return SearchResult(verify_cycle(embedding, cycle), False, spent, depth, decided)
             if search.exhausted:
-                return SearchResult(certificate=None, exhausted=True, expansions=spent)
-    return SearchResult(certificate=None, exhausted=False, expansions=spent)
+                return SearchResult(None, True, spent, depth, decided)
+    return SearchResult(None, False, spent, depth, decided)

@@ -3,6 +3,10 @@
 import argparse
 import hashlib
 import importlib
+import math
+import random
+import re
+import statistics
 import subprocess
 import sys
 import time
@@ -11,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from barnette import cli
-from barnette.cli import bench_scaling, main, parse_machine_records, to_dot
+from barnette.cli import bench_exponent, bench_scaling, main, parse_machine_records, to_dot
 from barnette.carve import (
     _ROLES,
     CarveResult,
@@ -113,6 +117,9 @@ class TestSubcommands:
         rec = parse_machine_records(out)[0]
         assert code == 0
         assert rec["hamiltonian"] == "false" and rec["proved_absent"] == "true"
+        r = find_hamiltonian_cycle(build_named("tutte_graph").embedding)
+        assert (rec["expansions"], rec["max_depth"], rec["decided"]) == (
+            str(r.expansions), str(r.max_depth), str(r.decided))
 
     def test_oracle_longest(self, capsys, rot_file):
         code, out = run_cli(capsys, "oracle", "--machine", "--longest", rot_file("cube"))
@@ -270,10 +277,24 @@ class TestSubcommands:
         assert all(r["layer"] == "front" and r["status"] == "parsed" for r in recs)
         assert all(float(r["per_vertex_us"]) > 0 for r in recs)
 
-    def test_bench_front_prints_ratio(self, capsys):
+    def test_bench_front_prints_fitted_exponent(self, capsys):
+        # One least-squares exponent over every size run, once there are
+        # three; two sizes print none.
+        code, out = run_cli(capsys, "bench", "--layer", "front", "--sizes", "2,3,4")
+        assert code == 0 and out.count("parsed") == 3
+        assert re.search(r"^scaling exponent, least squares over 3 sizes: -?\d+\.\d\d$", out, re.M)
         code, out = run_cli(capsys, "bench", "--layer", "front", "--sizes", "2,3")
-        assert code == 0 and out.count("parsed") == 2
-        assert "per-vertex ratio largest/smallest:" in out
+        assert code == 0 and out.count("parsed") == 2 and "exponent" not in out
+
+    def test_bench_fit_record_round_trips(self, capsys):
+        code, out = run_cli(capsys, "bench", "--machine", "--layer", "front", "--sizes", "2,3,4")
+        recs = parse_machine_records(out)
+        assert code == 0 and [r["record"] for r in recs] == ["bench"] * 3 + ["bench_fit"]
+        fit = recs[-1]
+        assert fit == {"record": "bench_fit", "family": "prism", "layer": "front",
+                       "sizes": "3", "exponent": fit["exponent"]}
+        assert re.fullmatch(r"-?\d+\.\d{3}", fit["exponent"])
+        assert parse_machine_records(out.splitlines()[-1]) == [fit]
 
     def test_bench_unknown_layer(self):
         with pytest.raises(SystemExit, match="unknown bench layer"):
@@ -291,6 +312,31 @@ class TestSubcommands:
         for rec, k in zip(recs, map(int, sizes.split(","))):
             expansions = find_hamiltonian_cycle(cli._bench_graph(family, k)).expansions
             assert rec["status"] == f"expansions:{expansions}"
+
+    def test_bench_oracle_layer_counters(self, capsys):
+        code, out = run_cli(capsys, "bench", "--machine", "--layer", "oracle", "--sizes", "2,5")
+        recs = parse_machine_records(out)
+        assert code == 0 and len(recs) == 2
+        for rec, k in zip(recs, (2, 5)):
+            r = find_hamiltonian_cycle(cli._bench_graph("prism", k))
+            assert (rec["max_depth"], rec["decided"]) == (str(r.max_depth), str(r.decided))
+        code, out = run_cli(capsys, "bench", "--layer", "oracle", "--sizes", "2")
+        assert code == 0 and "max_depth:" in out and "decided:" in out
+
+    def test_bench_enumerate_layer(self, capsys):
+        # C_2k x K_2 has 2k + 2 Hamiltonian cycles: 2k that use two spokes
+        # and the two that use every spoke, alternating rims.
+        code, out = run_cli(capsys, "bench", "--machine", "--layer", "enumerate",
+                            "--sizes", "2,3,4,5")
+        recs = [r for r in parse_machine_records(out) if r["record"] == "bench"]
+        assert code == 0 and [r["n"] for r in recs] == ["8", "12", "16", "20"]
+        assert [r["status"] for r in recs] == [f"cycles:{2 * k + 2}" for k in (2, 3, 4, 5)]
+        assert all(r["layer"] == "enumerate" and float(r["seconds"]) >= 0 for r in recs)
+        # The cube leapfrogged once is the truncated octahedron.
+        code, out = run_cli(capsys, "bench", "--machine", "--layer", "enumerate",
+                            "--family", "leapfrog", "--sizes", "1")
+        (rec,) = parse_machine_records(out)
+        assert code == 0 and (rec["n"], rec["status"]) == ("24", "cycles:44")
 
     def test_dot_plain_and_carved(self, capsys, rot_file):
         path = rot_file("cube")
@@ -497,6 +543,26 @@ class TestBenchScaling:
         want = [find_hamiltonian_cycle(generate_prism(k).embedding).expansions for k in (2, 5)]
         assert [r["status"] for r in rows] == [f"expansions:{e}" for e in want]
         assert want == [4, 10]
+
+    def test_exponent_is_a_least_squares_slope(self):
+        def rows(ns, power):
+            return [{"n": n, "seconds": 1e-6 * n ** power} for n in ns]
+
+        assert bench_exponent(rows([10, 100, 1000], 1.0)) == pytest.approx(1.0)
+        assert bench_exponent(rows([8, 20, 40, 100], 2.0)) == pytest.approx(2.0)
+        # The slope of the line that fits three points best, not of the ends.
+        # At log n = 0, 1, 3 and log seconds = 0, 0, 3 that is 15/14, and the
+        # ends alone would read 1.
+        bent = [{"n": 1, "seconds": 1.0}, {"n": math.e, "seconds": 1.0},
+                {"n": math.e ** 3, "seconds": math.e ** 3}]
+        assert bench_exponent(bent) == pytest.approx(15 / 14)
+        assert bench_exponent(rows([10, 100], 1.0)) is None
+        assert bench_exponent(rows([10, 10, 100], 1.0)) is None
+        rng = random.Random(5)
+        noisy = [{"n": n, "seconds": rng.uniform(1e-4, 1.0)} for n in (8, 20, 40, 100, 200)]
+        want = statistics.linear_regression([math.log(r["n"]) for r in noisy],
+                                            [math.log(r["seconds"]) for r in noisy]).slope
+        assert bench_exponent(noisy) == pytest.approx(want)
 
     def test_finish_layer(self, capsys):
         code, out = run_cli(capsys, "bench", "--machine", "--layer", "finish", "--sizes", "2,25")

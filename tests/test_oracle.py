@@ -398,10 +398,32 @@ def connected_without_out_reference(search):
     return len(seen) == n
 
 
+def path_mates(search):
+    """Each vertex with fewer than two cycle edges mapped to the far end of
+    its path of cycle edges (itself when it has none), walked off the edge
+    states alone."""
+    cycle_nbrs = [[] for _ in range(search.n)]
+    for (u, v), s in zip(search.edges, search.state):
+        if s == search.IN:
+            cycle_nbrs[u].append(v)
+            cycle_nbrs[v].append(u)
+    mates = {}
+    for end, nbrs in enumerate(cycle_nbrs):
+        if not nbrs:
+            mates[end] = end
+        elif len(nbrs) == 1:
+            prev, v = end, nbrs[0]
+            while len(cycle_nbrs[v]) == 2:
+                prev, v = v, sum(cycle_nbrs[v]) - prev
+            mates[end] = v
+    return mates
+
+
 class CheckedSearch(_EdgeStateSearch):
     """A search that checks, at every node it tests for connectivity, the
-    contracted test against the reference and the invariant ``_pick_edge``
-    relies on, both read off the edge states alone.  Tallies the answers."""
+    contracted test against the reference, the invariant ``_pick_edge``
+    relies on and every path end's ``mate``, all read off the edge states
+    alone.  Tallies the answers."""
 
     answers = {True: 0, False: 0}
 
@@ -417,6 +439,7 @@ class CheckedSearch(_EdgeStateSearch):
         assert deg_in == self.deg_in and deg_und == self.deg_und
         assert sum(deg_in) == 2 * self.in_count
         assert all(i < 2 for i, u in zip(deg_in, deg_und) if u)
+        assert all(self.mate[end] == far for end, far in path_mates(self).items())
         CheckedSearch.answers[got] += 1
         return got
 
@@ -468,6 +491,44 @@ class TestContractedConnectivity:
         for cycle in search.solutions:
             on = {edge_key(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
             assert set(forced_in) <= on and not set(forced_out) & on
+
+
+def snapshot(search):
+    return (bytes(search.state), list(search.deg_in), list(search.deg_und),
+            list(search.mate), search.in_count)
+
+
+class TestUndo:
+    """``_undo_to(mark)`` puts back exactly what the trail's entries past
+    ``mark`` changed, whatever run of ``_assign`` calls wrote them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_undo_restores_every_snapshot(self, data):
+        adj, edges = _forcing_graph(data.draw(st.sampled_from(FORCING_GRAPHS)))
+        search = _EdgeStateSearch(adj, 0)
+        decision = st.tuples(st.integers(0, len(edges) - 1), st.sampled_from((search.IN, search.OUT)))
+        # A node the search could reach: each failed call undone at once.
+        for e, s in data.draw(st.lists(decision, max_size=8)):
+            mark = len(search.trail)
+            if not search._assign(e, s):
+                search._undo_to(mark)
+        # Then any run of calls, failed ones included, with a snapshot
+        # at the trail mark before each.
+        marks = []
+        for e, s in data.draw(st.lists(decision, min_size=1, max_size=12)):
+            marks.append((len(search.trail), snapshot(search)))
+            search._assign(e, s)
+        # Back to some of those marks, newest first, the first one last.
+        picked = data.draw(st.sets(st.sampled_from(range(len(marks)))))
+        for i in sorted(picked | {0}, reverse=True):
+            mark, before = marks[i]
+            search._undo_to(mark)
+            assert len(search.trail) == mark and snapshot(search) == before
+        # The restored state is a consistent one: the checks a tested
+        # node makes hold on it.
+        assert search.in_count == sum(search.deg_in) // 2
+        assert all(search.mate[end] == far for end, far in path_mates(search).items())
 
 
 def tutte_pair():
