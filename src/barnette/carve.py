@@ -82,6 +82,7 @@ from operator import eq, floordiv
 from typing import Iterator, NamedTuple
 
 from .embedding import Edge, PlanarEmbedding, edge_key
+from .oracle import CycleCertificate, verify_cycle
 
 __all__ = [
     "EdgeRole",
@@ -1117,8 +1118,6 @@ def chamber_count(embedding: PlanarEmbedding, cycle) -> int:
     H \ C whose outside face is in the subtree.  Every edge of H Δ C
     lies on exactly one of these boundaries.
     """
-    from .oracle import CycleCertificate, verify_cycle
-
     if not embedding.is_cubic():
         raise ValueError("chamber analysis needs a cubic graph")
     cert = cycle if isinstance(cycle, CycleCertificate) else verify_cycle(embedding, cycle)

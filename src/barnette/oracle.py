@@ -9,13 +9,17 @@ undecided, in the cycle, or excluded) with unit propagation:
 * a vertex that can no longer reach 2 chosen edges fails,
 * a vertex with just as many undecided edges as it still needs takes them,
 * chosen edges are tracked as paths; closing a cycle early fails,
-* the not-excluded subgraph must stay connected.
+* the not-excluded subgraph must stay connected, which each node tests
+  for what it changed: its parent's was connected, so its own is exactly
+  when the ends of the edges it excluded lie in one component.
 
 Propagation leaves no undecided edge at an inner vertex of a path of
 chosen edges, so the connectivity test runs over contracted paths: it
 visits free vertices and path ends only, follows undecided edges, and
-jumps from a path's end to its far end.  A test costs O(n - chosen +
-undecided), not O(n + m).
+jumps from a path's end to its far end.  It runs breadth first from one
+excluded edge's end and stops once it has reached all of them, so a node
+whose exclusions stay close costs what it decided, not O(n): on prisms a
+search of n/2 nodes is linear.  The input is tested whole, once.
 
 All prunings are sound, so a completed search is a nonexistence proof.
 Budgets are counted in branch expansions, never wall clock.
@@ -142,7 +146,13 @@ class _EdgeStateSearch:
         self.deg_in = [0] * n
         self.deg_und = list(map(len, inc))
         self.mate = list(range(n))
+        # Marks of the connectivity test, tagged with the number of the
+        # test that set them, so that no test clears n marks.
+        self.seen = [0] * n
+        self.stamp = 0
         self.in_count = 0
+        # No vertex below it has two undecided edges; set at each node.
+        self.resume = 0
         # The decided edges in the order they were set, one entry each.
         self.trail: list[int] = []
         self.solutions: list[tuple[int, ...]] = []
@@ -162,10 +172,13 @@ class _EdgeStateSearch:
             if e is None:
                 raise ValueError(f"forced edge {tuple(pair)} is not an edge of the graph")
             decisions.append((e, s))
-        # A vertex of degree below 2 lies on no spanning cycle.
+        # The search tests each node for what it changed, so it needs a
+        # connected input to start from.  A vertex of degree below 2 lies
+        # on no spanning cycle.
+        connected = self._connects(range(self.n))
         ok = min(self.deg_und) >= 2 and all(self._assign(e, s) for e, s in decisions)
         self.decided = len(self.trail)
-        if ok:
+        if ok and connected:
             self._search()
         return self
 
@@ -285,39 +298,53 @@ class _EdgeStateSearch:
             deg_und[v] += 1
         self.in_count -= joined
 
-    def _connected_without_out(self) -> bool:
-        """Whether the edges not excluded connect all n vertices.
+    def _connects(self, ends) -> bool:
+        """Whether the edges not excluded join all of ``ends``, each a free
+        vertex or a path end, in one component.
 
         Cycle edges form paths, and propagation leaves no undecided edge
-        at a path's inner vertex.  So the search runs over the contracted
-        graph: its nodes are the free vertices and the paths, n - in_count
-        in all; it follows undecided edges only, reaching one end of a
-        path reaches its far end, ``mate``, too, and it stops once every
-        node is reached.
+        at a path's inner vertex.  So the search runs breadth first over
+        the contracted graph, whose nodes are the free vertices and the
+        paths: it follows undecided edges only, reaching one end of a path
+        reaches its far end, ``mate``, too, and it stops once every node of
+        ``ends`` is reached.  A node is marked at its key, the lesser of its
+        ends.
         """
-        deg_in, mate, state, inc, ex = self.deg_in, self.mate, self.state, self.inc, self.ex
-        # Vertex 0, or a path end when 0 is inside a path.
-        start = 0 if deg_in[0] < 2 else deg_in.index(1)
+        mate, state, inc, ex, seen = self.mate, self.state, self.inc, self.ex, self.seen
+        # Marks of this call: the targets not reached yet hold -stamp,
+        # the reached vertices stamp.
+        stamp = self.stamp = self.stamp + 1
+        left = 0
+        for t in ends:
+            far = mate[t]
+            key = t if t < far else far
+            if seen[key] != -stamp:
+                seen[key] = -stamp
+                left += 1
+        if left < 2:
+            return True
+        start = key
         far = mate[start]
-        seen = bytearray(self.n)
-        seen[start] = seen[far] = 1
-        stack = [start] if far == start else [start, far]
-        pop, push = stack.pop, stack.append
-        left = self.n - self.in_count - 1  # nodes not reached yet
-        while left and stack:
-            w = pop()
+        seen[start] = seen[far] = stamp
+        left -= 1
+        queue = [start] if far == start else [start, far]
+        push = queue.append
+        for w in queue:
             for f in inc[w]:
                 if not state[f]:
                     u = ex[f] ^ w
-                    if not seen[u]:
-                        seen[u] = 1
-                        left -= 1
-                        push(u)
+                    if seen[u] != stamp:
                         far = mate[u]
+                        key = u if u < far else far
+                        if seen[key] == -stamp:
+                            left -= 1
+                            if not left:
+                                return True
+                        seen[u] = seen[far] = stamp
+                        push(u)
                         if far != u:
-                            seen[far] = 1
                             push(far)
-        return not left
+        return False
 
     def _pick_edge(self) -> int:
         """The first undecided edge at the first vertex of least positive
@@ -330,11 +357,12 @@ class _EdgeStateSearch:
         edge.  It also leaves no vertex with exactly one undecided edge
         (that edge would be forced either way), and a vertex no decision
         has touched keeps its degree, at least 2: so the first vertex
-        with two undecided edges, if any, is the one.
+        with two undecided edges, if any, is the one.  The search finds it
+        from ``resume``, below which no vertex has two undecided edges.
         """
         deg_und, state = self.deg_und, self.state
         try:
-            v = deg_und.index(2)
+            v = deg_und.index(2, self.resume)
         except ValueError:
             v = deg_und.index(min(filter(None, deg_und)))
         for f in self.inc[v]:
@@ -371,10 +399,25 @@ class _EdgeStateSearch:
         edge: ``e`` while the edge is tried IN with OUT still to come,
         ``~e`` once it is tried OUT.  Stops at the first solution unless
         ``count_all``, or when the budget is spent.
+
+        A node is tested only for what it changed, the trail past its
+        mark.  Its parent's edges not excluded were connected (the root's
+        parent is the input), so its own are exactly when the ends of the
+        edges it excluded lie in one component.  An end with two cycle
+        edges stands for its path: its ``mate`` still names the far end
+        its path had when it took its second edge, and following ``mate``
+        while inner reaches an end of its path now, each hop landing on a
+        vertex made inner later in the same ``_assign``.  The same pass
+        finds where ``_pick_edge`` resumes.  Only touched vertices change
+        undecided degree, and no vertex below the parent's pick had two
+        undecided edges, so below the lesser end of the branch edge, at or
+        below that pick, only a touched vertex can have two now.
         """
         IN, OUT, n, budget = self.IN, self.OUT, self.n, self.budget
-        trail = self.trail
-        assign, undo, connected = self._assign, self._undo_to, self._connected_without_out
+        trail, state, eu, ev, deg_in, deg_und, mate = (
+            self.trail, self.state, self.eu, self.ev, self.deg_in, self.deg_und, self.mate
+        )
+        assign, undo, connects, pick = self._assign, self._undo_to, self._connects, self._pick_edge
         stack: list[int] = []
         max_depth = decided = expansions = 0
         while True:
@@ -385,18 +428,38 @@ class _EdgeStateSearch:
                 self.solutions.append(self._cycle())
                 if not self.count_all:
                     break
-            elif connected():
-                e = self._pick_edge()
-                expansions += 1
-                if expansions > budget:
-                    self.exhausted = True
-                    break
-                mark = len(trail)
-                stack += (mark, e)
-                ok = assign(e, IN)
-                decided += len(trail) - mark
-                if ok:
-                    continue
+            else:
+                if stack:
+                    mark, e = stack[-2], stack[-1]
+                    lo = eu[e if e >= 0 else ~e]
+                else:
+                    mark = lo = 0
+                ends = []
+                for f in trail[mark:]:
+                    u, v = eu[f], ev[f]
+                    if deg_und[u] == 2 and u < lo:
+                        lo = u
+                    if deg_und[v] == 2 and v < lo:
+                        lo = v
+                    if state[f] == OUT:
+                        while deg_in[u] == 2:
+                            u = mate[u]
+                        while deg_in[v] == 2:
+                            v = mate[v]
+                        ends += (u, v)
+                if connects(ends):
+                    self.resume = lo
+                    e = pick()
+                    expansions += 1
+                    if expansions > budget:
+                        self.exhausted = True
+                        break
+                    mark = len(trail)
+                    stack += (mark, e)
+                    ok = assign(e, IN)
+                    decided += len(trail) - mark
+                    if ok:
+                        continue
             # Backtrack to the next untried branch and descend into it.
             while stack:
                 e = stack[-1]

@@ -393,6 +393,33 @@ def test_criterion_11_short_outer_linear_scaling():
         assert ratio <= 2.0
 
 
+def least_squares_exponent(sizes, seconds):
+    """The slope of log time against log size, fitted to all the points."""
+    return statistics.linear_regression(list(map(math.log, sizes)), list(map(math.log, seconds))).slope
+
+
+def interleaved_best(cases, run, rounds):
+    """Best seconds per call of ``run(case)`` over ``rounds`` interleaved
+    rounds, each case batched to the largest size.  ``cases`` pairs each
+    input with its size.  Interleaving lets every case see the host's
+    speed drift over the same span; the collector is off while timing,
+    as timeit has it."""
+    largest = max(n for _, n in cases)
+    best = [float("inf")] * len(cases)
+    gc.disable()
+    try:
+        for _ in range(rounds):
+            for i, (case, n) in enumerate(cases):
+                batch = largest // n
+                t0 = time.perf_counter()
+                for _ in range(batch):
+                    run(case)
+                best[i] = min(best[i], (time.perf_counter() - t0) / batch)
+    finally:
+        gc.enable()
+    return best
+
+
 def test_criterion_12_linear_cut_enumeration():
     with criterion(12, "3-cut enumeration scaling", 120.0):
         cases = [truncate_embedding(generate_prism(k).embedding) for k in (125, 375, 1000)]
@@ -401,26 +428,11 @@ def test_criterion_12_linear_cut_enumeration():
             emb.dart_index  # trace outside the timing
             # One triangle cut per vertex of the prism, none elsewhere.
             assert len(enumerate_3_edge_cuts(emb)) == emb.vertex_count // 3
-        # Interleaved rounds, each smaller case batched to the largest
-        # one's size, so all see the host's speed drift over the same span;
-        # the collector is off while timing, as timeit has it.  The
-        # exponent is fitted to all three sizes by least squares, so one
-        # slow sample moves it less than it moves a two-size ratio.
-        best = [float("inf")] * len(cases)
-        gc.disable()
-        try:
-            for _ in range(7):
-                for i, emb in enumerate(cases):
-                    batch = cases[-1].vertex_count // emb.vertex_count
-                    t0 = time.perf_counter()
-                    for _ in range(batch):
-                        enumerate_3_edge_cuts(emb)
-                    best[i] = min(best[i], (time.perf_counter() - t0) / batch)
-        finally:
-            gc.enable()
-        exponent = statistics.linear_regression(
-            [math.log(emb.vertex_count) for emb in cases], list(map(math.log, best))
-        ).slope
+        # The exponent is fitted to all three sizes by least squares, so
+        # one slow sample moves it less than it moves a two-size ratio.
+        best = interleaved_best([(emb, emb.vertex_count) for emb in cases],
+                                enumerate_3_edge_cuts, rounds=7)
+        exponent = least_squares_exponent([emb.vertex_count for emb in cases], best)
         print(f"\ncut-enumeration-report: seconds = {[round(t, 4) for t in best]} "
               f"exponent={exponent:.2f}")
         assert exponent <= 1.25
@@ -431,31 +443,40 @@ def test_criterion_13_high_degree_construction_scaling():
         # Bipyramids (duals of prisms) have two hubs of degree n - 2; their
         # truncations have two faces of length 2(n - 2).
         families = {
-            "bipyramid": [dual_embedding(generate_prism(k).embedding) for k in (500, 8000)],
+            "bipyramid": [dual_embedding(generate_prism(k).embedding) for k in (500, 2000, 8000)],
             "truncated_bipyramid": [
                 truncate_embedding(dual_embedding(generate_prism(k).embedding))
-                for k in (84, 1334)
+                for k in (84, 334, 1334)
             ],
         }
         assert [[g.vertex_count for g in gs] for gs in families.values()] == [
-            [1002, 16002], [1008, 16008]
+            [1002, 4002, 16002], [1008, 4008, 16008]
         ]
-        cases = [g.rotations for gs in families.values() for g in gs]
-        largest = max(map(len, cases))
-        # Interleaved rounds, each small case batched to the large one's
-        # size, so all see the host's speed drift over the same span.
-        best = [float("inf")] * len(cases)
-        for _ in range(5):
-            for i, rots in enumerate(cases):
-                batch = largest // len(rots)
-                t0 = time.perf_counter()
-                for _ in range(batch):
-                    PlanarEmbedding(rots).dart_index
-                best[i] = min(best[i], (time.perf_counter() - t0) / batch)
-        exponents = {}
-        for j, name in enumerate(families):
-            (n0, n1), (t0, t1) = map(len, cases[2 * j:2 * j + 2]), best[2 * j:2 * j + 2]
-            exponents[name] = math.log(t1 / t0) / math.log(n1 / n0)
+        cases = [(g.rotations, g.vertex_count) for gs in families.values() for g in gs]
+        best = interleaved_best(cases, lambda rots: PlanarEmbedding(rots).dart_index, rounds=7)
+        # One exponent per family, fitted to its three sizes by least
+        # squares, so one slow sample moves it less than a two-size ratio.
+        exponents = {
+            name: least_squares_exponent([n for _, n in cases[3 * j:3 * j + 3]], best[3 * j:3 * j + 3])
+            for j, name in enumerate(families)
+        }
         print(f"\nhigh-degree-report: seconds = {[round(t, 4) for t in best]} "
               f"exponents = { {k: round(e, 2) for k, e in exponents.items()} }")
         assert max(exponents.values()) <= 1.25
+
+
+def test_criterion_14_oracle_scaling_on_prisms():
+    with criterion(14, "oracle scaling on prisms", 120.0):
+        # The search picks each ring's next edge in turn and never
+        # backtracks, so its tree is n/2 nodes; what grows with n is
+        # only the cost of a node, which the connectivity test of what
+        # the node changed keeps constant.
+        cases = [(generate_prism(k).embedding, 4 * k) for k in (250, 500, 1000)]
+        for emb, n in cases:
+            r = find_hamiltonian_cycle(emb)
+            assert r.certificate.is_hamiltonian and r.expansions == n // 2
+        best = interleaved_best(cases, find_hamiltonian_cycle, rounds=7)
+        exponent = least_squares_exponent([n for _, n in cases], best)
+        print(f"\noracle-scaling-report: us per vertex = "
+              f"{[round(t / n * 1e6, 2) for t, (_, n) in zip(best, cases)]} exponent={exponent:.2f}")
+        assert exponent <= 1.25

@@ -379,9 +379,10 @@ def test_oracle_digest_is_pinned(corpus_graphs):
 
 
 def connected_without_out_reference(search):
-    """The connectivity test as a search over all n vertices and every
-    edge not excluded, the form it had before it ran over contracted
-    paths; kept to check that one against."""
+    """Whether the edges not excluded connect all n vertices, searched
+    over every vertex and every such edge: the connectivity test as it
+    was before it ran over contracted paths and over what a node changed;
+    kept to check that one against."""
     n = search.n
     adj = [[] for _ in range(n)]
     for (u, v), s in zip(search.edges, search.state):
@@ -398,38 +399,112 @@ def connected_without_out_reference(search):
     return len(seen) == n
 
 
-def path_mates(search):
-    """Each vertex with fewer than two cycle edges mapped to the far end of
-    its path of cycle edges (itself when it has none), walked off the edge
-    states alone."""
+def path_walks(search):
+    """Every path of cycle edges as the vertices met walking it from one of
+    its ends to the other, once from each end (a free vertex walks alone),
+    read off the edge states alone."""
     cycle_nbrs = [[] for _ in range(search.n)]
     for (u, v), s in zip(search.edges, search.state):
         if s == search.IN:
             cycle_nbrs[u].append(v)
             cycle_nbrs[v].append(u)
-    mates = {}
+    walks = []
     for end, nbrs in enumerate(cycle_nbrs):
         if not nbrs:
-            mates[end] = end
+            walks.append([end])
         elif len(nbrs) == 1:
-            prev, v = end, nbrs[0]
-            while len(cycle_nbrs[v]) == 2:
-                prev, v = v, sum(cycle_nbrs[v]) - prev
-            mates[end] = v
-    return mates
+            walk = [end, nbrs[0]]
+            while len(cycle_nbrs[walk[-1]]) == 2:
+                walk.append(sum(cycle_nbrs[walk[-1]]) - walk[-2])
+            walks.append(walk)
+    return walks
+
+
+def path_mates(search):
+    """Each vertex with fewer than two cycle edges mapped to the far end of
+    its path of cycle edges (itself when it has none)."""
+    return {walk[0]: walk[-1] for walk in path_walks(search)}
+
+
+def contracted_distances(search, start):
+    """Breadth-first distances from ``start``'s node over the contracted
+    graph, one node per path of cycle edges or free vertex, joined by the
+    undecided edges: each vertex mapped to its node's distance."""
+    node = {}
+    for walk in path_walks(search):
+        for v in walk:
+            node[v] = walk[0] if walk[0] < walk[-1] else walk[-1]
+    adj = {}
+    for (u, v), s in zip(search.edges, search.state):
+        if s == search.UND:
+            adj.setdefault(node[u], []).append(node[v])
+            adj.setdefault(node[v], []).append(node[u])
+    dist = {node[start]: 0}
+    frontier = [node[start]]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in adj.get(a, ()):
+                if b not in dist:
+                    dist[b] = dist[a] + 1
+                    nxt.append(b)
+        frontier = nxt
+    return {v: dist.get(a) for v, a in node.items()}
+
+
+def pick_edge_reference(search):
+    """The branch edge by its first rule, read off the edge states alone:
+    the least undecided edge at the first vertex with two undecided
+    edges, else at the first of least positive undecided degree."""
+    deg_und = [0] * search.n
+    for (u, v), s in zip(search.edges, search.state):
+        if s == search.UND:
+            deg_und[u] += 1
+            deg_und[v] += 1
+    least = 2 if 2 in deg_und else min(d for d in deg_und if d)
+    v = deg_und.index(least)
+    return min(e for e, (a, b) in enumerate(search.edges)
+               if v in (a, b) and search.state[e] == search.UND)
+
+
+class ReadLog(list):
+    """A list that logs the indices it is read at."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = []
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
 
 
 class CheckedSearch(_EdgeStateSearch):
     """A search that checks, at every node it tests for connectivity, the
-    contracted test against the reference, the invariant ``_pick_edge``
-    relies on and every path end's ``mate``, all read off the edge states
-    alone.  Tallies the answers."""
+    test of what the node changed against the reference over the whole
+    graph, and that a test which joins its ends reads the edges only of
+    vertices nearer its start than the farthest end, as a breadth-first
+    search does.  It also checks the invariants the test and
+    ``_pick_edge`` rely on, every path end's ``mate`` and, from each inner
+    vertex, that following ``mate`` while inner ends at an end of its own
+    path, all read off the edge states alone; and each pick against the
+    first rule.  Tallies the answers."""
 
     answers = {True: 0, False: 0}
 
-    def _connected_without_out(self):
-        got = super()._connected_without_out()
+    def _connects(self, ends):
+        ends = list(ends)
+        inc, self.inc = self.inc, ReadLog(self.inc)
+        try:
+            got = super()._connects(ends)
+            reads = self.inc.reads
+        finally:
+            self.inc = inc
         assert got == connected_without_out_reference(self)
+        if got and reads:
+            dist = contracted_distances(self, reads[0])
+            farthest = max(dist[t] for t in ends)
+            assert max(dist[w] for w in reads) < farthest
         deg_in = [0] * self.n
         deg_und = [0] * self.n
         for (u, v), s in zip(self.edges, self.state):
@@ -439,8 +514,19 @@ class CheckedSearch(_EdgeStateSearch):
         assert deg_in == self.deg_in and deg_und == self.deg_und
         assert sum(deg_in) == 2 * self.in_count
         assert all(i < 2 for i, u in zip(deg_in, deg_und) if u)
-        assert all(self.mate[end] == far for end, far in path_mates(self).items())
+        assert all(deg_in[t] < 2 for t in ends)
+        for walk in path_walks(self):
+            assert self.mate[walk[0]] == walk[-1]
+            for v in walk[1:-1]:
+                while self.deg_in[v] == 2:
+                    v = self.mate[v]
+                assert v in (walk[0], walk[-1])
         CheckedSearch.answers[got] += 1
+        return got
+
+    def _pick_edge(self):
+        got = super()._pick_edge()
+        assert got == pick_edge_reference(self)
         return got
 
 
@@ -479,6 +565,22 @@ class TestContractedConnectivity:
         plain = [hamiltonian_path_profile(f.embedding, f.terminals) for _, f in fragments]
         monkeypatch.setattr(oracle, "_EdgeStateSearch", CheckedSearch)
         assert plain == [hamiltonian_path_profile(f.embedding, f.terminals) for _, f in fragments]
+
+    @pytest.mark.parametrize("forced_in, forced_out, decided", [
+        ((), (), 0),
+        (((0, 1),), (), 1),
+        (((0, 1), (8, 9)), (), 2),
+        ((), ((0, 1), (8, 12)), 10),
+    ])
+    def test_disconnected_input_is_proved_absent_unexpanded(self, forced_in, forced_out, decided):
+        # Two disjoint cubes.  Each node is tested only for what it
+        # changed, so the input itself is tested once, before any node;
+        # the pins are still set and counted.
+        cube = [list(r) for r in build_named("cube").embedding.rotations]
+        two_cubes = cube + [[u + 8 for u in r] for r in cube]
+        search = CheckedSearch(two_cubes, 100).run(forced_in, forced_out)
+        assert (search.solutions, search.exhausted, search.expansions) == ([], False, 0)
+        assert (search.max_depth, search.decided) == (0, decided)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
