@@ -401,7 +401,7 @@ def _cmd_corpus(args, out) -> int:
 
 
 BENCH_FAMILIES = ("prism", "leapfrog")
-BENCH_LAYERS = ("carve", "double", "front", "finish", "trace", "oracle", "enumerate")
+BENCH_LAYERS = ("carve", "double", "front", "faces", "finish", "trace", "oracle", "enumerate")
 
 
 def _bench_graph(family: str, k: int) -> PlanarEmbedding:
@@ -426,7 +426,10 @@ def bench_scaling(
     graph; layer ``front`` parses the graph's serialized document, whose
     ``outer`` line makes the parse trace the dart arrays and build the at
     most two faces the outer match compares, not the others.  Layer
-    ``finish`` runs that carve untimed, then times ``verify_cycle`` plus
+    ``faces`` parses that document untimed before each rep, then times
+    reading every face's ``length`` and ``vertices``, what ``faces
+    --machine`` prints; its status is the face count.  Layer ``finish``
+    runs that carve untimed, then times ``verify_cycle`` plus
     ``chamber_count`` on the certificate ``verify_cycle`` returned; a
     carve that finds no Hamiltonian cycle raises ValueError, since there is
     nothing to finish.  Layer ``trace`` runs a fresh carve untimed before
@@ -447,6 +450,10 @@ def bench_scaling(
         if layer == "front":
             text = serialize_embedding(emb)
             run = lambda: trace_faces(parse_embedding(text))
+        elif layer == "faces":
+            text = serialize_embedding(emb)
+            # Reads the faces of the rep's fresh parse, set below.
+            run = lambda: [(face.length, face.vertices) for face in faces]
         elif layer == "oracle":
             run = lambda: find_hamiltonian_cycle(emb)
         elif layer == "enumerate":
@@ -482,6 +489,8 @@ def bench_scaling(
         for _ in range(repeats):
             if layer == "trace":
                 trace = carve(emb, entrance).trace  # untimed; no event built yet
+            elif layer == "faces":
+                faces = parse_embedding(text).faces  # untimed; no face read yet
             t0 = time.perf_counter()
             res = run()
             best = min(best, time.perf_counter() - t0)
@@ -491,6 +500,8 @@ def bench_scaling(
             status = f"chambers:{res[1]}"
         elif layer == "trace":
             status = f"events:{len(res)}"
+        elif layer == "faces":
+            status = f"faces:{len(res)}"
         elif layer == "oracle":
             status = f"expansions:{res.expansions}"
         elif layer == "enumerate":
@@ -649,6 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="carve; double: carve_double from the outer walk's first edge "
                          "and the edge three steps along; "
                          "front: parse of a document with its outer line; "
+                         "faces: reading every face's length and vertices after that parse; "
                          "finish: verify_cycle plus chamber_count on the carve's cycle; "
                          "trace: building the events of a finished carve's trace; "
                          "oracle: find_hamiltonian_cycle, status its expansion count; "

@@ -15,6 +15,7 @@ from .embedding import (
     EmbeddingError,
     Face,
     PlanarEmbedding,
+    _rotation_successors,
     parse_embedding,
 )
 
@@ -208,11 +209,14 @@ def truncate_embedding(emb: PlanarEmbedding) -> PlanarEmbedding:
     the dart's id, joined to its twin's corner and its two rotation
     neighbours at ``v``.
     """
-    twin = emb._twin
-    return PlanarEmbedding([  # tuple rows, as in dual_embedding
-        (twin[base + i], base + (i + 1) % d, base + (i - 1) % d)
-        for base, d in zip(emb._off, map(len, emb.rotations)) for i in range(d)
-    ])
+    off = emb._off
+    # Each vertex's darts, like its corners, run from off[v] to off[v + 1].
+    before = list(range(-1, off[-1] - 1))
+    for a, b in pairwise(off):
+        if a < b:
+            before[a] = b - 1
+    # Tuple rows, as in dual_embedding.
+    return PlanarEmbedding(list(zip(emb._twin, _rotation_successors(off), before)))
 
 
 def _induced(emb: PlanarEmbedding, keep: list[int]) -> tuple[PlanarEmbedding, dict[int, int]]:

@@ -8,9 +8,11 @@ Under the pairs lies one integer half-edge core, ``DartIndex``: the dart
 from ``v`` to ``rotations[v][i]`` has id ``off[v] + i`` (``3v + i`` on a
 cubic map), and an edge's id is the smaller of its two dart ids.  Twins
 are paired at construction; the face trace leaves int32 arrays behind, and
-``faces``, ``edge_faces`` and ``dual_table`` are views.  A ``Face`` and its
-``darts`` are built from the arrays the first time that face is read, so
-a run that enters a few faces builds only those.
+``faces``, ``edge_faces`` and ``dual_table`` are views.  A ``Face`` of the
+map is a shell made the first time that face is read: its ``id`` and
+``length`` come off ``face_start``, and its ``vertices`` and ``darts`` are
+built from the arrays only when they are read.  So a run that enters a few
+faces walks only those, and a reader of every face's length walks none.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, pairwise, product
-from operator import sub
+from operator import attrgetter, sub
 from typing import NamedTuple
 
 Edge = tuple[int, int]
@@ -55,25 +57,80 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
 class Face:
-    """One facial walk: a cyclic sequence of darts (directed edges)."""
+    """One facial walk: a cyclic sequence of darts (directed edges).
 
-    id: int
-    darts: tuple[Dart, ...]
+    ``Face(id, darts)`` builds a face from its darts.  The faces of a map
+    are shells over its dart arrays instead (see ``FaceSequence``): ``id``
+    and ``length`` are read off ``face_start`` when the shell is made, and
+    ``vertices`` and ``darts`` are each built on first read, then kept.
+    Equality, hash and repr are those of the pair ``(id, darts)``.  The
+    public attributes are read-only properties over private slots, and a
+    shell holds the map's rotations and dart arrays but nothing that
+    holds it.
+    """
+
+    __slots__ = ("_id", "_length", "_index", "_rotations", "_darts", "_vertices")
+    __match_args__ = ("id", "darts")
+
+    def __init__(self, id: int, darts: tuple[Dart, ...]):
+        self._id, self._length, self._darts = id, len(darts), darts
+        self._index = self._rotations = self._vertices = None
+
+    id = property(attrgetter("_id"))
+    length = property(attrgetter("_length"))
 
     @property
-    def length(self) -> int:
-        return len(self.darts)
+    def darts(self) -> tuple[Dart, ...]:
+        """Each vertex of the walk paired with the next one."""
+        darts = self._darts
+        if darts is None:
+            vs = self.vertices
+            darts = self._darts = tuple(zip(vs, vs[1:] + vs[:1]))
+        return darts
 
-    @cached_property
+    @property
     def vertices(self) -> tuple[int, ...]:
-        """Built once per face; not a field, so equality and hash ignore it."""
-        return tuple([u for u, _ in self.darts])
+        """The tail of each dart: each dart leaves the vertex the one
+        before it entered."""
+        vs = self._vertices
+        if vs is None:
+            # Only a face built from its darts has darts before vertices.
+            darts = self._darts
+            vs = self._walk_vertices() if darts is None else tuple([u for u, _ in darts])
+            self._vertices = vs
+        return vs
+
+    def _walk_vertices(self) -> tuple[int, ...]:
+        """A shell's vertices, walked off the dart arrays with one tail
+        lookup; the one place a shell reads its walk."""
+        index, rots, f = self._index, self._rotations, self._id
+        off, start = index.off, index.face_start
+        darts = index.face_darts[start[f]:start[f + 1]]
+        u = bisect_right(off, darts[0]) - 1
+        out = []
+        for d in darts:
+            out.append(u)
+            u = rots[u][d - off[u]]
+        return tuple(out)
 
     @property
     def edges(self) -> tuple[Edge, ...]:
         return tuple(edge_key(u, v) for u, v in self.darts)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._id, self.darts) == (other._id, other.darts)
+
+    def __hash__(self) -> int:
+        return hash((self._id, self.darts))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(id={self._id!r}, darts={self.darts!r})"
+
+    def __reduce__(self):
+        return type(self), (self._id, self.darts)
 
 
 @dataclass(frozen=True)
@@ -109,9 +166,11 @@ class DartIndex(NamedTuple):
 
 class FaceSequence(Sequence):
     """The facial walks of a traced map, in traced order, read-only.  Face
-    ``f`` and its darts are built from the dart arrays the first time it
-    is read, then kept; ``len`` builds no face, and a slice is a tuple of
-    built faces."""
+    ``f`` is a shell over the dart arrays, made the first time it is read
+    and then kept, so ``faces[f] is faces[f]``; it builds its darts and
+    vertices only when they are read.  ``len`` makes no shell, and a slice
+    is a tuple of shells.  A shell holds the rotations and the arrays,
+    never this sequence, so faces and map form no reference cycle."""
 
     def __init__(self, rotations: tuple[tuple[int, ...], ...], index: DartIndex):
         self._rotations = rotations
@@ -124,29 +183,29 @@ class FaceSequence(Sequence):
     def __getitem__(self, f: int | slice) -> Face | tuple[Face, ...]:
         if isinstance(f, slice):
             return tuple(map(self.__getitem__, range(len(self))[f]))
-        face = self._built[f]
+        built = self._built
+        face = built[f]
         if face is None:
-            off, start, rots = self._index.off, self._index.face_start, self._rotations
-            f %= len(self)
-            darts = self._index.face_darts[start[f]:start[f + 1]]
-            # Each dart of a walk leaves the vertex the one before it
-            # entered, so only the first tail is looked up.
-            u = bisect_right(off, darts[0]) - 1
-            pairs = []
-            for d in darts:
-                v = rots[u][d - off[u]]
-                pairs.append((u, v))
-                u = v
-            face = self._built[f] = Face(f, tuple(pairs))
+            f %= len(built)
+            start = self._index.face_start
+            face = built[f] = _new_shell(Face)
+            face._id, face._length = f, start[f + 1] - start[f]
+            face._index, face._rotations = self._index, self._rotations
+            face._darts = face._vertices = None
         return face
 
     def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
+        for f, face in enumerate(self._built):
+            yield self[f] if face is None else face
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FaceSequence):
             return NotImplemented
         return tuple(self) == tuple(other)
+
+
+# Makes a face without ``Face.__init__``, which takes darts a shell lacks.
+_new_shell = object.__new__
 
 
 class PlanarEmbedding:
@@ -344,10 +403,7 @@ def _trace(emb: PlanarEmbedding) -> DartIndex:
     darts = len(twin)
     # Dart v -> u is followed on its face by the dart after u -> v in the
     # rotation at u.
-    turn = list(range(1, darts + 1))
-    for a, b in pairwise(off):
-        if a < b:
-            turn[b - 1] = a
+    turn = _rotation_successors(off)
     succ = list(map(turn.__getitem__, twin))
     del turn
     face = [-1] * darts
@@ -374,6 +430,16 @@ def _trace(emb: PlanarEmbedding) -> DartIndex:
     if components != 1:
         raise NonPlanarError(f"map is disconnected: {components} components")
     return DartIndex(off, twin, _int32s(face), _int32s(order), _int32s(starts))
+
+
+def _rotation_successors(off) -> list[int]:
+    """The dart after each dart in its tail's rotation, by dart id: ``d +
+    1``, except that a vertex's last dart is followed by its first."""
+    turn = list(range(1, off[-1] + 1))
+    for a, b in pairwise(off):
+        if a < b:
+            turn[b - 1] = a
+    return turn
 
 
 def _rotation_fault(rots: tuple[tuple[int, ...], ...]) -> EmbeddingError:

@@ -44,7 +44,6 @@ from barnette.oracle import find_hamiltonian_cycle
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 # The package exports a function named carve, so the module is looked up.
 carve_module = importlib.import_module("barnette.carve")
-embedding_module = importlib.import_module("barnette.embedding")
 
 
 @pytest.fixture()
@@ -296,6 +295,21 @@ class TestSubcommands:
         assert re.fullmatch(r"-?\d+\.\d{3}", fit["exponent"])
         assert parse_machine_records(out.splitlines()[-1]) == [fit]
 
+    @pytest.mark.parametrize("family, sizes, ns", [("prism", "2,5,9", ["8", "20", "36"]),
+                                                   ("leapfrog", "1,2,3", ["24", "72", "216"])])
+    def test_bench_faces_layer_round_trips(self, capsys, family, sizes, ns):
+        code, out = run_cli(capsys, "bench", "--machine", "--layer", "faces",
+                            "--family", family, "--sizes", sizes)
+        recs = parse_machine_records(out)
+        assert code == 0 and [r["record"] for r in recs] == ["bench"] * 3 + ["bench_fit"]
+        faces = [len(cli._bench_graph(family, k).faces) for k in map(int, sizes.split(","))]
+        assert [(r["n"], r["status"]) for r in recs[:3]] == [
+            (n, f"faces:{count}") for n, count in zip(ns, faces)]
+        assert all(r["layer"] == "faces" and float(r["seconds"]) > 0 for r in recs[:3])
+        for line, rec in zip(out.splitlines(), recs):
+            assert parse_machine_records(line) == [rec]
+            assert rec["family"] == family and rec["layer"] == "faces"
+
     def test_bench_unknown_layer(self):
         with pytest.raises(SystemExit, match="unknown bench layer"):
             main(["bench", "--layer", "search", "--sizes", "1"])
@@ -485,8 +499,8 @@ def test_fail_fast_record_builds_only_the_faces_it_reads(capsys, tmp_path, monke
     # `carve --machine FILE` on a 5832-vertex leapfrog whose carve fails
     # within a few events: of its 2918 faces, only the outer face, the at
     # most two faces its outer line is matched against and the faces the
-    # carve enters get their darts built, and the record's three role
-    # counts build no frozenset.
+    # carve enters get their darts or vertices built, and the record's
+    # three role counts build no frozenset.
     emb = build_named("cube").embedding
     for _ in range(6):
         emb = truncate_embedding(dual_embedding(emb))
@@ -496,16 +510,17 @@ def test_fail_fast_record_builds_only_the_faces_it_reads(capsys, tmp_path, monke
     u, v = min(emb.outer_edges)
     built, frozensets = [], []
 
-    class CountingFace(Face):
-        def __init__(self, id, darts):
-            super().__init__(id, darts)
-            built.append(id)
+    walk_vertices = Face._walk_vertices
+
+    def counting_walk(face):
+        built.append(face.id)
+        return walk_vertices(face)
 
     def counting_frozenset(*args):
         frozensets.append(args)
         return frozenset(*args)
 
-    monkeypatch.setattr(embedding_module, "Face", CountingFace)
+    monkeypatch.setattr(Face, "_walk_vertices", counting_walk)
     monkeypatch.setattr(carve_module, "frozenset", counting_frozenset, raising=False)
     code, out = run_cli(capsys, "carve", "--machine", "--trace", "--entrance", f"{u},{v}", str(path))
     monkeypatch.undo()
@@ -518,7 +533,7 @@ def test_fail_fast_record_builds_only_the_faces_it_reads(capsys, tmp_path, monke
     d = doc.dart_id(c0, c1)
     matched = {doc.dart_index.dart_face[d], doc.dart_index.dart_face[doc.dart_index.twin[d]]}
     entered = {int(rec["face"]) for rec in trace} - {-1}
-    assert len(built) == len(set(built))
+    assert len(built) == len(set(built)) and doc.outer_face_id in built
     assert set(built) <= {doc.outer_face_id} | matched | entered
     assert len(doc.faces) == 2918
 

@@ -1,6 +1,8 @@
 """The integer half-edge core: dart-array invariants, and the parser
 checked against the per-token regex parser it replaced."""
 
+import gc
+import pickle
 import random
 import re
 from itertools import accumulate, pairwise
@@ -558,6 +560,84 @@ def test_face_slices_build_their_faces(corpus_graphs):
             assert picked == tuple(faces[f] for f in range(count)[cut])
             assert all(face is faces[face.id] for face in picked)
         assert faces[:] == tuple(faces)
+
+
+def shell_bases(corpus_graphs):
+    """The corpus, every sample and a relabelled leapfrog, each freshly
+    parsed, so no face of it has been read."""
+    docs = [serialize_embedding(g.embedding) for g in corpus_graphs.values()]
+    docs += [path.read_text(encoding="utf-8") for path in sorted(SAMPLES.glob("*.rot"))]
+    docs.append(serialize_embedding(relabeled(list(leapfrogs(3))[-1], random.Random(23))))
+    return list(map(parse_embedding, docs))
+
+
+def test_face_shells_equal_faces_built_from_their_darts(corpus_graphs):
+    bases = shell_bases(corpus_graphs)
+    assert len(bases) == len(corpus_graphs) + 9 + 1 and bases[-1].vertex_count == 216
+    for emb in bases:
+        expected = reference_faces(emb)
+        assert len(emb.faces) == len(expected)
+        for f, darts in enumerate(expected):
+            shell, eager = emb.faces[f], embedding.Face(f, darts)
+            assert shell == eager and eager == shell and hash(shell) == hash(eager)
+            assert repr(shell) == repr(eager) == f"Face(id={f}, darts={darts!r})"
+            assert shell.vertices == eager.vertices == tuple(u for u, _ in darts)
+            assert shell.edges == eager.edges and shell.length == eager.length == len(darts)
+            assert shell.darts == darts and shell.id == eager.id == f
+            assert shell != embedding.Face(f + 1, darts) and shell != embedding.Face(f, darts[1:])
+            assert shell.__eq__(darts) is NotImplemented
+        assert pickle.loads(pickle.dumps(emb.faces[0])) == emb.faces[0]
+        match emb.faces[-1]:  # positional patterns read __match_args__
+            case embedding.Face(last, walk):
+                assert (last, walk) == (len(expected) - 1, expected[-1])
+
+
+def test_reading_length_or_id_builds_no_darts(corpus_graphs, monkeypatch):
+    walked = []
+    walk = embedding.Face._walk_vertices
+
+    def counting_walk(face):
+        walked.append(face.id)
+        return walk(face)
+
+    monkeypatch.setattr(embedding.Face, "_walk_vertices", counting_walk)
+    for emb in shell_bases(corpus_graphs):
+        if emb._explicit_outer is not None:
+            walked.clear()  # the outer line's match reads at most two faces
+        faces = emb.faces
+        lengths = [(face.id, face.length) for face in faces]
+        assert lengths == [(f, len(darts)) for f, darts in enumerate(reference_faces(emb))]
+        assert walked == []
+        faces[-1].darts, faces[-1].vertices, faces[-1].edges
+        assert walked == [len(faces) - 1]  # once, for all three
+        walked.clear()
+
+
+def test_faces_are_read_only(cube):
+    shell, eager = cube.faces[0], embedding.Face(0, cube.faces[0].darts)
+    for face in (shell, eager):
+        for name in ("id", "length", "darts", "vertices", "edges", "other"):
+            with pytest.raises(AttributeError):
+                setattr(face, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(face, name)
+    assert shell == eager and shell.length == 4
+
+
+def test_faces_and_carves_leave_no_reference_cycle():
+    text = serialize_embedding(generate_prism(12).embedding)
+    gc.collect()
+    gc.disable()  # so no automatic pass collects a cycle before the check
+    try:
+        emb = parse_embedding(text)
+        for face in emb.faces:
+            face.length, face.vertices, face.darts, face.edges
+        res = carve(emb, min(emb.outer_edges))
+        assert res.ok and tuple(res.trace) and res.roles
+        del emb, face, res
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def default_outer_reference(emb):
