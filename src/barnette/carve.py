@@ -20,11 +20,11 @@ its error names the failure.
 One driver runs both carves: each entrance has a FIFO queue of doors,
 and the sides take turns, so one entrance grows a spiral and two a
 double spiral.  A door's new doors join its own side's queue.  The
-frontier loop, ``_run``, decides and commits the common promotion
-itself; every other door goes through ``_run_one``.  Every move after
-the set-up, of an opening, a promotion or the bridge, is checked and
-written by one loop, ``_commit``, the only place that holds the rules
-guarding a move.
+frontier loop, ``_run``, decides the common promotion itself; every
+other door goes through ``_run_one``.  Every promotion is committed and
+journaled by ``_promote``, and every move after the set-up is checked
+and written by one loop, ``_commit``, the only place that holds the
+rules guarding a move.
 
 The carve runs on integer ids.  The graph is cubic, so the dart from
 ``u`` to ``rotations[u][i]`` has id ``3u + i``, and an edge is named by
@@ -55,11 +55,8 @@ read-only view over that journal; its length builds nothing, and the
 A carve costs one pass per opened face.  Set-up touches the outer edges
 only: the faces that hold an outer-Hamiltonian edge are read off the dart
 arrays and stay fixed for the run, since that role is never assigned
-later.  The promotion and bridge tests are answered from per-carve
-sets built from them once per face, so no door rescans its face or the map.
-The bridge rule skips the faces the journal shows opened, and reads a far
-face only when per-face door counts, kept from the journal, say that it
-holds an inner door.
+later.  The promotion test is answered from a per-carve set built from
+them once per face, so no door rescans its face or the map.
 ``CarveResult`` keeps the carve's own role codes and sweeps them into its
 ``role_bytes`` (every unassigned edge an inner door) the first time they
 are read; a ``role_class`` view counts its size off those bytes and builds
@@ -72,7 +69,6 @@ whose roles nobody reads copies no role byte.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from collections import Counter, deque
 from collections.abc import Sequence, Set
 from dataclasses import dataclass, field
@@ -98,7 +94,6 @@ __all__ = [
     "DoorAdjacencyError",
     "AdjacentEntrancesError",
     "select_entrance",
-    "detect_bridge_face",
     "carve",
     "carve_double",
     "chamber_count",
@@ -182,7 +177,7 @@ _DOOR_ON_CYCLE_SLOT = _Refusal(RoleConflictError, "edge {} is a door but lands o
 
 
 class TraceEvent(NamedTuple):
-    """One frontier step.  kind: open, promote, bridge or drop.
+    """One frontier step.  kind: open, promote or drop.
 
     A named tuple, not a frozen dataclass: a carve builds one per door,
     and the dataclass took two to three times as long to build.
@@ -424,25 +419,11 @@ class ChamberState:
         self._outer_paths: dict[int, tuple[int, ...]] = {}
         # Faces that hold at least one outer-Hamiltonian edge.  That role
         # is only assigned at set-up, so the set is fixed for the run and
-        # the promotion and bridge rules below are answered per face,
-        # once, from the caches that follow it.
+        # the promotion test is answered per face, once, into the cache
+        # that follows it.
         self._outer_ham_faces: set[int] = set()
         self._borders_outer_ham: dict[int, bool] = {}
         self._walks: dict[int, tuple[int, ...]] = {}
-        # face id -> (first walk position of each edge id, (position, edge
-        # id, far face id) of the edges whose far face is outer-Hamiltonian)
-        self._bridge_candidates: dict[
-            int, tuple[dict[int, int], list[tuple[int, int, int]]]
-        ] = {}
-        # Inner-door darts per face id, their sum over the faces above, the
-        # doors counted and the journal steps read; see door_counts.
-        self._door_counts: list[int] | None = None
-        self._ham_doors = 0
-        self._doors: set[int] = set()
-        self._doors_read = 0
-        # The faces opened in the journal's first ``_opened_read`` steps.
-        self._opened: set[int] = set()
-        self._opened_read = 0
 
     @property
     def trace(self) -> TraceView:
@@ -557,67 +538,6 @@ class ChamberState:
             hit = fid in ham_faces or any(map(ham_faces.__contains__, self.far_faces(fid)))
             self._borders_outer_ham[fid] = hit
         return hit
-
-    def bridge_candidates(
-        self, fid: int
-    ) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
-        """The edges of face ``fid`` whose far face is outer-Hamiltonian,
-        in walk order, with the walk position of every edge of the face."""
-        cached = self._bridge_candidates.get(fid)
-        if cached is None:
-            ham_faces = self._outer_ham_faces
-            position: dict[int, int] = {}
-            entries: list[tuple[int, int, int]] = []
-            for i, (e, other) in enumerate(zip(self.walk(fid), self.far_faces(fid))):
-                position.setdefault(e, i)
-                if other != fid and other in ham_faces:
-                    entries.append((i, e, other))
-            cached = (position, entries)
-            self._bridge_candidates[fid] = cached
-        return cached
-
-    def _count_door(self, e: int, step: int) -> None:
-        """Count inner door ``e`` in (``step`` 1) or out (-1) of the door
-        counts of its two faces."""
-        if step > 0:
-            self._doors.add(e)
-        else:
-            self._doors.remove(e)
-        for fid in (self._dart_face[e], self._dart_face[self._twin[e]]):
-            self._door_counts[fid] += step
-            if fid in self._outer_ham_faces:
-                self._ham_doors += step
-
-    def opened_faces(self) -> set[int]:
-        """The faces of the journal's open steps."""
-        journal = self.journal
-        self._opened.update(step[2] for step in journal[self._opened_read:] if step[0] == "open")
-        self._opened_read = len(journal)
-        return self._opened
-
-    def door_counts(self) -> list[int]:
-        """For each face id, how many of its darts lie on an inner door;
-        ``_ham_doors`` sums them over the outer-Hamiltonian faces.
-
-        Counted off the role bytes the first time it is asked for, then
-        kept up to date from the journal: a carve makes an edge an inner
-        door only as a new door of a step, and an inner door leaves that
-        role only as a new cycle edge of a step."""
-        if self._door_counts is None:
-            self._door_counts = [0] * (len(self._index.face_start) - 1)
-            e = self.roles.find(_D_I)
-            while e >= 0:
-                self._count_door(e, 1)
-                e = self.roles.find(_D_I, e + 1)
-            self._doors_read = len(self.journal)
-        for _, _, _, _, ham, doors in self.journal[self._doors_read:]:
-            for e in ham:
-                if e in self._doors:
-                    self._count_door(e, -1)
-            for e in doors:
-                self._count_door(e, 1)
-        self._doors_read = len(self.journal)
-        return self._door_counts
 
 
 def _init_state(embedding: PlanarEmbedding, entrances: tuple[Edge, ...]) -> ChamberState:
@@ -805,48 +725,11 @@ def _first_move_blocked(state: ChamberState, door: int, fid: int, left_walk: boo
     return e >= 0 and _commit(state, (e,), opening=True, dry=True) is not None
 
 
-def detect_bridge_face(state: ChamberState, door: int) -> tuple[int, int] | None:
-    """Double-cut escape: look for an unassigned edge e of the door's
-    face whose far face carries both an outer-Hamiltonian edge and a
-    different inner door d_j.  Takes and returns edge ids: (e, d_j) or None.
-
-    Edges are tried in the walk order from the door, and only those whose
-    far face is one of the state's outer-Hamiltonian faces can qualify.
-    A face is skipped unread when it was opened, since the opening gave
-    each of its edges a role, and when the state's door counts show that
-    every other inner door on an outer-Hamiltonian face lies on that face
-    itself, which is no candidate's far face.  A far face is read only
-    when the counts say it holds an inner door, so a door beside a long
-    face costs one test per candidate.
-    """
-    faces, opened = state.faces_of(door), state.opened_faces()
-    if opened.issuperset(faces):
-        return None
-    roles, counts, ham = state.roles, state.door_counts(), state._outer_ham_faces
-    is_door = roles[door] == _D_I
-    # Inner-door darts on outer-Hamiltonian faces, the door's own excepted.
-    others = state._ham_doors - is_door * sum(map(ham.__contains__, faces))
-    for fid in faces:
-        on_fid = counts[fid] - is_door * faces.count(fid) if fid in ham else 0
-        if fid in opened or others == on_fid:
-            continue
-        position, entries = state.bridge_candidates(fid)
-        start = position[door]
-        split = bisect_right(entries, start, key=lambda entry: entry[0])
-        for i, e, other in entries[split:] + entries[:split]:
-            if i == start or roles[e] or not counts[other]:
-                continue
-            for x in state.walk(other):
-                if x != door and roles[x] == _D_I:
-                    return e, x
-    return None
-
-
 def _run(state: ChamberState, left_walk: bool) -> str | None:
     """Drive the frontier to exhaustion, the sides taking turns and an
     empty side skipped; returns a failure reason or None.
 
-    The common promotion is decided and committed here: a door that is not
+    The common promotion is decided here: a door that is not
     the entrance, whose opening is blocked at its first move, checked
     before any write, and whose face borders the outer-Hamiltonian region
     is promoted without trying the opening.  Every other door goes through
@@ -860,13 +743,13 @@ def _run(state: ChamberState, left_walk: bool) -> str | None:
             side = (side + 1) % len(queues)
         door = queues[side].popleft()
         fid = state.unentered_face(door)
+        trail.clear()  # only this pop's moves can be undone
         if (
             fid is not None
             and roles[door] == _D_I
             and _first_move_blocked(state, door, fid, left_walk)
             and (borders.get(fid) or state.face_borders_outer_ham(fid))
         ):
-            trail.clear()  # only this pop's moves can be undone
             reason = _promote(state, door, fid, side)
         else:
             reason = _run_one(state, door, fid, side, left_walk)
@@ -1002,14 +885,16 @@ def _event(
 
 
 def _promote(state: ChamberState, door: int, fid: int, side: int) -> str | None:
-    """Promote ``door`` into the cycle and close face ``fid``; returns a
-    failure reason or None."""
+    """Promote ``door`` into the cycle and close face ``fid``, or only
+    journal the promotion when ``fid`` is -1; returns a failure reason or
+    None."""
     moves = (door,)
     try:
         _commit(state, moves)
     except CarveError as exc:
         return f"door {state.edge_of(door)} face {fid}: promotion failed: {exc}"
-    state.entered_faces.add(fid)
+    if fid >= 0:
+        state.entered_faces.add(fid)
     _event(state, "promote", door, fid, side, moves)
     return None
 
@@ -1019,41 +904,23 @@ def _run_one(
 ) -> str | None:
     """Handle one door popped from side ``side``, whose first unentered
     face is ``fid``; its new doors join that side's queue.  With no such
-    face, the bridge rule is tried, then a promotion, then the door is
-    dropped.  Otherwise the door's opening is tried; one that fails is undone,
-    so its error names the failure, and the door is then promoted unless
-    it is the entrance or its face is away from the outer-Hamiltonian
-    region.  ``_run`` promotes a door whose opening is blocked at its first
-    move before it gets here; on such a door this reaches the same
-    promotion through the failed opening."""
-    state.trail.clear()  # only this pop's moves can be undone
+    face, the door is promoted when it borders the outer-Hamiltonian
+    region and the move is legal, and dropped otherwise: dropping
+    unconditionally strands its two ends one cycle edge short.  Otherwise
+    the door's opening is tried; one that fails is undone, so its error
+    names the failure, and the door is then promoted unless it is the
+    entrance or its face is away from the outer-Hamiltonian region.
+    ``_run`` promotes a door whose opening is blocked at its first move
+    before it gets here; on such a door this reaches the same promotion
+    through the failed opening."""
     if state.roles[door] < _D_I:  # a stale door, which has joined the cycle
         return None
     if fid is None:
-        hit = detect_bridge_face(state, door)
-        if hit is not None:
-            h_count = state.h_count
-            try:
-                state.add_ham_edge(hit[0])
-                state.add_ham_edge(hit[1])
-            except CarveError as exc:
-                state._undo_to(0, h_count)
-                return f"bridge promotion failed at door {state.edge_of(door)}: {exc}"
-            _event(state, "bridge", door, -1, side, hit)
-            return None
-        # A door into fully explored territory is promoted when it still
-        # borders the outer-Hamiltonian region and the move is legal;
-        # otherwise it keeps its door role.  Dropping unconditionally
-        # strands the two endpoints one cycle edge short.
-        if any(map(state.face_borders_outer_ham, state.faces_of(door))):
-            try:
-                state.add_ham_edge(door)
-            except CarveError:
-                pass
-            else:
-                _event(state, "promote", door, -1, side, (door,))
-                return None
-        _event(state, "drop", door, -1, side)
+        if (
+            not any(map(state.face_borders_outer_ham, state.faces_of(door)))
+            or _promote(state, door, -1, side) is not None
+        ):
+            _event(state, "drop", door, -1, side)
         return None
     try:
         new_h, new_doors = _apply_opening(state, door, fid, left_walk)

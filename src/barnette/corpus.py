@@ -354,10 +354,7 @@ def chain_graph(
 ) -> PlanarEmbedding:
     """Two end fragments bridged through a 6-terminal middle piece.
 
-    Produces two edge-disjoint 3-edge-cuts, the double-cut shape the
-    bridge-face rule is written for.  Over ``bipartite_fragment_family()``
-    the rule fires on carves of these graphs, but no firing completes a
-    cycle (README).
+    Produces two edge-disjoint 3-edge-cuts.
     """
     mid_emb, side_a, side_b = middle
     na = end_a.embedding.vertex_count

@@ -7,7 +7,7 @@ import random
 import re
 import weakref
 from collections import Counter
-from itertools import compress, count
+from itertools import compress
 from pathlib import Path
 
 import pytest
@@ -36,11 +36,19 @@ from barnette.carve import (
     carve,
     carve_double,
     chamber_count,
-    detect_bridge_face,
     select_entrance,
 )
 from barnette.cli import main
-from barnette.corpus import build_named, dual_embedding, generate_prism, truncate_embedding
+from barnette.corpus import (
+    bipartite_fragment_family,
+    build_named,
+    chain_graph,
+    dual_embedding,
+    generate_prism,
+    glue_fragments,
+    prism_middle_piece,
+    truncate_embedding,
+)
 from barnette.embedding import (
     PlanarEmbedding,
     _components_without,
@@ -444,13 +452,6 @@ class TestCarve:
             "open", "open", "promote", "promote", "promote", "promote",
         ]
 
-    def test_no_bridge_events_on_cube_and_prisms(self, cube):
-        assert all(ev.kind != "bridge" for ev in carve(cube, (0, 1)).trace)
-        for k in range(2, 11):
-            emb = generate_prism(k).embedding
-            res = carve(emb, (0, 1))
-            assert all(ev.kind != "bridge" for ev in res.trace), k
-
     def test_truncated_octahedron_succeeds(self):
         emb = build_named("truncated_octahedron").embedding
         res = carve(emb, (0, 1))
@@ -788,89 +789,51 @@ def test_entry_errors(cube, graph, run, entrances, error, message):
     assert str(info.value) == message
 
 
-IS_INNER_DOOR = bytes(c == _ROLES.index(EdgeRole.INNER_DOOR) for c in range(256))
-
-
 def sample(name):
     return parse_embedding((SAMPLES / f"{name}.rot").read_text(encoding="utf-8"))
 
 
-def bridge_face_reference(state, door):
-    """The bridge rule as a plain scan: every edge of the door's faces in
-    walk order from the door, each unassigned one whose far face is
-    another outer-Hamiltonian face tried against every edge of that far
-    face."""
-    inner_door = _ROLES.index(EdgeRole.INNER_DOOR)
-    for fid in state.faces_of(door):
-        walk, far = state.walk(fid), list(state.far_faces(fid))
-        start = walk.index(door)
-        for i in list(range(start + 1, len(walk))) + list(range(start)):
-            e, other = walk[i], far[i]
-            if state.roles[e] or other == fid or other not in state._outer_ham_faces:
-                continue
-            for x in state.walk(other):
-                if x != door and state.roles[x] == inner_door:
-                    return e, x
-    return None
-
-
-class TestBridgeRule:
-    def test_detects_synthetic_double_cut_setup(self):
-        # Build the rule's trigger by hand: C_j holds an outer-cycle edge
-        # and a door d_j, an unassigned edge e joins it to the popped
-        # door's face C_i.
-        emb = build_named("two_cubes_bridge").embedding
-        state = ChamberState(emb, ())
-        outer = set(emb.outer_face.edges)
+def carve_runs(base):
+    """Every rooting of ``base``, and at each every outer entrance in both
+    walks and every disjoint double pair: (double?, embedding, result)."""
+    for face in base.faces:
+        emb = base.with_outer_face(face.id)
+        outer = sorted(emb.outer_edges)
         for e in outer:
-            set_role(state, e, EdgeRole.OUTER_HAMILTONIAN)
-            state._outer_ham_faces.update(emb.edge_faces[e])
-        setup = None
-        for f in emb.faces:
-            if f.id == emb.outer_face_id or not any(e in outer for e in f.edges):
-                continue
-            interior = [e for e in f.edges if e not in outer]
-            for d_j in interior:
-                for probe in interior:
-                    if probe != d_j and not set(probe) & set(d_j):
-                        setup = (f, d_j, probe)
-                        break
-                if setup:
-                    break
-            if setup:
-                break
-        assert setup is not None
-        target_face, d_j, probe = setup
-        set_role(state, d_j, EdgeRole.INNER_DOOR)
-        other_face = next(
-            emb.faces[fid] for fid in emb.edge_faces[probe] if fid != target_face.id
-        )
-        door = next(
-            e for e in other_face.edges
-            if role_of(state, e) is EdgeRole.UNASSIGNED and e != probe and e != d_j
-        )
-        set_role(state, door, EdgeRole.INNER_DOOR)
-        hit = detect_bridge_face(state, state.edge_id(*door))
-        assert hit is not None
-        e, dj_found = map(state.edge_of, hit)
-        assert role_of(state, dj_found) is EdgeRole.INNER_DOOR
-        assert dj_found != door
-        assert role_of(state, e) is EdgeRole.UNASSIGNED
+            for lw in (False, True):
+                yield False, emb, carve(emb, e, left_walk=lw)
+        for i, a in enumerate(outer):
+            for b in outer[i + 1:]:
+                if not set(a) & set(b):
+                    yield True, emb, carve_double(emb, (a, b))
 
-    def test_no_detection_without_second_door(self, cube):
-        state = ChamberState(cube, ())
-        for e in sorted(cube.outer_face.edges)[1:]:
-            set_role(state, e, EdgeRole.OUTER_HAMILTONIAN)
-            state._outer_ham_faces.update(cube.edge_faces[e])
-        set_role(state, (4, 5), EdgeRole.INNER_DOOR)
-        assert detect_bridge_face(state, state.edge_id(4, 5)) is None
 
-    def test_fires_on_a_barnette_graph_and_breaks_its_carve(self, monkeypatch):
-        # Two hexagonal prisms minus a vertex, glued along their terminals:
-        # 22 vertices, bipartite, cubic, 3-connected.  The double carve
-        # from two hexagon edges reaches a door whose faces are both
-        # entered, the rule finds a bridge, and its promotion fails.  With
-        # the rule off the same carve finds a Hamiltonian cycle.
+def success_counts(graphs):
+    """(single successes, single runs, double successes, double runs) over
+    ``carve_runs`` of every graph.  Every claimed cycle is checked, and
+    every step is an open, a promotion or a drop."""
+    counts = [0, 0, 0, 0]
+    for base in graphs:
+        for double, emb, res in carve_runs(base):
+            assert {ev.kind for ev in res.trace} <= {"open", "promote", "drop"}
+            if res.ok:
+                assert verify_cycle(emb, res.cycle).is_hamiltonian
+            counts[2 * double] += res.ok
+            counts[2 * double + 1] += 1
+    return tuple(counts)
+
+
+class TestGluedSamples:
+    """Two composed Barnette graphs: a hexagonal prism minus a vertex glued
+    to a second one (22 vertices), and to two_cubes_bridge minus a vertex
+    (24).  An earlier bridge-face rule fired on both and never completed
+    a cycle; with it retired, a door whose faces are both entered is
+    promoted or dropped."""
+
+    def test_glued_prisms_double_carve_closes_a_cycle(self):
+        # The two spirals meet with one door left on each side; both are
+        # promoted and the cycle closes.  The bridge rule used to end this
+        # carve at step 8, "bridge promotion failed at door (1, 2)".
         emb = sample("glued_prisms")
         assert validate(emb).is_barnette
         res = carve_double(emb, ((5, 6), (16, 17)))
@@ -883,68 +846,60 @@ class TestBridgeRule:
             "step=5 side=1 kind=open door=18-19 face=9 ham=13-19,12-18 doors=12-13",
             "step=6 side=0 kind=promote door=3-4 face=0 ham=3-4 doors=none",
             "step=7 side=1 kind=promote door=14-15 face=6 ham=14-15 doors=none",
+            "step=8 side=0 kind=promote door=1-2 face=-1 ham=1-2 doors=none",
+            "step=9 side=1 kind=promote door=12-13 face=-1 ham=12-13 doors=none",
         ]
-        assert res.failure_reason == (
-            "bridge promotion failed at door (1, 2): edge (4, 15) would give a vertex "
-            "three cycle edges; longest cycle in role set: 0"
-        )
-        monkeypatch.setattr(carve_module, "detect_bridge_face", lambda state, door: None)
-        without = carve_double(emb, ((5, 6), (16, 17)))
-        assert without.ok and verify_cycle(emb, without.cycle).is_hamiltonian
+        assert res.ok and verify_cycle(emb, res.cycle).is_hamiltonian
 
-    def test_bridge_step_on_a_barnette_graph(self):
-        # A hexagonal prism minus a vertex glued to two_cubes_bridge minus
-        # a vertex: 24 vertices, rooted at a square.  The rule fires at the
-        # ninth step and its two cycle edges are committed: the one trace
-        # step of kind bridge.  The carve still ends short of a cycle.
+    def test_glued_prism_cubes_carve_ends_short(self):
+        # Rooted at a square, the carve promotes the door 9-10, whose faces
+        # are both entered, and drops the last door.  The bridge rule used
+        # to commit two cycle edges at step 8 and end 22 of 24 short.
         emb = sample("glued_prism_cubes")
         assert validate(emb).is_barnette
         res = carve(emb, (12, 15))
         assert [ev.kind for ev in res.trace] == [
-            "open", "open", "open", "promote", "open", "open", "open", "promote", "bridge",
+            "open", "open", "open", "promote", "open", "open", "open", "promote", "promote",
+            "drop",
         ]
-        assert res.trace[-1].record() == (
-            "step=8 side=0 kind=bridge door=9-10 face=-1 ham=5-6,17-19 doors=none"
-        )
+        assert [ev.record() for ev in res.trace[-2:]] == [
+            "step=8 side=0 kind=promote door=9-10 face=-1 ham=9-10 doors=none",
+            "step=9 side=0 kind=drop door=17-19 face=-1 ham=none doors=none",
+        ]
         assert res.failure_reason == (
-            "frontier exhausted at 22 of 24 cycle edges; longest cycle in role set: 0"
+            "frontier exhausted at 21 of 24 cycle edges; longest cycle in role set: 0"
         )
 
-    def test_matches_the_face_scan_at_every_call(self, monkeypatch):
-        # The rule skips faces and far faces off door counts kept from the
-        # journal.  At every call over every rooting, entrance, walk and
-        # double pair of the glued samples it returns what a scan of every
-        # candidate's far face returns, and its counts equal a recount off
-        # the role bytes.
-        rule = carve_module.detect_bridge_face
-        hits = []
+    @pytest.mark.parametrize(
+        ("name", "counts"),
+        # With the bridge rule the double counts were 31 and 39.
+        [("glued_prisms", (64, 132, 32, 83)), ("glued_prism_cubes", (72, 144, 40, 100))],
+    )
+    def test_success_counts(self, name, counts):
+        assert success_counts([sample(name)]) == counts
 
-        def checked(state, door):
-            got = rule(state, door)
-            assert got == bridge_face_reference(state, door)
-            recount = [0] * len(state.embedding.faces)
-            for e in compress(count(), state.roles.translate(IS_INNER_DOOR)):
-                for fid in state.faces_of(e):
-                    recount[fid] += 1
-            assert state.door_counts() == recount
-            assert state._ham_doors == sum(recount[f] for f in state._outer_ham_faces)
-            hits.append(got is not None)
-            return got
 
-        monkeypatch.setattr(carve_module, "detect_bridge_face", checked)
-        for name in ("glued_prisms", "glued_prism_cubes"):
-            base = sample(name)
-            for face in base.faces:
-                emb = base.with_outer_face(face.id)
-                outer = sorted(emb.outer_edges)
-                for e in outer:
-                    carve(emb, e)
-                    carve(emb, e, left_walk=True)
-                for i, a in enumerate(outer):
-                    for b in outer[i + 1:]:
-                        if not set(a) & set(b):
-                            carve_double(emb, (a, b))
-        assert len(hits) > 100 and 0 < sum(hits) < len(hits)
+def composed_sample(k=40, seed=7):
+    """``k`` Barnette graphs drawn from ``bipartite_fragment_family()``:
+    two fragments per graph, glued directly at even draws and chained
+    through ``prism_middle_piece()`` at odd ones."""
+    family = [fragment for _, fragment in bipartite_fragment_family()]
+    rng = random.Random(seed)
+    graphs = []
+    for i in range(k):
+        a, b = rng.choice(family), rng.choice(family)
+        graphs.append(glue_fragments(a, b) if i % 2 == 0 else chain_graph(a, prism_middle_piece(), b))
+    return graphs
+
+
+def test_composed_sample_success_counts():
+    # 9,872 carves over 40 composed graphs.  With the bridge rule the
+    # double count was 1,323; the 23 carves it gained, and no others,
+    # changed outcome, each from Failure to a verified cycle.
+    graphs = composed_sample()
+    assert sum(emb.vertex_count for emb in graphs) == 992
+    assert all(validate(emb).is_barnette for emb in graphs)
+    assert success_counts(graphs) == (1943, 5952, 1346, 3920)
 
 
 class TestNearCycle:
@@ -1138,43 +1093,33 @@ def golden_digests(corpus_graphs):
     not_forest, class_mismatch, walk_mismatch = [], [], []
     kinds, reasons = set(), set()
     for base in bases:
-        for face in base.faces:
-            emb = base.with_outer_face(face.id)
-            outer = sorted(emb.outer_edges)
-            results = [carve(emb, e, left_walk=lw) for e in outer for lw in (False, True)]
-            results += [
-                carve_double(emb, (a, b))
-                for i, a in enumerate(outer)
-                for b in outer[i + 1:]
-                if not set(a) & set(b)
-            ]
-            for res in results:
-                classes = {role: res.role_class(role) for role in EdgeRole}
-                built_map = "roles" in vars(res)
-                if res.status is not CarveStatus.HAMILTONIAN_CYCLE:
-                    try:
-                        assert_path_forest(res)
-                    except AssertionError:
-                        not_forest.append((emb, res.entrances))
-                else:
-                    walked += 1
-                    if res.cycle != walk_cycle_reference(emb, res.role_bytes):
-                        walk_mismatch.append((emb, res.entrances))
-                record = (
-                    res.status.value,
-                    res.cycle,
-                    [ev.record() for ev in res.trace],
-                    res.failure_reason,
-                )
-                trace_digest.update(repr(record).encode())
-                kinds.update(ev.kind for ev in res.trace)
-                if res.failure_reason is not None:
-                    reasons.add(res.failure_reason)
-                role_digest.update(repr(sorted((e, r.value) for e, r in res.roles.items())).encode())
-                from_map = {role: {e for e, r in res.roles.items() if r is role} for role in EdgeRole}
-                if built_map or classes != from_map:
-                    class_mismatch.append((emb, res.entrances))
-            runs += len(results)
+        for _, emb, res in carve_runs(base):
+            runs += 1
+            classes = {role: res.role_class(role) for role in EdgeRole}
+            built_map = "roles" in vars(res)
+            if res.status is not CarveStatus.HAMILTONIAN_CYCLE:
+                try:
+                    assert_path_forest(res)
+                except AssertionError:
+                    not_forest.append((emb, res.entrances))
+            else:
+                walked += 1
+                if res.cycle != walk_cycle_reference(emb, res.role_bytes):
+                    walk_mismatch.append((emb, res.entrances))
+            record = (
+                res.status.value,
+                res.cycle,
+                [ev.record() for ev in res.trace],
+                res.failure_reason,
+            )
+            trace_digest.update(repr(record).encode())
+            kinds.update(ev.kind for ev in res.trace)
+            if res.failure_reason is not None:
+                reasons.add(res.failure_reason)
+            role_digest.update(repr(sorted((e, r.value) for e, r in res.roles.items())).encode())
+            from_map = {role: {e for e, r in res.roles.items() if r is role} for role in EdgeRole}
+            if built_map or classes != from_map:
+                class_mismatch.append((emb, res.entrances))
     return (runs, not_forest, trace_digest.hexdigest(), role_digest.hexdigest(), class_mismatch,
             (walked, walk_mismatch), (kinds, reasons))
 
@@ -1214,7 +1159,6 @@ FAILURE_REASON = re.compile(
     "(" + "|".join([
         rf"door {_EDGE} face \d+: (promotion failed: )?{_CAUSE}",
         rf"cannot open the entrance face: {_CAUSE}",
-        rf"bridge promotion failed at door {_EDGE}: {_CAUSE}",
         r"frontier exhausted at \d+ of \d+ cycle edges",
         r"outer face \d+ is not a simple cycle",
     ]) + r"); longest cycle in role set: 0"
@@ -1222,9 +1166,8 @@ FAILURE_REASON = re.compile(
 
 
 def test_golden_runs_take_known_steps_and_fail_for_known_reasons(golden_digests):
-    # The golden runs open, promote and drop; the bridge rule never fires
-    # on them (it does on glued graphs, see TestBridgeRule).  Every failure
-    # text is one the carve writes.
+    # The golden runs open, promote and drop, and every failure text is
+    # one the carve writes.
     kinds, reasons = golden_digests[6]
     assert kinds == {"open", "promote", "drop"}
     assert reasons and all(FAILURE_REASON.fullmatch(r) for r in reasons), [
