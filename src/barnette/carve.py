@@ -19,12 +19,11 @@ its error names the failure.
 
 One driver runs both carves: each entrance has a FIFO queue of doors,
 and the sides take turns, so one entrance grows a spiral and two a
-double spiral.  A door's new doors join its own side's queue.  The
-frontier loop, ``_run``, decides the common promotion itself; every
-other door goes through ``_run_one``.  Every promotion is committed and
-journaled by ``_promote``, and every move after the set-up is checked
-and written by one loop, ``_commit``, the only place that holds the
-rules guarding a move.
+double spiral.  A door's new doors join its own side's queue.  Each pop
+is one ``_step``, which opens, promotes or drops its door and commits
+every promotion through one call; every move after the set-up is
+checked and written by one loop, ``_commit``, the only place that holds
+the rules guarding a move.
 
 The carve runs on integer ids.  The graph is cubic, so the dart from
 ``u`` to ``rotations[u][i]`` has id ``3u + i``, and an edge is named by
@@ -47,10 +46,11 @@ its outer paths whole, so the cycle of a finished carve is walked off
 those records, not found by a scan of the role bytes.
 
 The trace is a journal of ids: each frontier step appends one tuple of
-its kind, door id, face id, side and the ids of its new cycle edges (a
-promotion's one is its door) and new doors.  The result's ``trace`` is a
-read-only view over that journal; its length builds nothing, and the
-``TraceEvent`` pairs are built the first time an event is read.
+its kind, door id, face id, side and the ids of its new cycle edges and
+new doors (a promotion stores none: its one cycle edge is its door).
+The result's ``trace`` is a read-only view over that journal; its length
+builds nothing, and the ``TraceEvent`` pairs are built the first time an
+event is read.
 
 A carve costs one pass per opened face.  Set-up touches the outer edges
 only: the faces that hold an outer-Hamiltonian edge are read off the dart
@@ -397,7 +397,7 @@ class ChamberState:
         self.entered_faces: set[int] = set()
         self.frontier: tuple[deque[int], ...] = ()  # one door queue per side
         self.h_count = 0
-        # One tuple of ids per frontier step; see _event.
+        # One tuple of ids per frontier step; see _step.
         self.journal: list[tuple] = []
         self.trail: list[int] = []
         if n <= _LIST_STATE_MAX:
@@ -725,34 +725,69 @@ def _first_move_blocked(state: ChamberState, door: int, fid: int, left_walk: boo
     return e >= 0 and _commit(state, (e,), opening=True, dry=True) is not None
 
 
+def _step(state: ChamberState, door: int, side: int, left_walk: bool) -> str | None:
+    """Handle one door popped from side ``side``; its new doors join that
+    side's queue.  Returns a failure reason, or None to go on.
+
+    A stale door, which has joined the cycle, is skipped.  A door whose
+    faces are both entered is promoted when either borders the
+    outer-Hamiltonian region and the move is legal, and dropped
+    otherwise: dropping unconditionally strands its two ends one cycle
+    edge short.  Otherwise the face behind the door is opened.  When the
+    opening fails, the door is promoted and the face closed if the door
+    is not the entrance and the face borders the outer-Hamiltonian
+    region; any other failure ends the run.  An opening whose first move
+    is refused, checked before any write, would fail, so such a door is
+    promoted without building the face's walk or trying the opening.
+    """
+    role = state.roles[door]
+    if role < _D_I:
+        return None
+    borders = state.face_borders_outer_ham
+    fid = state.unentered_face(door)
+    kind = "promote"
+    if fid is None:
+        fid = -1
+        if not any(map(borders, state.faces_of(door))):
+            kind = "drop"
+    elif role == _D_E or not (_first_move_blocked(state, door, fid, left_walk) and borders(fid)):
+        try:
+            new_h, new_doors = _apply_opening(state, door, fid, left_walk)
+        except CarveError as exc:
+            if role == _D_E:
+                return f"cannot open the entrance face: {exc}"
+            if not borders(fid):
+                return f"door {state.edge_of(door)} face {fid}: {exc}"
+        else:
+            state.frontier[side].extend(new_doors)
+            state.journal.append(("open", door, fid, side, new_h, new_doors))
+            return None
+    if kind == "promote":
+        try:
+            _commit(state, (door,))
+        except CarveError as exc:
+            if fid >= 0:
+                return f"door {state.edge_of(door)} face {fid}: promotion failed: {exc}"
+            kind = "drop"
+        else:
+            if fid >= 0:
+                state.entered_faces.add(fid)
+    state.journal.append((kind, door, fid, side, (), ()))
+    return None
+
+
 def _run(state: ChamberState, left_walk: bool) -> str | None:
     """Drive the frontier to exhaustion, the sides taking turns and an
-    empty side skipped; returns a failure reason or None.
-
-    The common promotion is decided here: a door that is not
-    the entrance, whose opening is blocked at its first move, checked
-    before any write, and whose face borders the outer-Hamiltonian region
-    is promoted without trying the opening.  Every other door goes through
-    ``_run_one``."""
+    empty side skipped; each pop is one ``_step``.  Returns a failure
+    reason or None."""
     n = state.embedding.vertex_count
-    queues, roles, trail = state.frontier, state.roles, state.trail
-    borders = state._borders_outer_ham  # face_borders_outer_ham's cache
+    queues, trail = state.frontier, state.trail
     side = 0
     while state.h_count < n and any(queues):
         while not queues[side]:
             side = (side + 1) % len(queues)
-        door = queues[side].popleft()
-        fid = state.unentered_face(door)
         trail.clear()  # only this pop's moves can be undone
-        if (
-            fid is not None
-            and roles[door] == _D_I
-            and _first_move_blocked(state, door, fid, left_walk)
-            and (borders.get(fid) or state.face_borders_outer_ham(fid))
-        ):
-            reason = _promote(state, door, fid, side)
-        else:
-            reason = _run_one(state, door, fid, side, left_walk)
+        reason = _step(state, queues[side].popleft(), side, left_walk)
         if reason is not None:
             return reason
         side = (side + 1) % len(queues)
@@ -873,66 +908,6 @@ def carve_double(
     """Two interleaved expansions, one door per side per round."""
     e1, e2 = (edge_key(*e) for e in entrances)
     return _carve(embedding, (e1, e2), left_walk)
-
-
-def _event(
-    state: ChamberState, kind: str, door: int, fid: int, side: int,
-    ham: Sequence[int] = (), doors: Sequence[int] = (),
-) -> None:
-    """Journal one frontier step as ids; ``TraceView`` builds its event
-    when read.  A promotion's one new cycle edge is its door."""
-    state.journal.append((kind, door, fid, side, ham, doors))
-
-
-def _promote(state: ChamberState, door: int, fid: int, side: int) -> str | None:
-    """Promote ``door`` into the cycle and close face ``fid``, or only
-    journal the promotion when ``fid`` is -1; returns a failure reason or
-    None."""
-    moves = (door,)
-    try:
-        _commit(state, moves)
-    except CarveError as exc:
-        return f"door {state.edge_of(door)} face {fid}: promotion failed: {exc}"
-    if fid >= 0:
-        state.entered_faces.add(fid)
-    _event(state, "promote", door, fid, side, moves)
-    return None
-
-
-def _run_one(
-    state: ChamberState, door: int, fid: int | None, side: int, left_walk: bool
-) -> str | None:
-    """Handle one door popped from side ``side``, whose first unentered
-    face is ``fid``; its new doors join that side's queue.  With no such
-    face, the door is promoted when it borders the outer-Hamiltonian
-    region and the move is legal, and dropped otherwise: dropping
-    unconditionally strands its two ends one cycle edge short.  Otherwise
-    the door's opening is tried; one that fails is undone, so its error
-    names the failure, and the door is then promoted unless it is the
-    entrance or its face is away from the outer-Hamiltonian region.
-    ``_run`` promotes a door whose opening is blocked at its first move
-    before it gets here; on such a door this reaches the same promotion
-    through the failed opening."""
-    if state.roles[door] < _D_I:  # a stale door, which has joined the cycle
-        return None
-    if fid is None:
-        if (
-            not any(map(state.face_borders_outer_ham, state.faces_of(door)))
-            or _promote(state, door, -1, side) is not None
-        ):
-            _event(state, "drop", door, -1, side)
-        return None
-    try:
-        new_h, new_doors = _apply_opening(state, door, fid, left_walk)
-    except CarveError as open_err:
-        if state.roles[door] == _D_E:
-            return f"cannot open the entrance face: {open_err}"
-        if not state.face_borders_outer_ham(fid):
-            return f"door {state.edge_of(door)} face {fid}: {open_err}"
-        return _promote(state, door, fid, side)
-    state.frontier[side].extend(new_doors)
-    _event(state, "open", door, fid, side, new_h, new_doors)
-    return None
 
 
 def select_entrance(

@@ -442,7 +442,9 @@ def bench_scaling(
     graph; its status is the search's expansion count, and its rows also
     carry the search's ``max_depth`` and ``decided`` counters.  Layer
     ``enumerate`` times ``enumerate_hamiltonian_cycles``, and its status
-    is the number of cycles.
+    is the number of cycles.  Rows of layers ``carve`` and ``double``
+    carry an ``events`` counter, the length of the result's trace, so a
+    row that times a carve stopped after a few steps shows it.
     """
     rows = []
     for k in sizes:
@@ -513,6 +515,8 @@ def bench_scaling(
                "per_vertex_us": best / n * 1e6}
         if layer == "oracle":
             row.update(max_depth=res.max_depth, decided=res.decided)
+        elif layer in ("carve", "double"):
+            row.update(events=len(res.trace))
         rows.append(row)
     return rows
 
@@ -539,7 +543,7 @@ def _cmd_bench(args, out) -> int:
     sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else []
     rows = bench_scaling(sizes, family=args.family, layer=args.layer)
     for row in rows:
-        counters = {key: row[key] for key in ("max_depth", "decided") if key in row}
+        counters = {key: row[key] for key in ("max_depth", "decided", "events") if key in row}
         if args.machine:
             emit_record(
                 out,

@@ -127,6 +127,8 @@ class _EdgeStateSearch:
     UND, IN, OUT = 0, 1, 2
 
     def __init__(self, adj: Sequence[Sequence[int]], budget: int, count_all: bool = False):
+        if budget < 0:
+            raise ValueError(f"budget must be at least 0, got {budget}")
         n = self.n = len(adj)
         self.edges = sorted({(u, v) if u < v else (v, u) for u in range(n) for v in adj[u]})
         # Edge columns: edge e joins eu[e] < ev[e], and ex[e] = eu[e] ^ ev[e]
@@ -490,7 +492,8 @@ def find_hamiltonian_cycle(
 
     ``forced_in``/``forced_out`` pre-pin edge states, which lets callers
     ask single-chamber style questions (all outer edges in the cycle).
-    A forced pair that is not an edge raises ValueError.
+    A forced pair that is not an edge raises ValueError, as does a
+    negative budget.
     """
     search = _EdgeStateSearch(embedding.rotations, budget)
     search.run(forced_in, forced_out)

@@ -32,7 +32,7 @@ from barnette.carve import (
     _init_state,
     _role_map,
     _run,
-    _run_one,
+    _step,
     carve,
     carve_double,
     chamber_count,
@@ -257,8 +257,7 @@ class TestOpenFace:
     @staticmethod
     def pop(state):
         """Run the first door of side 0's queue."""
-        door = state.frontier[0].popleft()
-        return _run_one(state, door, state.unentered_face(door), 0, False)
+        return _step(state, state.frontier[0].popleft(), 0, False)
 
     @staticmethod
     def inner_doors(state):
@@ -335,9 +334,31 @@ class TestOpenFace:
         state = self.entrance_state(cube, (0, 1))
         assert role_of(state, (1, 2)) is EdgeRole.OUTER_HAMILTONIAN
         before = self.snapshot(state)
-        door = state.edge_id(1, 2)
-        assert _run_one(state, door, state.unentered_face(door), 0, False) is None
+        assert _step(state, state.edge_id(1, 2), 0, False) is None
         assert self.snapshot(state) == before
+
+    def test_refused_promotion_of_an_entered_door_drops_it_silently(self, monkeypatch):
+        # The three-cube chain rooted at face 1 and entered at (2, 6) pops
+        # door (15, 19) eighth: both its faces are entered, one borders the
+        # outer-Hamiltonian region, and the promotion is refused.  The door
+        # is dropped, and no failure text naming it is built.
+        emb = build_named("three_cubes_chain").embedding.with_outer_face(1)
+        state = self.entrance_state(emb, (2, 6))
+        for _ in range(7):
+            assert self.pop(state) is None
+        door = state.frontier[0][0]
+        assert state.edge_of(door) == (15, 19) and state.unentered_face(door) is None
+        assert any(map(state.face_borders_outer_ham, state.faces_of(door)))
+        assert carve_module._commit(state, (door,), dry=True) is not None
+        named = []
+        real = ChamberState.edge_of
+        monkeypatch.setattr(ChamberState, "edge_of", lambda self, e: named.append(e) or real(self, e))
+        assert self.pop(state) is None
+        assert named == [] and role_of(state, (15, 19)) is EdgeRole.INNER_DOOR
+        last = state.trace[-1]
+        assert (last.kind, last.door, last.face_id, last.ham_edges) == ("drop", (15, 19), -1, ())
+        # The spy sees the carve module's calls: the positive control.
+        assert state.edge_of(door) == (15, 19) and named == [door]
 
 
 class TestFirstMove:
@@ -372,10 +393,10 @@ class TestFirstMove:
 
     def test_blocked_first_move_means_the_opening_fails(self, corpus_graphs, monkeypatch):
         # Wherever the check says blocked during a carve, the opening
-        # itself raises and leaves the state as it was.  The frontier loop
-        # promotes a door only after this check, so every door it promotes
-        # that way has been checked here.
-        real, real_promote = carve_module._first_move_blocked, carve_module._promote
+        # itself raises and leaves the state as it was.  A step promotes
+        # a door that way only after this check, so every such door has
+        # been checked here.
+        real, real_commit = carve_module._first_move_blocked, carve_module._commit
         seen = Counter()
         checked = set()
 
@@ -386,16 +407,18 @@ class TestFirstMove:
                 with pytest.raises(CarveError):
                     _apply_opening(state, door, fid, left_walk)
                 assert TestOpenFace.snapshot(state) == before
-                checked.add((state, door, fid))
+                checked.add((state, door))
             seen[blocked] += 1
             return blocked
 
-        def promoting(state, door, fid, side):
-            seen["promoted after a check"] += (state, door, fid) in checked
-            return real_promote(state, door, fid, side)
+        def committing(state, moves, *args, **kwargs):
+            # A promotion commits its one door with no option set.
+            if not args and not kwargs:
+                seen["promoted after a check"] += (state, moves[0]) in checked
+            return real_commit(state, moves, *args, **kwargs)
 
         monkeypatch.setattr(carve_module, "_first_move_blocked", checking)
-        monkeypatch.setattr(carve_module, "_promote", promoting)
+        monkeypatch.setattr(carve_module, "_commit", committing)
         for base in self.cubic_bases(corpus_graphs):
             for face in base.faces:
                 emb = base.with_outer_face(face.id)
@@ -404,6 +427,40 @@ class TestFirstMove:
                         carve(emb, e, left_walk=lw)
         assert seen[True] > 1000 and seen[False] > 1000
         assert len(checked) > 0 and seen["promoted after a check"] > 1000
+
+    def test_the_check_is_a_shortcut_not_a_rule(self, corpus_graphs, monkeypatch):
+        # With the check answering "not blocked" everywhere, every door's
+        # opening is tried and a door is promoted only after it fails: the
+        # single and double carves must come out the same.
+        bases = [g.embedding for g in corpus_graphs.values()]
+        bases += [generate_prism(k).embedding for k in range(3, 9)]
+        bases.append(leapfrog(build_named("cube").embedding))
+        real = carve_module._apply_opening
+        opened = []
+
+        def opening(*args, **kwargs):
+            opened.append(args[2])
+            return real(*args, **kwargs)
+
+        def outcomes():
+            runs = []
+            for base in bases:
+                for face in base.faces:
+                    emb = base.with_outer_face(face.id)
+                    for e in sorted(emb.outer_edges):
+                        runs += [carve(emb, e, left_walk=lw) for lw in (False, True)]
+                    darts = emb.outer_face.darts
+                    if len(darts) >= 6:
+                        runs.append(carve_double(emb, (darts[0], darts[3])))
+            return [(tuple(res.trace), res.failure_reason, res.role_bytes) for res in runs]
+
+        monkeypatch.setattr(carve_module, "_apply_opening", opening)
+        with_check = outcomes()
+        tried = len(opened)
+        monkeypatch.setattr(carve_module, "_first_move_blocked", lambda *args: False)
+        assert outcomes() == with_check
+        # The patch took: without the check, more openings were tried.
+        assert len(opened) - tried > tried > 0
 
     @pytest.mark.parametrize("left_walk", [False, True])
     def test_blocked_squares_promote_without_an_opening(self, monkeypatch, left_walk):

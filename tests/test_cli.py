@@ -337,6 +337,27 @@ class TestSubcommands:
         code, out = run_cli(capsys, "bench", "--layer", "oracle", "--sizes", "2")
         assert code == 0 and "max_depth:" in out and "decided:" in out
 
+    @pytest.mark.parametrize("layer", ["carve", "double"])
+    def test_bench_carve_rows_count_events(self, capsys, layer):
+        # A leapfrog row past 24 vertices times a carve that stops after a
+        # few steps; its events counter shows that.
+        code, out = run_cli(capsys, "bench", "--machine", "--layer", layer,
+                            "--family", "leapfrog", "--sizes", "1,2")
+        recs = parse_machine_records(out)
+        assert code == 0 and len(recs) == 2
+        events = []
+        for k in (1, 2):
+            emb = cli._bench_graph("leapfrog", k)
+            darts = emb.outer_face.darts
+            if layer == "carve":
+                res = carve(emb, min(emb.outer_edges))
+            else:
+                res = carve_double(emb, (darts[0], darts[3]))
+            events.append(str(len(res.trace)))
+        assert [rec["events"] for rec in recs] == events
+        code, out = run_cli(capsys, "bench", "--layer", layer, "--family", "leapfrog", "--sizes", "2")
+        assert code == 0 and out.rstrip().endswith(f"events:{events[1]}")
+
     def test_bench_enumerate_layer(self, capsys):
         # C_2k x K_2 has 2k + 2 Hamiltonian cycles: 2k that use two spokes
         # and the two that use every spoke, alternating rims.
@@ -424,6 +445,13 @@ class TestErrors:
         bad.write_text(text.format("7" * 5000), encoding="utf-8")
         assert main(["validate", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: {what} has 5000 digits, too many to read ({where})\n"
+
+    @pytest.mark.parametrize("argv", [["oracle", "--budget", "-1"], ["compare", "--budget", "-5"]])
+    def test_negative_budget_is_an_error(self, capsys, argv):
+        assert main([*argv, str(SAMPLES / "cube.rot")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: budget must be at least 0, got {argv[-1]}\n"
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):

@@ -194,6 +194,11 @@ class TestFindCycle:
         r0 = find_hamiltonian_cycle(emb, budget=0)
         assert r0.exhausted and r0.certificate is None
 
+    def test_negative_budget_rejected(self, cube):
+        # A negative budget is an input error, not a spent budget.
+        with pytest.raises(ValueError, match="^budget must be at least 0, got -1$"):
+            find_hamiltonian_cycle(cube, budget=-1)
+
     def test_forced_edges_single_chamber_mode(self, cube):
         outer = sorted(cube.outer_face.edges)
         entrance = outer[0]
