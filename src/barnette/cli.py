@@ -435,12 +435,13 @@ def bench_scaling(
     nothing to finish.  Layer ``trace`` runs a fresh carve untimed before
     each rep, then times building its trace events, ``tuple(res.trace)``;
     its status is the event count.  Layer ``double`` times
-    ``carve_double`` from the outer walk's first edge and the edge three
-    steps along it, an odd spacing, and its status is the result's; an
-    outer face of fewer than 6 edges raises ValueError, since it has no
-    such pair.  Layer ``oracle`` times ``find_hamiltonian_cycle`` on the
-    graph; its status is the search's expansion count, and its rows also
-    carry the search's ``max_depth`` and ``decided`` counters.  Layer
+    ``carve_double`` from the outer walk's first edge and the edge four
+    steps along it, and its status is the result's; on a prism its trace
+    runs n/4 events.  An outer face of fewer than 6 edges raises
+    ValueError: its fifth edge, if any, touches the first.  Layer
+    ``oracle`` times ``find_hamiltonian_cycle`` on the graph; its status
+    is the search's expansion count, and its rows also carry the
+    search's ``max_depth`` and ``decided`` counters.  Layer
     ``enumerate`` times ``enumerate_hamiltonian_cycles``, and its status
     is the number of cycles.  Rows of layers ``carve`` and ``double``
     carry an ``events`` counter, the length of the result's trace, so a
@@ -467,7 +468,7 @@ def bench_scaling(
                     f"bench layer double needs an outer face of at least 6 edges: "
                     f"{family} k={k} has {len(darts)}"
                 )
-            run = lambda: carve_double(emb, (darts[0], darts[3]))
+            run = lambda: carve_double(emb, (darts[0], darts[4]))
         else:
             trace_faces(emb)  # cache the face structure outside the first rep
             entrance = min(emb.outer_edges)

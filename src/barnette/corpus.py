@@ -15,7 +15,6 @@ from .embedding import (
     EmbeddingError,
     Face,
     PlanarEmbedding,
-    _rotation_successors,
     parse_embedding,
 )
 
@@ -197,9 +196,11 @@ def _dodecahedron() -> PlanarEmbedding:
 def dual_embedding(emb: PlanarEmbedding) -> PlanarEmbedding:
     """Dual map: one vertex per face, its rotation the face's row of the
     dual table."""
-    dual = emb.dual_table
-    # Tuple rows: the constructor keeps them, so no copy of the map is built.
-    return PlanarEmbedding([tuple(dual[a:b]) for a, b in pairwise(emb.dart_index.face_start)])
+    dual, start = emb.dual_table, emb.dart_index.face_start
+    # Tuple rows, which the constructor keeps, of items of one id list: a
+    # read off the memoryview would make a new int object per entry.
+    ids = list(range(len(start) - 1))
+    return PlanarEmbedding([tuple(map(ids.__getitem__, dual[a:b])) for a, b in pairwise(start)])
 
 
 def truncate_embedding(emb: PlanarEmbedding) -> PlanarEmbedding:
@@ -210,13 +211,16 @@ def truncate_embedding(emb: PlanarEmbedding) -> PlanarEmbedding:
     neighbours at ``v``.
     """
     off = emb._off
-    # Each vertex's darts, like its corners, run from off[v] to off[v + 1].
-    before = list(range(-1, off[-1] - 1))
+    # Tuple rows of items of one id list, as in dual_embedding.  Each
+    # vertex's darts, like its corners, run from off[v] to off[v + 1], so
+    # the rotation neighbours are the ids turned by one, with each vertex's
+    # first and last dart patched to close its ring.
+    ids = list(range(off[-1]))
+    after, before = ids[1:] + ids[:1], ids[-1:] + ids[:-1]
     for a, b in pairwise(off):
         if a < b:
-            before[a] = b - 1
-    # Tuple rows, as in dual_embedding.
-    return PlanarEmbedding(list(zip(emb._twin, _rotation_successors(off), before)))
+            after[b - 1], before[a] = ids[a], ids[b - 1]
+    return PlanarEmbedding(list(zip(map(ids.__getitem__, emb._twin), after, before)))
 
 
 def _induced(emb: PlanarEmbedding, keep: list[int]) -> tuple[PlanarEmbedding, dict[int, int]]:

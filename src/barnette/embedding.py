@@ -8,7 +8,8 @@ Under the pairs lies one integer half-edge core, ``DartIndex``: the dart
 from ``v`` to ``rotations[v][i]`` has id ``off[v] + i`` (``3v + i`` on a
 cubic map), and an edge's id is the smaller of its two dart ids.  Twins
 are paired at construction; the face trace leaves int32 arrays behind, and
-``faces``, ``edge_faces`` and ``dual_table`` are views.  A ``Face`` of the
+``faces``, ``edge_faces`` and ``dual_table`` are read off them: the first
+two are views that store nothing per face or edge.  A ``Face`` of the
 map is a shell made the first time that face is read: its ``id`` and
 ``length`` come off ``face_start``, and its ``vertices`` and ``darts`` are
 built from the arrays only when they are read.  So a run that enters a few
@@ -22,7 +23,7 @@ import re
 import struct
 from array import array
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, pairwise, product
@@ -208,6 +209,39 @@ class FaceSequence(Sequence):
 _new_shell = object.__new__
 
 
+class EdgeFaces(Mapping):
+    """The two faces of each edge, ascending, keyed by the tuples of
+    ``edges`` in their order.  A read-only view: the value of ``(v, u)`` is
+    read off dart ``v -> u`` and its twin, found with one
+    ``rotations[v].index(u)``.  A reversed pair, a non-edge or a non-pair
+    raises KeyError.  Like a face shell, the view holds the rotations and
+    the arrays, never the map."""
+
+    __slots__ = ("_edges", "_rotations", "_index")
+
+    def __init__(self, edges: tuple[Edge, ...], rotations: tuple[tuple[int, ...], ...],
+                 index: DartIndex):
+        self._edges, self._rotations, self._index = edges, rotations, index
+
+    def __len__(self) -> int:
+        return len(self._edges)
+
+    def __iter__(self):
+        return iter(self._edges)
+
+    def __getitem__(self, edge: Edge) -> tuple[int, int]:
+        index = self._index
+        try:
+            v, u = edge
+            if not 0 <= v < u:
+                raise KeyError(edge)
+            d = index.off[v] + self._rotations[v].index(u)
+        except (TypeError, ValueError, IndexError):
+            raise KeyError(edge) from None
+        f, g = index.dart_face[d], index.dart_face[index.twin[d]]
+        return (f, g) if f <= g else (g, f)
+
+
 class PlanarEmbedding:
     """Immutable combinatorial map over vertices ``0..n-1``.
 
@@ -340,20 +374,11 @@ class PlanarEmbedding:
         return frozenset(self.outer_face.edges)
 
     @cached_property
-    def edge_faces(self) -> dict[Edge, tuple[int, int]]:
-        """Map edge -> ids of the two faces its darts lie on, ascending.  A
-        view for callers that want pairs; the library reads the arrays."""
-        index, rots = self.dart_index, self.rotations
-        off, twin, dart_face = index.off, index.twin, index.dart_face
-        out: dict[Edge, tuple[int, int]] = {}
-        # The keys are the tuples of `edges`: fresh key tuples would add
-        # about 11 MB to a 10^5-vertex map.
-        for e in self.edges:
-            v, u = e
-            d = off[v] + rots[v].index(u)
-            f, g = dart_face[d], dart_face[twin[d]]
-            out[e] = (f, g) if f <= g else (g, f)
-        return out
+    def edge_faces(self) -> EdgeFaces:
+        """Map edge -> ids of the two faces its darts lie on, ascending, as
+        a view over ``dart_index`` that stores nothing.  For callers that
+        want pairs; the library reads the arrays."""
+        return EdgeFaces(self.edges, self.rotations, self.dart_index)
 
     def face_of_dart(self, dart: Dart) -> int:
         return self.dart_index.dart_face[self.dart_id(*dart)]

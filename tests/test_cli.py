@@ -352,7 +352,7 @@ class TestSubcommands:
             if layer == "carve":
                 res = carve(emb, min(emb.outer_edges))
             else:
-                res = carve_double(emb, (darts[0], darts[3]))
+                res = carve_double(emb, (darts[0], darts[4]))
             events.append(str(len(res.trace)))
         assert [rec["events"] for rec in recs] == events
         code, out = run_cli(capsys, "bench", "--layer", layer, "--family", "leapfrog", "--sizes", "2")
@@ -631,7 +631,7 @@ class TestBenchScaling:
 
     def test_double_layer(self, capsys):
         # Each rep times carve_double from the outer walk's first edge and
-        # the edge three steps along; the status is the result's.
+        # the edge four steps along; the status is the result's.
         code, out = run_cli(capsys, "bench", "--machine", "--layer", "double",
                             "--family", "prism", "--sizes", "3,25")
         recs = parse_machine_records(out)
@@ -640,10 +640,17 @@ class TestBenchScaling:
         for rec, k in zip(recs, (3, 25)):
             emb = cli._bench_graph("prism", k)
             darts = emb.outer_face.darts
-            assert rec["status"] == carve_double(emb, (darts[0], darts[3])).status.value
+            assert rec["status"] == carve_double(emb, (darts[0], darts[4])).status.value
+
+    def test_double_layer_expands_on_prisms(self):
+        # The prism rows time a double carve that runs n/4 events, so the
+        # layer's exponent measures carve_double's expansion, not its set-up.
+        rows = bench_scaling([25, 250, 2500], repeats=1, layer="double")
+        assert [r["n"] for r in rows] == [100, 1000, 10000]
+        assert [r["events"] for r in rows] == [25, 250, 2500]
 
     def test_double_layer_needs_six_outer_edges(self, capsys):
-        # The cube (prism k = 2) has a 4-edge outer face: no edge lies three
+        # The cube (prism k = 2) has a 4-edge outer face: no edge lies four
         # steps from the first without touching it.
         assert main(["bench", "--layer", "double", "--sizes", "2"]) == 2
         captured = capsys.readouterr()

@@ -5,6 +5,9 @@ import gc
 import pickle
 import random
 import re
+import tracemalloc
+import weakref
+from collections.abc import Mapping
 from itertools import accumulate, pairwise
 from pathlib import Path
 
@@ -367,6 +370,46 @@ def test_dart_arrays_under_every_outer_face(corpus_graphs):
             assert_dart_arrays(emb)
 
 
+def test_edge_faces_is_a_view_keyed_by_edges(corpus_graphs):
+    for base in [*invariant_bases(corpus_graphs), generate_prism(100).embedding]:
+        view = base.edge_faces
+        assert isinstance(view, Mapping) and not isinstance(view, dict)
+        assert len(view) == base.edge_count == len(base.edges)
+        assert all(key is edge for key, edge in zip(view, base.edges, strict=True))
+        assert dict(view) == reference_edge_faces(base) == view
+
+
+def test_edge_faces_refuses_what_is_not_an_edge(cube):
+    view = cube.edge_faces
+    (v, u), non_edge = cube.edges[0], (0, 6)
+    assert non_edge not in cube.edges and u in cube.rotations[v]
+    for key in ((u, v), non_edge, (0, 0), (-1, 0), (0, 8), (8, 9), 0, (0,), (0, 1, 2),
+                "01", None, (0.5, 1)):
+        assert key not in view
+        assert view.get(key) is None
+        with pytest.raises(KeyError):
+            view[key]
+    with pytest.raises(TypeError):
+        view[v, u] = (0, 0)
+
+
+def test_edge_faces_stores_nothing_and_holds_no_map():
+    emb = list(leapfrogs(3))[-1]
+    emb.edges, emb.dart_index  # warm: the view only reads these
+    tracemalloc.start()
+    try:
+        view = emb.edge_faces
+        traced = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traced < 1024
+    want = dict(view)
+    ref = weakref.ref(emb)
+    del emb
+    gc.collect()
+    assert ref() is None and dict(view) == want
+
+
 def test_dart_arrays_are_read_only(cube):
     with pytest.raises(TypeError):
         cube.dart_index.twin[0] = 1
@@ -478,6 +521,25 @@ def test_dual_and_truncation_match_the_references(corpus_graphs):
             assert dual_embedding(base).rotations == rows  # the dual is a simple map
         assert truncate_embedding(base).rotations == reference_truncation(base)
         assert base.with_outer_face(len(rows) - 1).dual_table is table
+
+
+def int_objects(emb):
+    """How many int objects the rotations hold."""
+    return len({id(u) for nbrs in emb.rotations for u in nbrs})
+
+
+def test_dual_and_truncation_rows_share_one_int_per_id():
+    # Past 256 vertices, where CPython stops caching small ints, so fresh
+    # ints read off the dart arrays would show as distinct objects.
+    bases = [generate_prism(100).embedding, list(leapfrogs(4))[-1]]
+    bases.append(truncate_embedding(bases[0]))
+    for base in bases:
+        dual, truncated = dual_embedding(base), truncate_embedding(base)
+        assert max(dual.vertex_count, truncated.vertex_count) > 256
+        assert truncated.rotations == reference_truncation(base)
+        assert int_objects(dual) == dual.vertex_count
+        assert int_objects(truncated) == truncated.vertex_count
+    assert int_objects(PlanarEmbedding(reference_truncation(bases[1]))) > 648 * 3
 
 
 def test_parse_and_carve_build_no_dual_table():
