@@ -10,10 +10,12 @@ are reserved for bad invocations and unreadable input.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import re
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -401,10 +403,12 @@ def _cmd_corpus(args, out) -> int:
 
 
 BENCH_FAMILIES = ("prism", "leapfrog")
-BENCH_LAYERS = ("carve", "double", "front", "faces", "finish", "trace", "oracle", "enumerate")
 
 
 def _bench_graph(family: str, k: int) -> PlanarEmbedding:
+    """``prism``: C_2k x K_2 (n = 4k), whose carve is a long-outer spiral
+    through every face.  ``leapfrog``: the cube leapfrogged k times
+    (n = 8 * 3^k)."""
     if family == "prism":
         return corpus.generate_prism(k).embedding
     emb = corpus.build_named("cube").embedding
@@ -413,127 +417,164 @@ def _bench_graph(family: str, k: int) -> PlanarEmbedding:
     return emb
 
 
-def bench_scaling(
-    sizes: list[int], repeats: int = 3, family: str = "prism", layer: str = "carve"
-) -> list[dict[str, float]]:
-    """Best-of-``repeats`` wall time of one layer per graph size; building
-    the graph is not timed.
+def interleaved_rounds(
+    cases: list[tuple[object, int]], run: Callable, rounds: int, setup: Callable | None = None
+) -> tuple[list[list[float]], list]:
+    """Seconds per call of ``run``, one list per round with one entry per
+    case, and the last result of each case.
 
-    ``prism``: C_2k x K_2 (n = 4k), a long-outer spiral through every face.
-    ``leapfrog``: the cube leapfrogged k times (n = 8 * 3^k); past n = 24
-    these carves fail within a few events, so they time the fail-fast
-    path.  Layer ``carve`` enters at the least outer edge of the traced
-    graph; layer ``front`` parses the graph's serialized document, whose
-    ``outer`` line makes the parse trace the dart arrays and build the at
-    most two faces the outer match compares, not the others.  Layer
-    ``faces`` parses that document untimed before each rep, then times
-    reading every face's ``length`` and ``vertices``, what ``faces
-    --machine`` prints; its status is the face count.  Layer ``finish``
-    runs that carve untimed, then times ``verify_cycle`` plus
-    ``chamber_count`` on the certificate ``verify_cycle`` returned; a
-    carve that finds no Hamiltonian cycle raises ValueError, since there is
-    nothing to finish.  Layer ``trace`` runs a fresh carve untimed before
-    each rep, then times building its trace events, ``tuple(res.trace)``;
-    its status is the event count.  Layer ``double`` times
-    ``carve_double`` from the outer walk's first edge and the edge four
-    steps along it, and its status is the result's; on a prism its trace
-    runs n/4 events.  An outer face of fewer than 6 edges raises
-    ValueError: its fifth edge, if any, touches the first.  Layer
-    ``oracle`` times ``find_hamiltonian_cycle`` on the graph; its status
-    is the search's expansion count, and its rows also carry the
-    search's ``max_depth`` and ``decided`` counters.  Layer
-    ``enumerate`` times ``enumerate_hamiltonian_cycles``, and its status
-    is the number of cycles.  Rows of layers ``carve`` and ``double``
-    carry an ``events`` counter, the length of the result's trace, so a
-    row that times a carve stopped after a few steps shows it.
+    ``cases`` pairs each input with its size n.  Every round times all
+    cases in turn, so all see the host's speed drift over the same span,
+    and each case is batched to the largest n: ``largest // n`` calls in
+    one timed span.  ``setup``, if given, makes each call's argument from
+    the input before the span, untimed.  The collector is off while
+    timing, as timeit has it, and is left as the caller had it.
     """
-    rows = []
-    for k in sizes:
-        emb = _bench_graph(family, k)
-        if layer == "front":
-            text = serialize_embedding(emb)
-            run = lambda: trace_faces(parse_embedding(text))
-        elif layer == "faces":
-            text = serialize_embedding(emb)
-            # Reads the faces of the rep's fresh parse, set below.
-            run = lambda: [(face.length, face.vertices) for face in faces]
-        elif layer == "oracle":
-            run = lambda: find_hamiltonian_cycle(emb)
-        elif layer == "enumerate":
-            run = lambda: enumerate_hamiltonian_cycles(emb)
-        elif layer == "double":
-            darts = emb.outer_face.darts  # traces the faces outside the first rep
-            if len(darts) < 6:
-                raise ValueError(
-                    f"bench layer double needs an outer face of at least 6 edges: "
-                    f"{family} k={k} has {len(darts)}"
-                )
-            run = lambda: carve_double(emb, (darts[0], darts[4]))
-        else:
-            trace_faces(emb)  # cache the face structure outside the first rep
-            entrance = min(emb.outer_edges)
-            run = lambda: carve(emb, entrance)
-        if layer == "finish":
-            carved = run()
-            if not carved.ok:
-                raise ValueError(
-                    f"bench layer finish needs a Hamiltonian carve: {family} k={k} "
-                    f"ended {carved.status.value}: {carved.failure_reason}"
-                )
-            cycle = carved.cycle
-
-            def run():
-                cert = verify_cycle(emb, cycle)
-                return cert, chamber_count(emb, cert)
-        elif layer == "trace":
-            # Reads the ``trace`` of the rep's fresh carve, set below.
-            run = lambda: tuple(trace)
-        best = float("inf")
-        for _ in range(repeats):
-            if layer == "trace":
-                trace = carve(emb, entrance).trace  # untimed; no event built yet
-            elif layer == "faces":
-                faces = parse_embedding(text).faces  # untimed; no face read yet
-            t0 = time.perf_counter()
-            res = run()
-            best = min(best, time.perf_counter() - t0)
-        if layer == "front":
-            status = "parsed"
-        elif layer == "finish":
-            status = f"chambers:{res[1]}"
-        elif layer == "trace":
-            status = f"events:{len(res)}"
-        elif layer == "faces":
-            status = f"faces:{len(res)}"
-        elif layer == "oracle":
-            status = f"expansions:{res.expansions}"
-        elif layer == "enumerate":
-            status = f"cycles:{len(res[0])}"
-        else:
-            status = res.status.value
-        n = emb.vertex_count
-        row = {"k": k, "n": n, "status": status, "seconds": best,
-               "per_vertex_us": best / n * 1e6}
-        if layer == "oracle":
-            row.update(max_depth=res.max_depth, decided=res.decided)
-        elif layer in ("carve", "double"):
-            row.update(events=len(res.trace))
-        rows.append(row)
-    return rows
+    largest = max((n for _, n in cases), default=0)
+    times, last = [], [None] * len(cases)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(rounds):
+            times.append([])
+            for i, (case, n) in enumerate(cases):
+                batch = largest // n
+                args = [setup(case) for _ in range(batch)] if setup else [case] * batch
+                t0 = time.perf_counter()
+                results = [run(arg) for arg in args]
+                times[-1].append((time.perf_counter() - t0) / batch)
+                last[i] = results[-1]
+                del results  # freed here, not inside the next case's span
+    finally:
+        if enabled:
+            gc.enable()
+    return times, last
 
 
-def bench_exponent(rows: list[dict[str, float]]) -> float | None:
-    """Least-squares slope of log(seconds) over log(n) across the rows: 1
-    is linear.  None below three distinct sizes, where a slope is one
-    pair's ratio and a single slow sample sets it.  Written out rather
-    than taken from ``statistics``, whose import pulls in ``decimal`` and
-    ``fractions`` for every user of this module."""
-    if len({row["n"] for row in rows}) < 3 or min(row["seconds"] for row in rows) <= 0:
+def bench_exponent(ns: list[int], seconds: list[float]) -> float | None:
+    """Least-squares slope of log(seconds) over log(n): 1 is linear.  None
+    below three distinct sizes, where a slope is one pair's ratio and a
+    single slow sample sets it.  Written out rather than taken from
+    ``statistics``, whose import pulls in ``decimal`` and ``fractions``
+    for every user of this module."""
+    if len(set(ns)) < 3 or min(seconds) <= 0:
         return None
-    xs = [math.log(row["n"]) for row in rows]
-    ys = [math.log(row["seconds"]) for row in rows]
+    xs = [math.log(n) for n in ns]
+    ys = [math.log(s) for s in seconds]
     mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+def median_round_exponent(ns: list[int], times: list[list[float]]) -> float | None:
+    """The median over rounds of the exponent fitted within each round of
+    ``interleaved_rounds``' times; None below three distinct sizes.  Each
+    round compares the sizes at one speed of the host, so a slow stretch
+    spoils the rounds it falls in, not the median.  A fit over each
+    size's best time can pair samples from different stretches."""
+    fits = sorted(f for f in (bench_exponent(ns, t) for t in times) if f is not None)
+    if not fits:
+        return None
+    mid = len(fits) // 2
+    return (fits[mid] + fits[~mid]) / 2
+
+
+@dataclass(frozen=True)
+class BenchLayer:
+    """One row of ``BENCH_LAYERS``: ``prepare(emb, where)`` makes a graph's
+    input once, ``setup`` each call's argument from it (both untimed;
+    ``where`` names the graph in errors), ``run`` is the timed call, and
+    ``report`` reads the row's status and counters off its last result."""
+
+    prepare: Callable
+    run: Callable
+    report: Callable
+    setup: Callable | None = None
+
+
+def _least_outer_entrance(emb: PlanarEmbedding, where: str):
+    trace_faces(emb)  # cache the face structure outside the timing
+    return emb, min(emb.outer_edges)
+
+
+def _four_steps_apart(emb: PlanarEmbedding, where: str):
+    darts = emb.outer_face.darts
+    if len(darts) < 6:
+        raise ValueError(
+            f"bench layer double needs an outer face of at least 6 edges: "
+            f"{where} has {len(darts)}"
+        )
+    return emb, (darts[0], darts[4])
+
+
+def _carved_cycle(emb: PlanarEmbedding, where: str):
+    carved = carve(*_least_outer_entrance(emb, where))
+    if not carved.ok:
+        raise ValueError(
+            f"bench layer finish needs a Hamiltonian carve: {where} "
+            f"ended {carved.status.value}: {carved.failure_reason}"
+        )
+    return emb, carved.cycle
+
+
+def _finish(case):
+    emb, cycle = case
+    cert = verify_cycle(emb, cycle)
+    return cert, chamber_count(emb, cert)
+
+
+_document = lambda emb, where: serialize_embedding(emb)
+_graph = lambda emb, where: emb
+_carve_report = lambda res: {"status": res.status.value, "events": len(res.trace)}
+
+BENCH_LAYERS = {
+    # From the least outer edge.  Past n = 24 the leapfrogs' carves fail
+    # within a few events, so they time the fail-fast path.
+    "carve": BenchLayer(_least_outer_entrance, lambda case: carve(*case), _carve_report),
+    # From the outer walk's first edge and the edge four steps along it; on
+    # a prism the trace runs n/4 events.  On an outer face of fewer than 6
+    # edges the fifth edge, if any, touches the first.
+    "double": BenchLayer(_four_steps_apart, lambda case: carve_double(*case), _carve_report),
+    # The document's ``outer`` line makes the parse trace the dart arrays and
+    # build the at most two faces the outer match compares, not the others.
+    "front": BenchLayer(_document, lambda text: trace_faces(parse_embedding(text)),
+                        lambda res: {"status": "parsed"}),
+    # What ``faces --machine`` prints, read off a fresh parse.
+    "faces": BenchLayer(_document, lambda faces: [(face.length, face.vertices) for face in faces],
+                        lambda res: {"status": f"faces:{len(res)}"},
+                        setup=lambda text: parse_embedding(text).faces),
+    # verify_cycle, then chamber_count on the certificate it returns.
+    "finish": BenchLayer(_carved_cycle, _finish, lambda res: {"status": f"chambers:{res[1]}"}),
+    # Building the events of a fresh carve's trace, none built before.
+    "trace": BenchLayer(_least_outer_entrance, tuple,
+                        lambda res: {"status": f"events:{len(res)}"},
+                        setup=lambda case: carve(*case).trace),
+    "oracle": BenchLayer(_graph, find_hamiltonian_cycle,
+                         lambda res: {"status": f"expansions:{res.expansions}",
+                                      "max_depth": res.max_depth, "decided": res.decided}),
+    "enumerate": BenchLayer(_graph, enumerate_hamiltonian_cycles,
+                            lambda res: {"status": f"cycles:{len(res[0])}"}),
+}
+
+
+def bench_scaling(
+    sizes: list[int], rounds: int = 3, family: str = "prism", layer: str = "carve"
+) -> tuple[list[dict], float | None]:
+    """Time one layer of ``BENCH_LAYERS`` on the ``_bench_graph`` of each
+    size in ``interleaved_rounds``; building the graph and the layer's
+    set-up are not timed, and a graph the layer cannot run on raises
+    ValueError before any timing.  Returns one row per size, whose
+    ``seconds`` is the best per call over the rounds, and the
+    ``median_round_exponent`` over the sizes."""
+    bench = BENCH_LAYERS[layer]
+    graphs = [_bench_graph(family, k) for k in sizes]
+    cases = [(bench.prepare(emb, f"{family} k={k}"), emb.vertex_count)
+             for k, emb in zip(sizes, graphs)]
+    times, results = interleaved_rounds(cases, bench.run, rounds, bench.setup)
+    ns = [n for _, n in cases]
+    rows = [{"k": k, "n": n, **bench.report(res), "seconds": min(t),
+             "per_vertex_us": min(t) / n * 1e6}
+            for k, n, t, res in zip(sizes, ns, zip(*times), results)]
+    return rows, median_round_exponent(ns, times)
 
 
 def _cmd_bench(args, out) -> int:
@@ -542,7 +583,7 @@ def _cmd_bench(args, out) -> int:
     if args.layer not in BENCH_LAYERS:
         raise SystemExit(f"error: unknown bench layer {args.layer!r}")
     sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else []
-    rows = bench_scaling(sizes, family=args.family, layer=args.layer)
+    rows, exponent = bench_scaling(sizes, family=args.family, layer=args.layer)
     for row in rows:
         counters = {key: row[key] for key in ("max_depth", "decided", "events") if key in row}
         if args.machine:
@@ -562,13 +603,13 @@ def _cmd_bench(args, out) -> int:
             extra = "".join(f"  {key}:{value}" for key, value in counters.items())
             print(f"k={row['k']:<7d} n={row['n']:<8d} {row['status']:<17s} "
                   f"{row['seconds']:.4f}s  {row['per_vertex_us']:.2f}us/vertex{extra}")
-    exponent = bench_exponent(rows)
     if exponent is not None:
         if args.machine:
             emit_record(out, record="bench_fit", family=args.family, layer=args.layer,
                         sizes=len(rows), exponent=f"{exponent:.3f}")
         else:
-            print(f"scaling exponent, least squares over {len(rows)} sizes: {exponent:.2f}")
+            print(f"scaling exponent, least squares over {len(rows)} sizes, "
+                  f"median over rounds: {exponent:.2f}")
     return 0
 
 
@@ -663,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="prism (n = 4k, long spiral) or leapfrog (n = 8 * 3^k, fail-fast)")
     sp.add_argument("--layer", default="carve",
                     help="carve; double: carve_double from the outer walk's first edge "
-                         "and the edge three steps along; "
+                         "and the edge four steps along; "
                          "front: parse of a document with its outer line; "
                          "faces: reading every face's length and vertices after that parse; "
                          "finish: verify_cycle plus chamber_count on the carve's cycle; "

@@ -7,15 +7,13 @@ claims themselves, except on the prism family where Hamiltonicity is
 independently certain and failure would be a regression.
 """
 
-import gc
-import math
 import random
-import statistics
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
 from barnette.carve import CarveStatus, carve, chamber_count, select_entrance
+from barnette.cli import bench_exponent, bench_scaling, interleaved_rounds, median_round_exponent
 from barnette.corpus import (
     bipartite_fragment_family,
     build_fragment,
@@ -274,34 +272,14 @@ def test_criterion_7_chamber_analysis():
         assert min(counts) == 1
 
 
-def interleaved_carve_us_per_vertex(cases, rounds: int) -> list[float]:
-    """Best carve time per vertex of each ``(embedding, entrance)`` case.
-
-    A shared host drifts in speed over seconds.  So each timed sample
-    carves a case as often as it takes to cover as many vertices as one
-    carve of the largest case (both see the drift over the same span),
-    every round times all cases in turn, and each case keeps its best
-    sample over the rounds.  Every carve must end in a Hamiltonian cycle.
-    """
-    largest = max(emb.vertex_count for emb, _ in cases)
-    for emb, _ in cases:
-        emb.faces, emb.edge_faces, emb.outer_edges  # index outside the timing
-    best = [float("inf")] * len(cases)
-    for _ in range(rounds):
-        for i, (emb, entrance) in enumerate(cases):
-            batch = largest // emb.vertex_count
-            t0 = time.perf_counter()
-            results = [carve(emb, entrance) for _ in range(batch)]
-            best[i] = min(best[i], (time.perf_counter() - t0) / (batch * emb.vertex_count))
-            assert all(r.status is CarveStatus.HAMILTONIAN_CYCLE for r in results), emb
-    return [b * 1e6 for b in best]
-
-
 def test_criterion_8_linear_scaling():
     with criterion(8, "linear-time scaling", 120.0):
-        cases = [(generate_prism(k).embedding, (0, 1)) for k in (250, 2500, 25000)]
-        assert [emb.vertex_count for emb, _ in cases] == [1000, 10000, 100000]
-        per_vertex_us = interleaved_carve_us_per_vertex(cases, rounds=3)
+        # The carve rows of ``barnette bench``: prisms entered at their
+        # least outer edge, (0, 1).
+        rows, _ = bench_scaling([250, 2500, 25000], rounds=3)
+        assert [row["n"] for row in rows] == [1000, 10000, 100000]
+        assert all(row["status"] == CarveStatus.HAMILTONIAN_CYCLE.value for row in rows)
+        per_vertex_us = [row["per_vertex_us"] for row in rows]
         ratio = per_vertex_us[-1] / per_vertex_us[0]
         print(f"\nscaling-report: per-vertex us = "
               f"{[round(u, 2) for u in per_vertex_us]} ratio={ratio:.2f}")
@@ -343,30 +321,18 @@ def test_criterion_10_front_end_linear_scaling():
         # Prisms, and relabeled cube leapfrogs: the documents the cli_files
         # benchmark parses.
         rng = random.Random(10)
-        families = {
-            "prism": [generate_prism(k).embedding for k in (250, 2500)],
-            "leapfrog": [relabeled_leapfrog(times, rng) for times in (4, 6)],
-        }
-        assert [[g.vertex_count for g in gs] for gs in families.values()] == [
-            [1000, 10000], [648, 5832]
-        ]
-        # Each small case batched to its family's large one.
-        cases = [(serialize_embedding(g), g.vertex_count, gs[-1].vertex_count // g.vertex_count)
-                 for gs in families.values() for g in gs]
-        for doc, _, _ in cases:
-            assert validate(parse_embedding(doc)).is_barnette
-        # Interleaved rounds, so all see the host's speed drift over the
-        # same span.
-        best = [float("inf")] * len(cases)
-        for _ in range(5):
-            for i, (doc, n, batch) in enumerate(cases):
-                t0 = time.perf_counter()
-                for _ in range(batch):
-                    validate(parse_embedding(doc))
-                best[i] = min(best[i], (time.perf_counter() - t0) / (batch * n))
-        per_vertex_us = [round(b * 1e6, 2) for b in best]
-        ratios = {name: best[2 * j + 1] / best[2 * j] for j, name in enumerate(families)}
-        print(f"\nfront-end-report: parse+validate per-vertex us = {per_vertex_us} "
+        graphs = [generate_prism(k).embedding for k in (250, 2500)]
+        graphs += [relabeled_leapfrog(times, rng) for times in (4, 6)]
+        ns = [g.vertex_count for g in graphs]
+        assert ns == [1000, 10000, 648, 5832]
+        times, reports = interleaved_rounds(list(zip(map(serialize_embedding, graphs), ns)),
+                                            lambda doc: validate(parse_embedding(doc)), rounds=5)
+        assert all(rep.is_barnette for rep in reports)
+        per_vertex_us = [min(t) / n * 1e6 for t, n in zip(zip(*times), ns)]
+        ratios = {"prism": per_vertex_us[1] / per_vertex_us[0],
+                  "leapfrog": per_vertex_us[3] / per_vertex_us[2]}
+        print(f"\nfront-end-report: parse+validate per-vertex us = "
+              f"{[round(u, 2) for u in per_vertex_us]} "
               f"ratios = { {k: round(r, 2) for k, r in ratios.items()} }")
         assert max(ratios.values()) <= 2.0
 
@@ -377,77 +343,42 @@ def square_rooted_prism(k):
     base = generate_prism(k).embedding
     square = next(f for f in base.faces if f.length == 4)
     emb = base.with_outer_face(square.id)
-    ring = [e for e in sorted(square.edges)
-            if any(emb.faces[f].length > 4 for f in emb.edge_faces[e])]
+    ring = [(u, v) for u, v in sorted(square.edges)
+            if any(emb.faces[emb.face_of_dart(d)].length > 4 for d in ((u, v), (v, u)))]
     return emb, ring[0]
 
 
 def test_criterion_11_short_outer_linear_scaling():
     with criterion(11, "short-outer carve scaling", 120.0):
         cases = [square_rooted_prism(k) for k in (250, 1000)]
-        assert [emb.vertex_count for emb, _ in cases] == [1000, 4000]
-        per_vertex_us = interleaved_carve_us_per_vertex(cases, rounds=3)
+        ns = [emb.vertex_count for emb, _ in cases]
+        assert ns == [1000, 4000]
+        times, results = interleaved_rounds(list(zip(cases, ns)), lambda case: carve(*case),
+                                            rounds=3)
+        assert all(r.status is CarveStatus.HAMILTONIAN_CYCLE for r in results)
+        per_vertex_us = [min(t) / n * 1e6 for t, n in zip(zip(*times), ns)]
         ratio = per_vertex_us[1] / per_vertex_us[0]
         print(f"\nshort-outer-report: per-vertex us = "
               f"{[round(u, 2) for u in per_vertex_us]} ratio={ratio:.2f}")
         assert ratio <= 2.0
 
 
-def least_squares_exponent(sizes, seconds):
-    """The slope of log time against log size, fitted to all the points."""
-    return statistics.linear_regression(list(map(math.log, sizes)), list(map(math.log, seconds))).slope
-
-
-def interleaved_rounds(cases, run, rounds):
-    """Seconds per call of ``run(case)``, one list per round, each case
-    batched to the largest size.  ``cases`` pairs each input with its
-    size.  Every round times all cases in turn, so all see the host's
-    speed drift over the same span; the collector is off while timing,
-    as timeit has it."""
-    largest = max(n for _, n in cases)
-    times = []
-    gc.disable()
-    try:
-        for _ in range(rounds):
-            times.append([])
-            for case, n in cases:
-                batch = largest // n
-                t0 = time.perf_counter()
-                for _ in range(batch):
-                    run(case)
-                times[-1].append((time.perf_counter() - t0) / batch)
-    finally:
-        gc.enable()
-    return times
-
-
-def best_per_case(times):
-    """Each case's best seconds over the rounds."""
-    return list(map(min, zip(*times)))
-
-
-def median_round_exponent(sizes, times):
-    """The median over rounds of the exponent fitted within each round.
-    A slow stretch of the host spoils the rounds it falls in, not the
-    median; a fit over sizes in geometric steps, as here, gives the
-    middle size no weight, so it cannot do that alone."""
-    return statistics.median(least_squares_exponent(sizes, t) for t in times)
-
-
 def test_criterion_12_linear_cut_enumeration():
     with criterion(12, "3-cut enumeration scaling", 120.0):
-        cases = [truncate_embedding(generate_prism(k).embedding) for k in (125, 375, 1000)]
-        assert [emb.vertex_count for emb in cases] == [1500, 4500, 12000]
-        for emb in cases:
-            emb.dart_index  # trace outside the timing
-            # One triangle cut per vertex of the prism, none elsewhere.
-            assert len(enumerate_3_edge_cuts(emb)) == emb.vertex_count // 3
+        graphs = [truncate_embedding(generate_prism(k).embedding) for k in (125, 375, 1000)]
+        ns = [emb.vertex_count for emb in graphs]
+        assert ns == [1500, 4500, 12000]
+        for emb in graphs:
+            emb.dart_index, emb.dual_table  # trace and index outside the timing
+        times, cuts = interleaved_rounds([(emb, emb.vertex_count) for emb in graphs],
+                                         enumerate_3_edge_cuts, rounds=7)
+        # One triangle cut per vertex of the prism, none elsewhere.
+        assert [len(c) for c in cuts] == [n // 3 for n in ns]
         # The middle size lies near the geometric mean of the ends, so
         # the least-squares fit reads close to the ratio of the ends; the
         # best time per size over the rounds steadies it.
-        best = best_per_case(interleaved_rounds([(emb, emb.vertex_count) for emb in cases],
-                                                enumerate_3_edge_cuts, rounds=7))
-        exponent = least_squares_exponent([emb.vertex_count for emb in cases], best)
+        best = [min(t) for t in zip(*times)]
+        exponent = bench_exponent(ns, best)
         print(f"\ncut-enumeration-report: seconds = {[round(t, 4) for t in best]} "
               f"exponent={exponent:.2f}")
         assert exponent <= 1.25
@@ -468,7 +399,8 @@ def test_criterion_13_high_degree_construction_scaling():
             [1002, 4002, 16002], [1008, 4008, 16008]
         ]
         cases = [(g.rotations, g.vertex_count) for gs in families.values() for g in gs]
-        times = interleaved_rounds(cases, lambda rots: PlanarEmbedding(rots).dart_index, rounds=9)
+        times, _ = interleaved_rounds(cases, lambda rots: PlanarEmbedding(rots).dart_index,
+                                      rounds=9)
         # One exponent per family: its three sizes fitted within each
         # round, the median taken over the rounds.
         exponents = {
@@ -476,7 +408,7 @@ def test_criterion_13_high_degree_construction_scaling():
                                         [t[3 * j:3 * j + 3] for t in times])
             for j, name in enumerate(families)
         }
-        best = best_per_case(times)
+        best = [min(t) for t in zip(*times)]
         print(f"\nhigh-degree-report: best seconds = {[round(t, 4) for t in best]} "
               f"exponents = { {k: round(e, 2) for k, e in exponents.items()} }")
         assert max(exponents.values()) <= 1.25
@@ -489,12 +421,12 @@ def test_criterion_14_oracle_scaling_on_prisms():
         # only the cost of a node, which the connectivity test of what
         # the node changed keeps constant.
         cases = [(generate_prism(k).embedding, 4 * k) for k in (250, 500, 1000)]
-        for emb, n in cases:
-            r = find_hamiltonian_cycle(emb)
+        ns = [n for _, n in cases]
+        times, results = interleaved_rounds(cases, find_hamiltonian_cycle, rounds=15)
+        for r, n in zip(results, ns):
             assert r.certificate.is_hamiltonian and r.expansions == n // 2
-        times = interleaved_rounds(cases, find_hamiltonian_cycle, rounds=15)
-        exponent = median_round_exponent([n for _, n in cases], times)
-        best = best_per_case(times)
+        exponent = median_round_exponent(ns, times)
+        per_vertex_us = [min(t) / n * 1e6 for t, n in zip(zip(*times), ns)]
         print(f"\noracle-scaling-report: best us per vertex = "
-              f"{[round(t / n * 1e6, 2) for t, (_, n) in zip(best, cases)]} exponent={exponent:.2f}")
+              f"{[round(u, 2) for u in per_vertex_us]} exponent={exponent:.2f}")
         assert exponent <= 1.25

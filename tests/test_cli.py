@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, machine format round-trip."""
 
 import argparse
+import gc
 import hashlib
 import importlib
 import math
@@ -15,7 +16,15 @@ from pathlib import Path
 import pytest
 
 from barnette import cli
-from barnette.cli import bench_exponent, bench_scaling, main, parse_machine_records, to_dot
+from barnette.cli import (
+    bench_exponent,
+    bench_scaling,
+    interleaved_rounds,
+    main,
+    median_round_exponent,
+    parse_machine_records,
+    to_dot,
+)
 from barnette.carve import (
     _ROLES,
     CarveResult,
@@ -277,11 +286,12 @@ class TestSubcommands:
         assert all(float(r["per_vertex_us"]) > 0 for r in recs)
 
     def test_bench_front_prints_fitted_exponent(self, capsys):
-        # One least-squares exponent over every size run, once there are
-        # three; two sizes print none.
+        # The median over rounds of a least-squares exponent over every
+        # size run, once there are three; two sizes print none.
         code, out = run_cli(capsys, "bench", "--layer", "front", "--sizes", "2,3,4")
         assert code == 0 and out.count("parsed") == 3
-        assert re.search(r"^scaling exponent, least squares over 3 sizes: -?\d+\.\d\d$", out, re.M)
+        assert re.search(r"^scaling exponent, least squares over 3 sizes, median over rounds: "
+                         r"-?\d+\.\d\d$", out, re.M)
         code, out = run_cli(capsys, "bench", "--layer", "front", "--sizes", "2,3")
         assert code == 0 and out.count("parsed") == 2 and "exponent" not in out
 
@@ -568,19 +578,19 @@ def test_fail_fast_record_builds_only_the_faces_it_reads(capsys, tmp_path, monke
 
 class TestBenchScaling:
     def test_rows_shape(self):
-        rows = bench_scaling([2, 5], repeats=1)
+        rows, _ = bench_scaling([2, 5], rounds=1)
         assert [r["n"] for r in rows] == [8, 20]
         assert all(r["seconds"] >= 0 for r in rows)
         assert all(r["status"] == "HamiltonianCycle" for r in rows)
-        front = bench_scaling([2, 5], repeats=1, layer="front")
+        front, _ = bench_scaling([2, 5], rounds=1, layer="front")
         assert [r["n"] for r in front] == [8, 20]
         assert all(r["status"] == "parsed" and r["seconds"] >= 0 for r in front)
-        finish = bench_scaling([2, 5], repeats=1, layer="finish")
+        finish, _ = bench_scaling([2, 5], rounds=1, layer="finish")
         assert [r["n"] for r in finish] == [8, 20]
         assert all(r["status"] == "chambers:1" and r["seconds"] >= 0 for r in finish)
 
     def test_oracle_layer_rows(self):
-        rows = bench_scaling([2, 5], repeats=2, layer="oracle")
+        rows, _ = bench_scaling([2, 5], rounds=2, layer="oracle")
         assert [r["n"] for r in rows] == [8, 20]
         assert all(r["seconds"] >= 0 and r["per_vertex_us"] >= 0 for r in rows)
         want = [find_hamiltonian_cycle(generate_prism(k).embedding).expansions for k in (2, 5)]
@@ -588,24 +598,73 @@ class TestBenchScaling:
         assert want == [4, 10]
 
     def test_exponent_is_a_least_squares_slope(self):
-        def rows(ns, power):
-            return [{"n": n, "seconds": 1e-6 * n ** power} for n in ns]
+        def fit(ns, power):
+            return bench_exponent(ns, [1e-6 * n ** power for n in ns])
 
-        assert bench_exponent(rows([10, 100, 1000], 1.0)) == pytest.approx(1.0)
-        assert bench_exponent(rows([8, 20, 40, 100], 2.0)) == pytest.approx(2.0)
+        assert fit([10, 100, 1000], 1.0) == pytest.approx(1.0)
+        assert fit([8, 20, 40, 100], 2.0) == pytest.approx(2.0)
         # The slope of the line that fits three points best, not of the ends.
         # At log n = 0, 1, 3 and log seconds = 0, 0, 3 that is 15/14, and the
         # ends alone would read 1.
-        bent = [{"n": 1, "seconds": 1.0}, {"n": math.e, "seconds": 1.0},
-                {"n": math.e ** 3, "seconds": math.e ** 3}]
-        assert bench_exponent(bent) == pytest.approx(15 / 14)
-        assert bench_exponent(rows([10, 100], 1.0)) is None
-        assert bench_exponent(rows([10, 10, 100], 1.0)) is None
+        assert bench_exponent([1, math.e, math.e ** 3], [1.0, 1.0, math.e ** 3]) == pytest.approx(
+            15 / 14)
+        assert fit([10, 100], 1.0) is None
+        assert fit([10, 10, 100], 1.0) is None
         rng = random.Random(5)
-        noisy = [{"n": n, "seconds": rng.uniform(1e-4, 1.0)} for n in (8, 20, 40, 100, 200)]
-        want = statistics.linear_regression([math.log(r["n"]) for r in noisy],
-                                            [math.log(r["seconds"]) for r in noisy]).slope
-        assert bench_exponent(noisy) == pytest.approx(want)
+        ns = [8, 20, 40, 100, 200]
+        noisy = [rng.uniform(1e-4, 1.0) for _ in ns]
+        want = statistics.linear_regression([math.log(n) for n in ns],
+                                            [math.log(s) for s in noisy]).slope
+        assert bench_exponent(ns, noisy) == pytest.approx(want)
+
+    def test_median_round_exponent_outlasts_one_slow_round(self):
+        # Three rounds of times per size: one linear, one slow at the
+        # smallest size, one fast there.  The fast round then runs ten
+        # times slower all over, as when the host stalls through it.  Its
+        # own fit stays above the linear round's, so the median holds;
+        # the best times lose the small size's fast sample, so their fit
+        # moves.
+        ns = [10, 100, 1000]
+        linear = [1e-6 * n for n in ns]
+        rounds = [linear, [1.2e-5, *linear[1:]], [0.8e-5, *linear[1:]]]
+        stalled = rounds[:2] + [[10 * t for t in rounds[2]]]
+
+        def best_fit(times):
+            return bench_exponent(ns, [min(t) for t in zip(*times)])
+
+        assert median_round_exponent(ns, rounds) == pytest.approx(1.0)
+        assert median_round_exponent(ns, stalled) == pytest.approx(1.0)
+        assert best_fit(rounds) > 1.04 and best_fit(stalled) == pytest.approx(1.0)
+        assert median_round_exponent(ns[:2], [t[:2] for t in rounds]) is None
+
+    def test_timer_batches_and_restores_the_collector(self):
+        # Each round times every case in turn, each batched to the largest
+        # size, with the collector off; a caller's disabled collector
+        # stays disabled.
+        calls = []
+
+        def run(arg):
+            calls.append((arg, gc.isenabled()))
+            return arg
+
+        gc.disable()
+        try:
+            times, last = interleaved_rounds([("a", 10), ("b", 30)], run, 2,
+                                             setup=str.upper)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert calls == [("A", False)] * 3 + [("B", False)] + [("A", False)] * 3 + [("B", False)]
+        assert last == ["A", "B"] and len(times) == 2 and all(len(t) == 2 for t in times)
+
+    def test_timer_turns_the_collector_back_on_after_a_raise(self):
+        def fail(arg):
+            raise RuntimeError(arg)
+
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="x"):
+            interleaved_rounds([("x", 1)], fail, 1)
+        assert gc.isenabled()
 
     def test_finish_layer(self, capsys):
         code, out = run_cli(capsys, "bench", "--machine", "--layer", "finish", "--sizes", "2,25")
@@ -617,7 +676,7 @@ class TestBenchScaling:
         # Each rep times building the events of a fresh carve's trace; the
         # status counts them.
         for family, sizes in (("prism", [2, 25]), ("leapfrog", [1])):
-            rows = bench_scaling(sizes, repeats=2, family=family, layer="trace")
+            rows, _ = bench_scaling(sizes, rounds=2, family=family, layer="trace")
             want = []
             for k in sizes:
                 emb = cli._bench_graph(family, k)
@@ -645,7 +704,7 @@ class TestBenchScaling:
     def test_double_layer_expands_on_prisms(self):
         # The prism rows time a double carve that runs n/4 events, so the
         # layer's exponent measures carve_double's expansion, not its set-up.
-        rows = bench_scaling([25, 250, 2500], repeats=1, layer="double")
+        rows, _ = bench_scaling([25, 250, 2500], rounds=1, layer="double")
         assert [r["n"] for r in rows] == [100, 1000, 10000]
         assert [r["events"] for r in rows] == [25, 250, 2500]
 
