@@ -259,9 +259,10 @@ class TraceView(Sequence):
 
 
 def _role_map(embedding: PlanarEmbedding, codes) -> dict[Edge, EdgeRole]:
-    """Edge -> role from role bytes, in ``embedding.edges`` order."""
-    rot, roles, edges = embedding.rotations, _ROLES, embedding.edges
-    return dict(zip(edges, [roles[codes[3 * u + rot[u].index(v)]] for u, v in edges]))
+    """Edge -> role from role bytes, in ``embedding.edges`` order, read
+    in one pass over the edges."""
+    rot, roles = embedding.rotations, _ROLES
+    return {(u, v): roles[codes[3 * u + rot[u].index(v)]] for u, v in embedding.edges}
 
 
 @dataclass(frozen=True)

@@ -522,6 +522,11 @@ def _finish(case):
     return cert, chamber_count(emb, cert)
 
 
+def _dual_table_filled(emb: PlanarEmbedding, where: str):
+    emb.dual_table  # trace the faces and fill the table outside the timing
+    return emb
+
+
 _document = lambda emb, where: serialize_embedding(emb)
 _graph = lambda emb, where: emb
 _carve_report = lambda res: {"status": res.status.value, "events": len(res.trace)}
@@ -548,6 +553,11 @@ BENCH_LAYERS = {
     "trace": BenchLayer(_least_outer_entrance, tuple,
                         lambda res: {"status": f"events:{len(res)}"},
                         setup=lambda case: carve(*case).trace),
+    # One leapfrog step: the dual map, then its truncation (3n vertices),
+    # per vertex of the input; both constructors pair every dart.
+    "build": BenchLayer(_dual_table_filled,
+                        lambda emb: corpus.truncate_embedding(corpus.dual_embedding(emb)),
+                        lambda res: {"status": f"vertices:{res.vertex_count}"}),
     "oracle": BenchLayer(_graph, find_hamiltonian_cycle,
                          lambda res: {"status": f"expansions:{res.expansions}",
                                       "max_depth": res.max_depth, "decided": res.decided}),
@@ -632,9 +642,8 @@ def to_dot(emb: PlanarEmbedding, res: CarveResult | None = None) -> str:
             if ev.kind in ("open", "promote"):
                 lines.append(f"  // step {ev.step}: {ev.kind} face {ev.face_id} "
                              f"through door {_fmt_edge(ev.door)}")
-        for u, v in emb.edges:
-            style = _DOT_STYLE[res.roles[(u, v)]]
-            lines.append(f"  {u} -- {v}{style};")
+        for (u, v), role in res.roles.items():  # in edges order
+            lines.append(f"  {u} -- {v}{_DOT_STYLE[role]};")
     else:
         for u, v in emb.edges:
             lines.append(f"  {u} -- {v};")
@@ -709,6 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "faces: reading every face's length and vertices after that parse; "
                          "finish: verify_cycle plus chamber_count on the carve's cycle; "
                          "trace: building the events of a finished carve's trace; "
+                         "build: one leapfrog step, the dual and its truncation; "
                          "oracle: find_hamiltonian_cycle, status its expansion count; "
                          "enumerate: enumerate_hamiltonian_cycles, status its cycle count")
     sp.add_argument("--sizes", help="comma-separated k values; three or more sizes "

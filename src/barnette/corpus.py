@@ -9,7 +9,7 @@ replaced by standard constructions of the same class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import chain, islice, pairwise
 
 from .embedding import (
     EmbeddingError,
@@ -198,9 +198,10 @@ def dual_embedding(emb: PlanarEmbedding) -> PlanarEmbedding:
     dual table."""
     dual, start = emb.dual_table, emb.dart_index.face_start
     # Tuple rows, which the constructor keeps, of items of one id list: a
-    # read off the memoryview would make a new int object per entry.
+    # read off the memoryview would make a new int object per entry.  The
+    # rows are made as the constructor reads them, with no list of them.
     ids = list(range(len(start) - 1))
-    return PlanarEmbedding([tuple(map(ids.__getitem__, dual[a:b])) for a, b in pairwise(start)])
+    return PlanarEmbedding(tuple(map(ids.__getitem__, dual[a:b])) for a, b in pairwise(start))
 
 
 def truncate_embedding(emb: PlanarEmbedding) -> PlanarEmbedding:
@@ -210,17 +211,23 @@ def truncate_embedding(emb: PlanarEmbedding) -> PlanarEmbedding:
     the dart's id, joined to its twin's corner and its two rotation
     neighbours at ``v``.
     """
-    off = emb._off
+    off, twin = emb._off, emb._twin
     # Tuple rows of items of one id list, as in dual_embedding.  Each
     # vertex's darts, like its corners, run from off[v] to off[v + 1], so
-    # the rotation neighbours are the ids turned by one, with each vertex's
-    # first and last dart patched to close its ring.
-    ids = list(range(off[-1]))
-    after, before = ids[1:] + ids[:1], ids[-1:] + ids[:-1]
+    # the rotation neighbours are the ids turned by one, read through
+    # iterators so that no second id list is made; then each vertex's
+    # first and last row are remade to close its ring.
+    ids = list(range(len(twin)))
+    rows = list(zip(map(ids.__getitem__, twin),
+                    chain(islice(ids, 1, None), ids[:1]), chain(ids[-1:], ids)))
     for a, b in pairwise(off):
         if a < b:
-            after[b - 1], before[a] = ids[a], ids[b - 1]
-    return PlanarEmbedding(list(zip(map(ids.__getitem__, emb._twin), after, before)))
+            t, after, _ = rows[a]
+            rows[a] = (t, after, ids[b - 1])
+            t, _, before = rows[b - 1]
+            rows[b - 1] = (t, ids[a], before)
+    del ids  # its slots, before the constructor allocates
+    return PlanarEmbedding(rows)
 
 
 def _induced(emb: PlanarEmbedding, keep: list[int]) -> tuple[PlanarEmbedding, dict[int, int]]:

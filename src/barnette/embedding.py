@@ -6,10 +6,12 @@ combinatorial map.  Edges are canonical ``(min, max)`` vertex pairs.
 
 Under the pairs lies one integer half-edge core, ``DartIndex``: the dart
 from ``v`` to ``rotations[v][i]`` has id ``off[v] + i`` (``3v + i`` on a
-cubic map), and an edge's id is the smaller of its two dart ids.  Twins
-are paired at construction; the face trace leaves int32 arrays behind, and
-``faces``, ``edge_faces`` and ``dual_table`` are read off them: the first
-two are views that store nothing per face or edge.  A ``Face`` of the
+cubic map, whose ``off`` is a ``range``), and an edge's id is the smaller
+of its two dart ids.  Twins are paired at construction; the face trace
+leaves int32 arrays behind, and ``faces``, ``edge_faces`` and
+``dual_table`` are read off them.  ``edges``, ``faces`` and
+``edge_faces`` are views that store nothing per edge or face: ``edges``
+makes its pairs from the rotations as it is read.  A ``Face`` of the
 map is a shell made the first time that face is read: its ``id`` and
 ``length`` come off ``face_start``, and its ``vertices`` and ``darts`` are
 built from the arrays only when they are read.  So a run that enters a few
@@ -23,7 +25,7 @@ import re
 import struct
 from array import array
 from bisect import bisect_right
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, pairwise, product
@@ -108,11 +110,18 @@ class Face:
         index, rots, f = self._index, self._rotations, self._id
         off, start = index.off, index.face_start
         darts = index.face_darts[start[f]:start[f + 1]]
-        u = bisect_right(off, darts[0]) - 1
         out = []
-        for d in darts:
-            out.append(u)
-            u = rots[u][d - off[u]]
+        if type(off) is range:  # a regular map: arithmetic, not a range read
+            k = off.step
+            u = darts[0] // k
+            for d in darts:
+                out.append(u)
+                u = rots[u][d - k * u]
+        else:
+            u = bisect_right(off, darts[0]) - 1
+            for d in darts:
+                out.append(u)
+                u = rots[u][d - off[u]]
         return tuple(out)
 
     @property
@@ -156,9 +165,10 @@ class DartIndex(NamedTuple):
     """Read-only int32 arrays of a traced sphere map.  Dart ``v ->
     rotations[v][i]`` has id ``off[v] + i``; ``twin[d]`` is its reverse
     and ``dart_face[d]`` the face whose walk holds it.  Face ``f`` walks
-    ``face_darts[face_start[f]:face_start[f + 1]]`` in traced order."""
+    ``face_darts[face_start[f]:face_start[f + 1]]`` in traced order.
+    On a k-regular map ``off`` is ``range(0, k * n + 1, k)``."""
 
-    off: memoryview
+    off: memoryview | range
     twin: memoryview
     dart_face: memoryview
     face_darts: memoryview
@@ -209,9 +219,54 @@ class FaceSequence(Sequence):
 _new_shell = object.__new__
 
 
+class EdgeSequence(Sequence):
+    """The edges ``(v, u)``, ``v < u``, ordered by ``v`` then ``u``, as a
+    read-only view that stores no pair.  Iteration makes each pair from
+    the rotations, ``in`` looks it up in ``rotations[v]``, and ``len`` is
+    the count the map was built with.  ``[i]`` finds the edge's smaller
+    end in an int32 column of edge counts per vertex, filled the first
+    time it is used; a slice is a tuple of pairs.  A reversed pair, a
+    non-edge or a non-pair is not ``in`` it.  Holds the rotations, never
+    the map."""
+
+    __slots__ = ("_rotations", "_len", "_first")
+
+    def __init__(self, rotations: tuple[tuple[int, ...], ...], count: int):
+        self._rotations, self._len, self._first = rotations, count, None
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        for v, nbrs in enumerate(self._rotations):
+            for u in sorted(nbrs):
+                if v < u:
+                    yield v, u
+
+    def __contains__(self, edge: object) -> bool:
+        if not isinstance(edge, tuple) or len(edge) != 2:
+            return False
+        v, u = edge
+        try:
+            return 0 <= v < u and u in self._rotations[v]
+        except (TypeError, IndexError):
+            return False
+
+    def __getitem__(self, i: int | slice) -> Edge | tuple[Edge, ...]:
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(self._len)[i]))
+        i = range(self._len)[i]  # IndexError past either end
+        rots, first = self._rotations, self._first
+        if first is None:
+            ups = (sum(u > v for u in nbrs) for v, nbrs in enumerate(rots))
+            first = self._first = _int32s(list(accumulate(ups, initial=0)))
+        v = bisect_right(first, i) - 1
+        return v, sorted(u for u in rots[v] if u > v)[i - first[v]]
+
+
 class EdgeFaces(Mapping):
-    """The two faces of each edge, ascending, keyed by the tuples of
-    ``edges`` in their order.  A read-only view: the value of ``(v, u)`` is
+    """The two faces of each edge, ascending, keyed by the pairs of
+    ``edges`` in its order.  A read-only view: the value of ``(v, u)`` is
     read off dart ``v -> u`` and its twin, found with one
     ``rotations[v].index(u)``.  A reversed pair, a non-edge or a non-pair
     raises KeyError.  Like a face shell, the view holds the rotations and
@@ -219,7 +274,7 @@ class EdgeFaces(Mapping):
 
     __slots__ = ("_edges", "_rotations", "_index")
 
-    def __init__(self, edges: tuple[Edge, ...], rotations: tuple[tuple[int, ...], ...],
+    def __init__(self, edges: EdgeSequence, rotations: tuple[tuple[int, ...], ...],
                  index: DartIndex):
         self._edges, self._rotations, self._index = edges, rotations, index
 
@@ -251,7 +306,7 @@ class PlanarEmbedding:
     and cached, so instances are safe to share across threads.
     """
 
-    def __init__(self, rotations: Sequence[Sequence[int]]):
+    def __init__(self, rotations: Iterable[Sequence[int]]):
         rots = tuple(map(tuple, rotations))
         n = len(rots)
         if n < 1:
@@ -260,44 +315,72 @@ class PlanarEmbedding:
         # rotation (ties: at the smaller vertex).  A simple symmetric map pairs
         # every dart once; any fault leaves a neighbour out of range, a dart
         # unpaired or one paired twice, and the checks are then replayed.
-        # The rule reads degrees from a list: a rotation is fetched only to
-        # be searched.
         deg = list(map(len, rots))
-        off = list(accumulate(deg, initial=0))
-        twin = array("i", [-1]) * off[-1]
-        d = 0
-        for v, nbrs in enumerate(rots):
-            k = deg[v]
-            for u in nbrs:
-                if not 0 <= u < n:
-                    raise _rotation_fault(rots)
-                j = deg[u]
-                if j < k or j == k and u < v:
-                    try:
-                        t = off[u] + rots[u].index(v)
-                    except ValueError:
-                        raise _rotation_fault(rots) from None
-                    if twin[t] >= 0:
+        k = deg[0]
+        regular = k > 0 and deg.count(k) == n
+        if regular:
+            # Every degree ties, so each edge is looked up at its smaller
+            # end, and vertex u's darts start at k * u: no degree or offset
+            # is read per dart.  A neighbour out of range leaves its dart
+            # unpaired.
+            del deg
+            off = range(0, k * n + 1, k)
+            twin = array("i", [-1]) * (k * n)
+            d = 0
+            for v, nbrs in enumerate(rots):
+                for u in nbrs:
+                    if 0 <= u < v:
+                        try:
+                            t = k * u + rots[u].index(v)
+                        except ValueError:
+                            raise _rotation_fault(rots) from None
+                        if twin[t] >= 0:
+                            raise _rotation_fault(rots)
+                        twin[d] = t
+                        twin[t] = d
+                    d += 1
+        else:
+            # The rule reads degrees and offsets from lists: a rotation is
+            # fetched only to be searched.
+            off = list(accumulate(deg, initial=0))
+            twin = array("i", [-1]) * off[-1]
+            d = 0
+            for v, nbrs in enumerate(rots):
+                k = deg[v]
+                for u in nbrs:
+                    if not 0 <= u < n:
                         raise _rotation_fault(rots)
-                    twin[d] = t
-                    twin[t] = d
-                d += 1
+                    j = deg[u]
+                    if j < k or j == k and u < v:
+                        try:
+                            t = off[u] + rots[u].index(v)
+                        except ValueError:
+                            raise _rotation_fault(rots) from None
+                        if twin[t] >= 0:
+                            raise _rotation_fault(rots)
+                        twin[d] = t
+                        twin[t] = d
+                    d += 1
+            del deg
+            off = _int32s(off)
         if -1 in twin:
             raise _rotation_fault(rots)
         self.rotations = rots
         self.vertex_count = n
-        self._off, self._twin = _int32s(off), memoryview(twin).toreadonly()
+        self._off, self._twin = off, memoryview(twin).toreadonly()
+        self._cubic = regular and k == 3
         self._explicit_outer: int | None = None  # set by with_outer_face
 
     # -- basic accessors -------------------------------------------------
 
     @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        return tuple([(v, u) for v, nbrs in enumerate(self.rotations) for u in sorted(nbrs) if v < u])
+    def edges(self) -> EdgeSequence:
+        """The edges ``(v, u)``, ``v < u``, by ``v`` then ``u``, as a view."""
+        return EdgeSequence(self.rotations, self.edge_count)
 
     @property
     def edge_count(self) -> int:
-        return sum(map(len, self.rotations)) // 2
+        return len(self._twin) // 2
 
     def degree(self, v: int) -> int:
         return len(self.rotations[v])
@@ -309,11 +392,8 @@ class PlanarEmbedding:
         return v in self.rotations[u]
 
     def is_cubic(self) -> bool:
+        """Whether every vertex has degree 3, as the constructor found."""
         return self._cubic
-
-    @cached_property
-    def _cubic(self) -> bool:
-        return set(map(len, self.rotations)) == {3}
 
     # -- face tracing ----------------------------------------------------
 
@@ -393,7 +473,7 @@ class PlanarEmbedding:
         out = PlanarEmbedding.__new__(PlanarEmbedding)
         out.rotations = self.rotations
         out.vertex_count = self.vertex_count
-        out._off, out._twin = self._off, self._twin
+        out._off, out._twin, out._cubic = self._off, self._twin, self._cubic
         out._explicit_outer = outer_face_id
         for name in _OUTER_INDEPENDENT_CACHES:
             if name in self.__dict__:
@@ -419,7 +499,7 @@ class PlanarEmbedding:
         return f"PlanarEmbedding(n={self.vertex_count}, m={self.edge_count})"
 
 
-_OUTER_INDEPENDENT_CACHES = ("edges", "_cubic", "faces", "dart_index", "edge_faces", "dual_table")
+_OUTER_INDEPENDENT_CACHES = ("edges", "faces", "dart_index", "edge_faces", "dual_table")
 
 
 def _trace(emb: PlanarEmbedding) -> DartIndex:
@@ -531,6 +611,7 @@ def parse_embedding(text: str) -> PlanarEmbedding:
         emb = PlanarEmbedding(rows)
     except EmbeddingError as exc:
         raise RotationFormatError(str(exc)) from exc
+    del rows  # the decoded lists, before the outer match traces the faces
 
     if outer_cycle is not None:
         emb = emb.with_outer_face(_match_outer_face(emb, outer_cycle))

@@ -383,6 +383,17 @@ class TestSubcommands:
         (rec,) = parse_machine_records(out)
         assert code == 0 and (rec["n"], rec["status"]) == ("24", "cycles:44")
 
+    @pytest.mark.parametrize("family, sizes, ns", [("prism", "2,5,9", [8, 20, 36]),
+                                                   ("leapfrog", "1,2,3", [24, 72, 216])])
+    def test_bench_build_layer_times_one_leapfrog_step(self, capsys, family, sizes, ns):
+        code, out = run_cli(capsys, "bench", "--machine", "--layer", "build",
+                            "--family", family, "--sizes", sizes)
+        recs = parse_machine_records(out)
+        assert code == 0 and [r["record"] for r in recs] == ["bench"] * 3 + ["bench_fit"]
+        assert [(r["n"], r["status"]) for r in recs[:3]] == [
+            (str(n), f"vertices:{3 * n}") for n in ns]
+        assert all(r["layer"] == "build" and float(r["seconds"]) > 0 for r in recs[:3])
+
     def test_dot_plain_and_carved(self, capsys, rot_file):
         path = rot_file("cube")
         code, out = run_cli(capsys, "dot", path)

@@ -375,7 +375,7 @@ def test_edge_faces_is_a_view_keyed_by_edges(corpus_graphs):
         view = base.edge_faces
         assert isinstance(view, Mapping) and not isinstance(view, dict)
         assert len(view) == base.edge_count == len(base.edges)
-        assert all(key is edge for key, edge in zip(view, base.edges, strict=True))
+        assert list(view) == list(base.edges)
         assert dict(view) == reference_edge_faces(base) == view
 
 
@@ -408,6 +408,102 @@ def test_edge_faces_stores_nothing_and_holds_no_map():
     del emb
     gc.collect()
     assert ref() is None and dict(view) == want
+
+
+def reference_edges(emb):
+    """edges as built before the view: a tuple of every ``(v, u)``, ``v < u``."""
+    return tuple((v, u) for v, nbrs in enumerate(emb.rotations) for u in sorted(nbrs) if v < u)
+
+
+def test_edges_is_a_view_in_the_old_order(corpus_graphs):
+    for base in [*invariant_bases(corpus_graphs), generate_prism(100).embedding]:
+        edges, want = base.edges, reference_edges(base)
+        assert not isinstance(edges, tuple) and edges is base.edges
+        assert len(edges) == base.edge_count == len(want)
+        assert tuple(edges) == want
+        assert [edges[i] for i in range(len(want))] == list(want)
+        assert [edges[-i] for i in range(1, len(want) + 1)] == [want[-i] for i in range(1, len(want) + 1)]
+        for cut in (slice(None), slice(1, 7, 2), slice(None, None, -3), slice(-4, None), slice(5, 2)):
+            assert edges[cut] == want[cut]
+        for bad in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                edges[bad]
+        assert all(e in edges for e in want)
+        assert base.with_outer_face(len(base.faces) - 1).edges is edges
+
+
+def test_edges_refuses_what_is_not_an_edge(cube):
+    edges = cube.edges
+    (v, u), non_edge = edges[0], (0, 6)
+    assert u in cube.rotations[v] and non_edge not in reference_edges(cube)
+    for key in ((u, v), non_edge, (0, 0), (-1, 0), (0, 8), (8, 9), 0, (0,), (0, 1, 2),
+                "01", None, (0.5, 1), [v, u]):
+        assert key not in edges
+    with pytest.raises(TypeError):
+        edges[0] = (v, u)
+    with pytest.raises(TypeError):
+        edges["0"]
+
+
+def test_edges_stores_nothing_per_edge():
+    emb = list(leapfrogs(3))[-1]
+    want = reference_edges(emb)
+    emb.dart_index
+    tracemalloc.start()
+    try:
+        edges = emb.edges  # what warming a map reads
+        assert sum(1 for _ in edges) == len(edges) == emb.edge_count
+        assert all(e in edges for e in want)
+        warmed, peak = tracemalloc.get_traced_memory()
+        edges[0]  # fills the per-vertex index
+        indexed = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # A tuple of the pairs held 8 bytes an edge for its slots alone.
+    assert warmed < 1024 and peak < 4096
+    assert indexed - warmed < 4 * (emb.vertex_count + 1) + 1024
+
+
+def test_leapfrog_step_peak_stays_near_its_result():
+    """One leapfrog step builds the dual and its truncation with at most
+    a few list slots an output vertex beyond what the result and the
+    input's cached dual table hold: no per-dart int list, degree list,
+    turned copy or packing tuple left alive beside the rows."""
+    emb = list(leapfrogs(6))[-1]
+    emb.dart_index
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = truncate_embedding(dual_embedding(emb))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = out.vertex_count
+    assert n == 3 * emb.vertex_count == 17496
+    # About 24 bytes an output vertex here; 110 with the temporaries.
+    assert (peak - held) / n < 40, ((held - start) / n, (peak - held) / n)
+
+
+def test_parse_frees_its_decoded_rows_before_the_trace():
+    emb = list(leapfrogs(6))[-1]
+    perm = list(range(emb.vertex_count))
+    random.Random(1).shuffle(perm)
+    rots = [None] * emb.vertex_count
+    for v, nbrs in enumerate(emb.rotations):
+        rots[perm[v]] = [perm[u] for u in nbrs]
+    text = serialize_embedding(PlanarEmbedding(rots))  # relabelled, so ids run past 256
+    del emb, rots
+    gc.collect()
+    tracemalloc.start()
+    try:
+        parsed = parse_embedding(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed.vertex_count == 5832
+    # 206 bytes a vertex here; 304 with the decoded lists alive in the trace.
+    assert (peak - held) / parsed.vertex_count < 250
 
 
 def test_dart_arrays_are_read_only(cube):
