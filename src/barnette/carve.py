@@ -28,22 +28,26 @@ the rules guarding a move.
 The carve runs on integer ids.  The graph is cubic, so the dart from
 ``u`` to ``rotations[u][i]`` has id ``3u + i``, and an edge is named by
 the dart leaving its smaller end: edge ``(u, v)``, ``u < v``, is
-``3u + rotations[u].index(v)``.  Roles are a ``bytearray`` indexed by
-edge id, the side queues and the trail hold ids, faces are named by id and
-measured off ``face_start``, and a face's walk is the tuple of its edge
-ids, built the first time the face is used.  These ids are the
-embedding's own dart ids, so an edge's two faces are read off the
-embedding's dart arrays as ``dart_face[e]`` and ``dart_face[twin[e]]``;
-no edge-keyed index is built and no ``Face`` but the outer one is read.
+``embedding.dart_id(u, v)``.  These ids are the embedding's own dart
+ids, so everything after the set-up reads the embedding's dart arrays
+and no rotation tuple: an edge's far end is ``twin[e] // 3`` (the twin
+of dart ``3u + i`` is ``3v + j``), and its two faces are
+``dart_face[e]`` and ``dart_face[twin[e]]``.  Roles are a ``bytearray``
+indexed by edge id, the side queues and the trail hold ids, faces are
+named by id and measured off ``face_start``, and a face's walk is the
+tuple of its edge ids, built the first time the face is used.  No
+edge-keyed index is built and no ``Face`` but the outer one is read.
 Edges are ``(u, v)`` pairs only in trace events, failure reasons and the
 result's role views.
 
-On a map above ``_LIST_STATE_MAX`` vertices the per-vertex state lives
-in zero-filled columns (see ``ChamberState``), so a carve allocates it
-without a write per vertex and frees it without a decref per vertex.  Each cycle edge records its two ends as each
-other's cycle neighbours when it is committed, and the set-up records
-its outer paths whole, so the cycle of a finished carve is walked off
-those records, not found by a scan of the role bytes.
+The per-vertex and per-face state is columns indexed by id (see
+``ChamberState``).  On a map above ``_LIST_STATE_MAX`` vertices they are
+zero-filled ``bytearray`` and int32 columns, so a carve allocates them
+without a write per entry and frees them without a decref per entry.
+Each cycle edge records its two ends as each other's cycle neighbours
+when it is committed, and the set-up records its outer paths whole, so
+the cycle of a finished carve is walked off those records, not found by
+a scan of the role bytes.
 
 The trace is a journal of ids: each frontier step appends one tuple of
 its kind, door id, face id, side and the ids of its new cycle edges and
@@ -55,8 +59,9 @@ event is read.
 A carve costs one pass per opened face.  Set-up touches the outer edges
 only: the faces that hold an outer-Hamiltonian edge are read off the dart
 arrays and stay fixed for the run, since that role is never assigned
-later.  The promotion test is answered from a per-carve set built from
-them once per face, so no door rescans its face or the map.
+later.  They are marked in a per-face column, and the promotion test is
+answered from it once per face into a second column, so no door rescans
+its face or the map.
 ``CarveResult`` keeps the carve's own role codes and sweeps them into its
 ``role_bytes`` (every unassigned edge an inner door) the first time they
 are read; a ``role_class`` view counts its size off those bytes and builds
@@ -206,31 +211,30 @@ class TraceView(Sequence):
     """A carve's trace: a read-only sequence of ``TraceEvent`` over its
     journal of ids.  ``len`` builds no event; the first read builds them
     all and keeps them.  The view equals, and hashes like, the tuple of
-    its events.  It holds the journal and the rotations, never the
-    carve's state."""
+    its events.  It holds the journal and the embedding's ``twin`` array,
+    never the carve's state."""
 
-    def __init__(self, journal: list[tuple], rotations: tuple[tuple[int, ...], ...]):
+    def __init__(self, journal: list[tuple], twin: Sequence[int]):
         self._journal = journal
-        self._rotations = rotations
+        self._twin = twin
         self._events: tuple[TraceEvent, ...] | None = None
 
     def _built(self) -> tuple[TraceEvent, ...]:
         events = self._events
         if events is None:
-            rot = self._rotations
-
-            def pair(e: int) -> Edge:
-                u = e // 3
-                return (u, rot[u][e - 3 * u])
-
+            # Edge e runs from e // 3 to twin[e] // 3.  One endless 3 serves
+            # every floordiv map, so a list of ids becomes its pairs in C.
+            twin, at, three = self._twin, self._twin.__getitem__, repeat(3)
             built = []
             for step, (kind, door, fid, side, ham, doors) in enumerate(self._journal):
-                door_pair = pair(door)
+                door_pair = (door // 3, twin[door] // 3)
                 if kind == "promote":  # its one cycle edge is the door
                     built.append(TraceEvent(step, kind, door_pair, fid, (door_pair,), (), side))
                 else:
-                    ham_pairs, door_pairs = tuple(map(pair, ham)), tuple(map(pair, doors))
-                    built.append(TraceEvent(step, kind, door_pair, fid, ham_pairs, door_pairs, side))
+                    ham_pairs = zip(map(floordiv, ham, three), map(floordiv, map(at, ham), three))
+                    door_pairs = zip(map(floordiv, doors, three), map(floordiv, map(at, doors), three))
+                    built.append(TraceEvent(step, kind, door_pair, fid, tuple(ham_pairs),
+                                            tuple(door_pairs), side))
             # The events replace the ids, which are no longer read.
             events = self._events = self._journal = tuple(built)
         return events
@@ -355,10 +359,12 @@ class ChamberState:
     """Mutable expansion state over one immutable cubic embedding.
 
     Tracks the role codes (a ``bytearray`` indexed by edge id) and one
-    FIFO queue of door ids per entrance side.  Per-vertex state lives in
-    zero-filled columns, allocated with one memset and freed without a
-    decref per vertex, so a carve that fails after a few events costs
-    little more than its outer face:
+    FIFO queue of door ids per entrance side.  An edge's ends are read
+    off the id and the embedding's ``twin`` array, never off the
+    rotations.  Per-vertex and per-face state lives in zero-filled
+    columns, allocated with one memset and freed without a decref per
+    entry, so a carve that fails after a few events costs little more
+    than its outer face:
 
     - ``deg_h`` and ``deg_door``, a ``bytearray`` each: the cycle and door
       degree of every vertex.
@@ -374,28 +380,33 @@ class ChamberState:
         a vertex's live slots name its cycle neighbours.
     - ``_outer_paths``: the outer paths the set-up commits, whole (see
       ``_init_state``).  With the slots they are all ``_walk_cycle`` reads.
+    - Three ``bytearray`` columns over face ids: ``entered_faces`` (1 once
+      entered), ``_outer_ham_faces`` (1 on a face with an
+      outer-Hamiltonian edge) and ``_borders_outer_ham``, the promotion
+      test's cache (0 unknown, 1 no, 2 yes).  The outer-Hamiltonian role
+      is only assigned at set-up, so ``_outer_ham_faces`` is fixed for the
+      run and the promotion test is answered once per face.
 
-    The fields are laid out one after another, not interleaved per
+    The vertex fields are laid out one after another, not interleaved per
     vertex: both layouts cost the same to allocate, and this one needs no
     index arithmetic.  On a map of at most ``_LIST_STATE_MAX`` vertices
-    the five fields are lists of zeros instead: there, filling them costs
-    less than making the views, and a list subscript is faster than a
-    byte or int32 one, so lists win whatever share of the map a carve
-    touches (see the constant).  Each move pushes the ints that undo it onto
-    ``trail``: ``(a, b, e, old role)`` for a cycle edge joining path ends
-    ``a`` and ``b``, and ``(e, -1)`` for a door.  A rollback writes no
-    neighbour slot: it lowers ``deg_h``, so the next cycle edge at that
-    vertex reuses the slot.
+    the five vertex fields and the three face columns are lists of zeros
+    instead: there, filling them costs less than making the views, and a
+    list subscript is faster than a byte or int32 one, so lists win
+    whatever share of the map a carve touches (see the constant).  Each
+    move pushes the ints that undo it onto ``trail``: ``(a, b, e, old
+    role)`` for a cycle edge joining path ends ``a`` and ``b``, and ``(e,
+    -1)`` for a door.  A rollback writes no neighbour slot: it lowers
+    ``deg_h``, so the next cycle edge at that vertex reuses the slot.
     """
 
     def __init__(self, embedding: PlanarEmbedding, entrances: tuple[Edge, ...]):
         self.embedding = embedding
-        self.rotations = embedding.rotations
         self._index = index = embedding.dart_index
         self._twin, self._dart_face = index.twin, index.dart_face
         n = embedding.vertex_count
+        faces = len(index.face_start) - 1
         self.roles = bytearray(3 * n)
-        self.entered_faces: set[int] = set()
         self.frontier: tuple[deque[int], ...] = ()  # one door queue per side
         self.h_count = 0
         # One tuple of ids per frontier step; see _step.
@@ -404,53 +415,48 @@ class ChamberState:
         if n <= _LIST_STATE_MAX:
             self.deg_h, self.deg_door, self._end = [0] * n, [0] * n, [0] * n
             self._nbr = ([0] * n, [0] * n)
+            self.entered_faces, self._outer_ham_faces, self._borders_outer_ham = (
+                [0] * faces, [0] * faces, [0] * faces)
         else:
             self.deg_h = bytearray(n)
             self.deg_door = bytearray(n)
             ints = memoryview(bytearray(12 * n)).cast("i")
             self._end = ints[:n]
             self._nbr = (ints[n:2 * n], ints[2 * n:])
+            self.entered_faces, self._outer_ham_faces, self._borders_outer_ham = (
+                bytearray(faces), bytearray(faces), bytearray(faces))
         # The columns the commit loop reads, in one attribute: a call of
         # it, once per promotion, starts with one load.
-        self._columns = (self.roles, self.rotations, self.trail, self.deg_h,
+        self._columns = (self.roles, self._twin, self.trail, self.deg_h,
                          self.deg_door, self._end, *self._nbr)
         self.entrances = entrances
         # Each end of an outer path of the set-up -> the path's vertices
         # from that end; see _init_state.
         self._outer_paths: dict[int, tuple[int, ...]] = {}
-        # Faces that hold at least one outer-Hamiltonian edge.  That role
-        # is only assigned at set-up, so the set is fixed for the run and
-        # the promotion test is answered per face, once, into the cache
-        # that follows it.
-        self._outer_ham_faces: set[int] = set()
-        self._borders_outer_ham: dict[int, bool] = {}
         self._walks: dict[int, tuple[int, ...]] = {}
 
     @property
     def trace(self) -> TraceView:
         """The steps so far, as events built when read."""
-        return TraceView(self.journal, self.rotations)
+        return TraceView(self.journal, self._twin)
 
     def edge_id(self, u: int, v: int) -> int:
         """Id of edge {u, v}: the dart from its smaller end."""
-        if u > v:
-            u, v = v, u
-        return 3 * u + self.rotations[u].index(v)
+        return self.embedding.dart_id(u, v) if u < v else self.embedding.dart_id(v, u)
 
     def edge_of(self, e: int) -> Edge:
-        u = e // 3
-        return (u, self.rotations[u][e - 3 * u])
+        return (e // 3, self._twin[e] // 3)
 
     # -- undoable primitive moves ---------------------------------------
 
     def _undo_to(self, mark: int, h_count: int) -> None:
         """Undo every move made since the trail held ``mark`` entries."""
-        trail, roles, rot = self.trail, self.roles, self.rotations
+        trail, roles, twin = self.trail, self.roles, self._twin
         deg_h, deg_door, end = self.deg_h, self.deg_door, self._end
         while len(trail) > mark:
             old, e = trail.pop(), trail.pop()
             u = e // 3
-            v = rot[u][e - 3 * u]
+            v = twin[e] // 3
             if old < 0:
                 roles[e] = _UNASSIGNED
                 deg_door[u] -= 1
@@ -487,10 +493,12 @@ class ChamberState:
     def unentered_face(self, e: int) -> int | None:
         """Id of the first of edge ``e``'s faces, ascending, not yet entered."""
         a, b = self._dart_face[e], self._dart_face[self._twin[e]]
-        for fid in (a, b) if a <= b else (b, a):  # faces_of, inlined: one call a pop
-            if fid not in self.entered_faces:
-                return fid
-        return None
+        if a > b:  # faces_of, inlined: one call a pop
+            a, b = b, a
+        entered = self.entered_faces
+        if not entered[a]:
+            return a
+        return None if entered[b] else b
 
     def first_move(self, door: int, fid: int, left_walk: bool) -> int:
         """The edge an opening of face ``fid`` from ``door`` labels first,
@@ -533,12 +541,13 @@ class ChamberState:
     def face_borders_outer_ham(self, fid: int) -> bool:
         """The promotion test: does any edge of face ``fid`` lie on a face
         that carries an outer-Hamiltonian edge?"""
-        hit = self._borders_outer_ham.get(fid)
-        if hit is None:
+        hit = self._borders_outer_ham[fid]
+        if not hit:
             ham_faces = self._outer_ham_faces
-            hit = fid in ham_faces or any(map(ham_faces.__contains__, self.far_faces(fid)))
+            near = ham_faces[fid] or any(map(ham_faces.__getitem__, self.far_faces(fid)))
+            hit = 2 if near else 1
             self._borders_outer_ham[fid] = hit
-        return hit
+        return hit == 2
 
 
 def _init_state(embedding: PlanarEmbedding, entrances: tuple[Edge, ...]) -> ChamberState:
@@ -585,8 +594,10 @@ def _init_state(embedding: PlanarEmbedding, entrances: tuple[Edge, ...]) -> Cham
     far = list(state.far_faces(outer.id))
     for p in positions:
         far[p] = outer.id
-    state._outer_ham_faces.update(far)
-    state.entered_faces.add(outer.id)
+    ham_faces = state._outer_ham_faces
+    for f in far:
+        ham_faces[f] = 1
+    state.entered_faces[outer.id] = 1
     state.frontier = tuple(deque((e,)) for e in ids)
     return state
 
@@ -614,7 +625,7 @@ def _commit(
     ``dry``, nothing is written: the first move's refusal is returned,
     or None.
     """
-    roles, rot, trail, deg_h, deg_door, end, lo, hi = state._columns
+    roles, twin, trail, deg_h, deg_door, end, lo, hi = state._columns
     h_count = state.h_count
     if not dry:  # a dry check returns before it would append
         new_h: list[int] = []
@@ -625,7 +636,7 @@ def _commit(
         if opening:
             on_cycle = not on_cycle
         u = e // 3
-        v = rot[u][e - 3 * u]
+        v = twin[e] // 3
         role = roles[e]
         if role:
             held = role <= _H_I  # a cycle role, else a door role
@@ -713,7 +724,7 @@ def _apply_opening(
     else:
         rest = walk[pos + 1:] + walk[:pos]
     moves = _commit(state, rest, opening=True)
-    state.entered_faces.add(fid)
+    state.entered_faces[fid] = 1
     return moves
 
 
@@ -772,7 +783,7 @@ def _step(state: ChamberState, door: int, side: int, left_walk: bool) -> str | N
             kind = "drop"
         else:
             if fid >= 0:
-                state.entered_faces.add(fid)
+                state.entered_faces[fid] = 1
     state.journal.append((kind, door, fid, side, (), ()))
     return None
 
@@ -835,12 +846,15 @@ def _near_cycle(state: ChamberState) -> tuple[int, ...] | None:
     n = state.embedding.vertex_count
     if state.h_count != n - 2 or state.deg_h.count(0) != 1:
         return None
-    ends = [v for v, d in enumerate(state.deg_h) if d == 1]
-    if not state.embedding.has_edge(*ends):
+    u, v = [w for w, d in enumerate(state.deg_h) if d == 1]
+    # Edge (u, v), u < v, if any, is the dart from u whose twin leaves v.
+    twin = state._twin
+    e = next((d for d in range(3 * u, 3 * u + 3) if twin[d] // 3 == v), None)
+    if e is None:
         return None
     # The cycle-shorter-than-n guard does not apply: a sub-spanning cycle
     # is the goal here.
-    state.add_ham_edge(state.edge_id(*ends), short_cycle_ok=True)
+    state.add_ham_edge(e, short_cycle_ok=True)
     return _walk_cycle(state)
 
 
@@ -868,7 +882,7 @@ def _finish(state: ChamberState, reason: str | None) -> CarveResult:
         status=status,
         cycle=cycle,
         _codes=state.roles,
-        trace=TraceView(state.journal, state.rotations),
+        trace=state.trace,
         entrances=state.entrances,
         embedding=state.embedding,
         failure_reason=reason,

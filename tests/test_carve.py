@@ -1,5 +1,6 @@
 """Chamber expansion: entrance choice, face openings, full runs, chambers."""
 
+import copy
 import gc
 import hashlib
 import importlib
@@ -77,6 +78,11 @@ def role_map(state):
 
 def role_of(state, e):
     return _ROLES[state.roles[state.edge_id(*e)]]
+
+
+def entered(state):
+    """The ids of the faces the carve has entered, ascending."""
+    return tuple(compress(range(len(state.entered_faces)), state.entered_faces))
 
 
 def set_role(state, e, role):
@@ -250,7 +256,7 @@ class TestOpenFace:
         live_slots = [(lo[v], hi[v])[:d] for v, d in enumerate(state.deg_h)]
         return (
             bytes(state.roles), list(state.deg_h), list(state.deg_door),
-            list(state._end), live_slots, state.h_count, set(state.entered_faces),
+            list(state._end), live_slots, state.h_count, entered(state),
             [list(queue) for queue in state.frontier], list(state.trace),
         )
 
@@ -285,6 +291,8 @@ class TestOpenFace:
         door = state.edge_id(*door)
         face = hex_prism.faces[state.unentered_face(door)]
         assert face.length == 6
+        before = entered(state)
+        assert face.id not in before
         new_h, new_doors = _apply_opening(state, door, face.id)
         assert len(new_h) == 3 and len(new_doors) == 2
         roles = role_map(state)
@@ -294,7 +302,7 @@ class TestOpenFace:
         d_new = sum(1 for e in face.edges if roles[e] is EdgeRole.INNER_DOOR)
         assert h_new == 3
         assert d_new == 2 + 1  # two fresh doors plus the opened one
-        assert face.id in state.entered_faces
+        assert entered(state) == tuple(sorted((*before, face.id)))
 
     def test_degree_conflict_raises(self):
         # On the bridge gadget entered at (0, 4), the walk around the third
@@ -779,11 +787,89 @@ class TestStateLayouts:
                 for emb in rootings[:6]:
                     expected = self.carves(emb)
                     monkeypatch.setattr(carve_module, "_LIST_STATE_MAX", forced)
-                    assert type(ChamberState(emb, ()).deg_h) is layout
+                    state = ChamberState(emb, ())
+                    assert type(state.deg_h) is layout
+                    faces = len(emb.faces)
+                    for column in (state.entered_faces, state._outer_ham_faces,
+                                   state._borders_outer_ham):
+                        assert type(column) is layout and list(column) == [0] * faces
                     assert self.carves(emb) == expected
                     monkeypatch.undo()
                     compared[layout] += len(expected)
         assert compared[bytearray] > 300 and compared[list] > 50
+
+
+class CountingRotations(tuple):
+    """A rotation tuple that counts its subscripts and iterations."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        CountingRotations.reads += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        CountingRotations.reads += 1
+        return super().__iter__()
+
+
+class TestStepPathReadsNoRotations:
+    """After the set-up, a carve reads the embedding's dart arrays and its
+    own columns only: no rotation tuple, in either state layout, through
+    the result's cycle, role bytes and trace."""
+
+    @staticmethod
+    def counted(emb):
+        clone = copy.copy(emb)
+        clone.rotations = CountingRotations(emb.rotations)
+        return clone
+
+    def test_no_rotation_read_after_the_set_up(self, corpus_graphs, monkeypatch):
+        bases = [g.embedding for g in corpus_graphs.values() if g.embedding.is_cubic()]
+        bases.append(relabelled(generate_prism(300).embedding, random.Random(300)))
+        bases.append(leapfrog(leapfrog(build_named("cube").embedding)))
+        assert max(e.vertex_count for e in bases) > carve_module._LIST_STATE_MAX
+        real_init, real_undo = carve_module._init_state, ChamberState._undo_to
+        set_up_reads, rollbacks = [], []
+
+        def init_then_count(embedding, entrances):
+            CountingRotations.reads = 0
+            state = real_init(embedding, entrances)
+            if isinstance(embedding.rotations, CountingRotations):
+                set_up_reads.append(CountingRotations.reads)
+            CountingRotations.reads = 0
+            return state
+
+        def undo_counted(state, mark, h_count):
+            rollbacks.append(len(state.trail) - mark)
+            real_undo(state, mark, h_count)
+
+        monkeypatch.setattr(carve_module, "_init_state", init_then_count)
+        monkeypatch.setattr(ChamberState, "_undo_to", undo_counted)
+        statuses = Counter()
+        for base in bases:
+            for face in list(base.faces)[:4]:
+                emb = base.with_outer_face(face.id)
+                outer = sorted(emb.outer_edges)
+                pair = next(((a, b) for a in outer for b in outer
+                             if a < b and not set(a) & set(b)), None)
+                runs = [(carve, e, lw) for e in outer[:3] for lw in (False, True)]
+                if pair is not None:
+                    runs.append((carve_double, pair, False))
+                for run, entrance, lw in runs:
+                    want = run(emb, entrance, left_walk=lw)
+                    clone = self.counted(emb)
+                    got = run(clone, entrance, left_walk=lw)
+                    seen = (got.status, got.cycle, got.role_bytes, tuple(got.trace),
+                            got.failure_reason)
+                    assert CountingRotations.reads == 0, (face.id, entrance)
+                    assert seen == (want.status, want.cycle, want.role_bytes,
+                                    tuple(want.trace), want.failure_reason)
+                    statuses[got.status] += 1
+        # The positive controls: the set-up names its entrances through the
+        # rotations, and some openings were rolled back.
+        assert min(set_up_reads) > 0 and max(rollbacks) > 0
+        assert statuses[CarveStatus.HAMILTONIAN_CYCLE] > 50 and statuses[CarveStatus.FAILURE] > 50
 
 
 class TestCarveDouble:
