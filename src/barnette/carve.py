@@ -15,7 +15,9 @@ the rules that guard the moves.  When that move is blocked and the door
 can be promoted, the door is promoted without building the face's walk
 or trying the opening; that is how the squares of a long-outer prism are
 closed.  Every other opening is tried, and one that fails is undone, so
-its error names the failure.
+its error names the failure.  No move may close a cycle before the n-th
+cycle edge, so until then the cycle edges are vertex-disjoint paths, and
+a run that does not close the spanning cycle is a Failure.
 
 One driver runs both carves: each entrance has a FIFO queue of doors,
 and the sides take turns, so one entrance grows a spiral and two a
@@ -140,6 +142,8 @@ _IS_ROLE = {role: bytes(c == code for c in range(256)) for code, role in enumera
 
 class CarveStatus(enum.Enum):
     HAMILTONIAN_CYCLE = "HamiltonianCycle"
+    # No carve returns this: a run that does not close the spanning cycle
+    # fails.  It stays while the benchmark's workloads still read it.
     NEAR_CYCLE = "NearCycle"
     FAILURE = "Failure"
 
@@ -175,7 +179,6 @@ class _Refusal(NamedTuple):
 _HAS_CYCLE_ROLE = _Refusal(RoleConflictError, "edge {} already has a cycle role")
 _THIRD_CYCLE_EDGE = _Refusal(RoleConflictError, "edge {} would give a vertex three cycle edges")
 _SHORT_CYCLE = _Refusal(RoleConflictError, "edge {} would close a cycle shorter than n")
-_HAS_ROLE = _Refusal(RoleConflictError, "edge {} already holds a role")
 _DOOR_TOUCHES_DOOR = _Refusal(DoorAdjacencyError, "door {} would touch another door edge")
 _CYCLE_ON_DOOR_SLOT = _Refusal(RoleConflictError, "edge {} is in the cycle but lands on a door slot")
 _DOOR_ON_CYCLE_SLOT = _Refusal(RoleConflictError, "edge {} is a door but lands on a cycle slot")
@@ -372,8 +375,8 @@ class ChamberState:
       - ``_end``: for each path end, the path's far end plus one, and 0
         for a vertex no cycle edge has touched, which is a path of its
         own.  Cycle edges always form vertex-disjoint paths until the
-        n-th one closes the spanning cycle, since ``_commit`` refuses an
-        earlier closing.
+        n-th one closes the spanning cycle: ``_commit`` refuses every
+        earlier closing, with no exception.
       - ``_nbr``, slot 0 and slot 1 of every vertex: each cycle edge
         ``(u, v)`` that ``_commit`` writes puts ``v`` into slot
         ``deg_h[u]`` of ``u`` and ``u`` into slot ``deg_h[v]`` of ``v``, so
@@ -474,14 +477,6 @@ class ChamberState:
             end[a] = u + 1 if a != u else 0
             end[b] = v + 1 if b != v else 0
         self.h_count = h_count
-
-    def add_ham_edge(self, e: int, short_cycle_ok: bool = False) -> None:
-        """Raises before any write when the edge cannot join the cycle."""
-        _commit(self, (e,), short_cycle_ok=short_cycle_ok)
-
-    def add_door_edge(self, e: int) -> None:
-        """Raises before any write when the edge cannot become a door."""
-        _commit(self, (e,), slot=_D_I)
 
     # -- queries -------------------------------------------------------
 
@@ -606,8 +601,6 @@ def _commit(
     state: ChamberState,
     moves: Sequence[int],
     opening: bool = False,
-    slot: int = _H_I,
-    short_cycle_ok: bool = False,
     dry: bool = False,
 ) -> tuple[list[int], list[int]] | _Refusal | None:
     """The one move-commit loop: every rule that guards a move is here.
@@ -615,10 +608,10 @@ def _commit(
     In an opening the moves alternate cycle and door slots, a cycle slot
     first, and an edge that already holds its slot's kind of role is
     skipped, while one holding the other kind is a conflict.  Otherwise
-    every move takes ``slot``: a door on a cycle slot joins the cycle, and
-    any other role is refused.  A cycle edge is refused at a vertex that
-    has two, and when it would close a cycle before the n-th cycle edge
-    (unless ``short_cycle_ok``); a door, at a vertex that has one.
+    the moves are promotions: each door joins the cycle, and an edge that
+    already holds a cycle role is refused.  A cycle edge is refused at a
+    vertex that has two, and when it would close a cycle before the n-th
+    cycle edge; a door, at a vertex that has one.
 
     Returns the new cycle edges and new doors.  A refused move raises,
     after the moves before it are undone, so the call is atomic.  With
@@ -631,7 +624,7 @@ def _commit(
         new_h: list[int] = []
         new_doors: list[int] = []
     # An opening flips this before each move, so its first is a cycle slot.
-    on_cycle = slot == _H_I and not opening
+    on_cycle = not opening
     for e in moves:
         if opening:
             on_cycle = not on_cycle
@@ -643,13 +636,10 @@ def _commit(
             if held == on_cycle:
                 if opening:
                     continue
-                refusal = _HAS_CYCLE_ROLE if held else _HAS_ROLE
+                refusal = _HAS_CYCLE_ROLE
                 break
             if opening:
                 refusal = _CYCLE_ON_DOOR_SLOT if held else _DOOR_ON_CYCLE_SLOT
-                break
-            if held:
-                refusal = _HAS_ROLE
                 break
         if on_cycle:
             du, dv = deg_h[u], deg_h[v]
@@ -660,7 +650,7 @@ def _commit(
             # vertex no cycle edge touches is a path of its own.
             a = end[u] - 1 if du else u
             b = end[v] - 1 if dv else v
-            if a == v and not short_cycle_ok and h_count + 1 != len(deg_h):
+            if a == v and h_count + 1 != len(deg_h):
                 refusal = _SHORT_CYCLE
                 break
         elif deg_door[u] or deg_door[v]:
@@ -808,19 +798,15 @@ def _run(state: ChamberState, left_walk: bool) -> str | None:
 
 def _walk_cycle(state: ChamberState) -> tuple[int, ...]:
     """The cycle, in walk order from the least covered vertex toward its
-    smaller neighbour.  Each outer path of the set-up is copied in one
-    slice; between them the walk follows the recorded cycle neighbours.
-    An outer path's end has its one other cycle edge in slot 1."""
+    smaller neighbour.  Each outer path of the set-up, one per entrance,
+    is copied in one slice; between them the walk follows the recorded
+    cycle neighbours.  An outer path's end has its one other cycle edge in
+    slot 1."""
     lo, hi = state._nbr
     paths = state._outer_paths
-    if paths:
-        seq = list(next(iter(paths.values())))
-        cur = seq[-1]
-        step = hi[cur]
-    else:  # a state built without the set-up: every edge has its slots
-        cur = state.deg_h.index(2)
-        seq = [cur]
-        step = lo[cur]
+    seq = list(next(iter(paths.values())))
+    cur = seq[-1]
+    step = hi[cur]
     while step != seq[0]:
         path = paths.get(step)
         if path is None:
@@ -840,41 +826,20 @@ def _walk_cycle(state: ChamberState) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def _near_cycle(state: ChamberState) -> tuple[int, ...] | None:
-    """An (n-1)-cycle: n-2 cycle edges missing one vertex form a single
-    path, closed here when its two ends are adjacent."""
-    n = state.embedding.vertex_count
-    if state.h_count != n - 2 or state.deg_h.count(0) != 1:
-        return None
-    u, v = [w for w, d in enumerate(state.deg_h) if d == 1]
-    # Edge (u, v), u < v, if any, is the dart from u whose twin leaves v.
-    twin = state._twin
-    e = next((d for d in range(3 * u, 3 * u + 3) if twin[d] // 3 == v), None)
-    if e is None:
-        return None
-    # The cycle-shorter-than-n guard does not apply: a sub-spanning cycle
-    # is the goal here.
-    state.add_ham_edge(e, short_cycle_ok=True)
-    return _walk_cycle(state)
-
-
-# The cycle-role edges of a run that closes neither a spanning nor an
-# (n-1)-cycle are vertex-disjoint paths: add_ham_edge refuses to close a
-# cycle before the n-th cycle edge.  So the longest cycle among them is 0.
+# The cycle-role edges of a run that does not close the spanning cycle are
+# vertex-disjoint paths: _commit refuses to close a cycle before the n-th
+# cycle edge.  So the longest cycle among them is 0.
 _NO_CYCLE_IN_ROLES = "; longest cycle in role set: 0"
 
 
 def _finish(state: ChamberState, reason: str | None) -> CarveResult:
     n = state.embedding.vertex_count
     status, cycle = CarveStatus.FAILURE, ()
-    if reason is None:
-        if state.h_count == n:
-            status, cycle = CarveStatus.HAMILTONIAN_CYCLE, _walk_cycle(state)
-        elif (near := _near_cycle(state)) is not None:
-            status, cycle = CarveStatus.NEAR_CYCLE, near
-        else:
+    if reason is None and state.h_count == n:
+        status, cycle = CarveStatus.HAMILTONIAN_CYCLE, _walk_cycle(state)
+    else:
+        if reason is None:
             reason = f"frontier exhausted at {state.h_count} of {n} cycle edges"
-    if reason is not None:
         reason += _NO_CYCLE_IN_ROLES
     # The result takes the state's role codes, which nothing writes after
     # this; it sweeps them when they are first read.

@@ -174,17 +174,13 @@ def _cmd_faces(args, out) -> int:
 def _checked_status(
     emb: PlanarEmbedding, res: CarveResult
 ) -> tuple[CarveStatus, CycleCertificate | None]:
-    """Verifier gate: a claimed cycle is reported only once it checks as a
-    cycle through all n vertices, or n - 1 for a near cycle; a claim that
-    fails the check is reported as Failure.  The certificate comes back
-    with a claim that passed, None otherwise."""
-    status = res.status
-    if status not in (CarveStatus.HAMILTONIAN_CYCLE, CarveStatus.NEAR_CYCLE):
-        return status, None
-    cert = verify_cycle(emb, res.cycle)
-    want = emb.vertex_count - 1 if status is CarveStatus.NEAR_CYCLE else emb.vertex_count
-    if cert.is_cycle and cert.length == want:
-        return status, cert
+    """Verifier gate: a HamiltonianCycle claim is reported only once
+    ``verify_cycle`` finds its cycle Hamiltonian, with that certificate;
+    anything else is reported as Failure, with None."""
+    if res.status is CarveStatus.HAMILTONIAN_CYCLE:
+        cert = verify_cycle(emb, res.cycle)
+        if cert.is_hamiltonian:
+            return res.status, cert
     return CarveStatus.FAILURE, None
 
 

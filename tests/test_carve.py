@@ -331,10 +331,23 @@ class TestOpenFace:
         assert self.pop(state).startswith("cannot open the entrance face: face")
 
     def test_door_adjacency_guard(self, cube):
+        # Entered at (0, 1), the cube's first pop opens face 0-4-5-1 and
+        # leaves the door (4, 5).  Opening face 4-7-6-5 from (4, 7) then
+        # puts (6, 7) on a cycle slot and (5, 6) on a door slot, which
+        # would touch that door at 5: the opening is refused, and the
+        # cycle edge it wrote first is undone.
         state = self.entrance_state(cube, (0, 1))
-        state.add_door_edge(state.edge_id(4, 5))
-        with pytest.raises(DoorAdjacencyError):
-            state.add_door_edge(state.edge_id(4, 7))
+        assert self.pop(state) is None
+        assert self.inner_doors(state) == [(4, 5)]
+        fid = next(f.id for f in cube.faces if set(f.vertices) == {4, 5, 6, 7})
+        door = state.edge_id(4, 7)
+        first = state.first_move(door, fid, False)
+        assert state.edge_of(first) == (6, 7)
+        assert carve_module._commit(state, (first,), opening=True, dry=True) is None
+        before = self.snapshot(state)
+        with pytest.raises(DoorAdjacencyError, match=r"door \(5, 6\) would touch another door"):
+            _apply_opening(state, door, fid)
+        assert self.snapshot(state) == before
 
     def test_non_door_rejected(self, cube):
         # A queued door whose edge has since joined the cycle is stale:
@@ -1045,40 +1058,38 @@ def test_composed_sample_success_counts():
     assert success_counts(graphs) == (1943, 5952, 1346, 3920)
 
 
+# SHA-256 of the serialized leapfrog of the hexagonal prism C_6 x K_2.
+LEAPFROG_PRISM_6_SHA256 = "0e591af5a95ac540bbefdba1b86b141c6014c7a27121ceedab2257223b5d25ba"
+
+
+def test_leapfrog_of_the_hexagonal_prism_fails_every_carve():
+    # A 36-vertex Barnette graph with only 4- and 6-faces.  No single or
+    # double carve closes a cycle on it, at any rooting, entrance or walk,
+    # yet the single-chamber query behind every single carve (each outer
+    # edge but the entrance in the cycle, the entrance out) has a cycle.
+    emb = truncate_embedding(dual_embedding(generate_prism(3).embedding))
+    doc = serialize_embedding(emb)
+    assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == LEAPFROG_PRISM_6_SHA256
+    assert emb.vertex_count == 36 and len(emb.faces) == 20
+    assert validate(emb).is_barnette
+    outcomes = Counter((double, res.status) for double, _, res in carve_runs(emb))
+    assert outcomes == {(False, CarveStatus.FAILURE): 216, (True, CarveStatus.FAILURE): 138}
+    queries = found = expansions = 0
+    for face in emb.faces:
+        rooted = emb.with_outer_face(face.id)
+        outer = sorted(rooted.outer_edges)
+        for e in outer:
+            forced_in = tuple(x for x in outer if x != e)
+            r = find_hamiltonian_cycle(rooted, forced_in=forced_in, forced_out=(e,))
+            queries += 1
+            found += r.certificate is not None and r.certificate.is_hamiltonian
+            expansions += r.expansions
+    assert (queries, found, expansions) == (108, 108, 786)
+
+
 class TestNearCycle:
-    def test_open_path_closes_to_near_cycle(self):
-        # Synthetic exhaustion state on K4: a 2-edge path covering three
-        # of the four vertices, closable to the (n-1)-cycle 1-2-3.
-        from barnette.carve import _finish
-
-        k4 = PlanarEmbedding([[1, 2, 3], [2, 0, 3], [3, 0, 1], [1, 0, 2]])
-        state = ChamberState(k4, ())
-        state.add_ham_edge(state.edge_id(1, 2))
-        state.add_ham_edge(state.edge_id(2, 3))
-        res = _finish(state, None)
-        assert res.status is CarveStatus.NEAR_CYCLE
-        assert len(res.cycle) == 3
-        cert = verify_cycle(k4, res.cycle)
-        assert cert.is_cycle and not cert.is_hamiltonian
-
-    @pytest.mark.parametrize("closing_role", [EdgeRole.UNASSIGNED, EdgeRole.INNER_DOOR])
-    def test_closing_edge_updates_degree_counts(self, closing_role):
-        # The closing edge joins the cycle like any other cycle edge: its
-        # ends gain a cycle edge and lose the door they held, if any.
-        from barnette.carve import _near_cycle
-
-        k4 = PlanarEmbedding([[1, 2, 3], [2, 0, 3], [3, 0, 1], [1, 0, 2]])
-        state = ChamberState(k4, ())
-        state.add_ham_edge(state.edge_id(1, 2))
-        state.add_ham_edge(state.edge_id(2, 3))
-        if closing_role is EdgeRole.INNER_DOOR:
-            state.add_door_edge(state.edge_id(1, 3))
-            assert list(state.deg_door) == [0, 1, 0, 1]
-        assert _near_cycle(state) == (1, 2, 3)
-        assert role_of(state, (1, 3)) is EdgeRole.INNER_HAMILTONIAN
-        assert state.h_count == 3
-        assert list(state.deg_h) == [0, 2, 2, 2]
-        assert list(state.deg_door) == [0, 0, 0, 0]
+    """A run that ends short of n cycle edges is a Failure: no carve closes
+    a cycle through fewer than n vertices."""
 
     def test_two_missing_vertices_is_plain_failure(self):
         from barnette.carve import _finish

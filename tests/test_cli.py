@@ -410,7 +410,7 @@ class TestSubcommands:
 @pytest.mark.parametrize("claimed, cycle, reported, verified", [
     (CarveStatus.HAMILTONIAN_CYCLE, (0, 1, 2, 3), "HamiltonianCycle", "true"),
     (CarveStatus.HAMILTONIAN_CYCLE, (0, 1, 2), "Failure", "false"),
-    (CarveStatus.NEAR_CYCLE, (0, 1, 2), "NearCycle", "true"),
+    (CarveStatus.NEAR_CYCLE, (0, 1, 2), "Failure", "false"),  # an (n-1)-cycle
     (CarveStatus.NEAR_CYCLE, (0, 1, 2, 3), "Failure", "false"),  # spans all n
     (CarveStatus.NEAR_CYCLE, (0, 1, 1), "Failure", "false"),  # not a cycle
     (CarveStatus.FAILURE, (), "Failure", "false"),
@@ -426,7 +426,7 @@ def test_carve_gate_checks_each_claim_at_its_length(capsys, claimed, cycle, repo
 
 
 @pytest.mark.parametrize("cycle, reported, agreement", [
-    ((0, 1, 2, 5, 3), "NearCycle", "true"),
+    ((0, 1, 2, 5, 3), "Failure", "false"),  # an (n-1)-cycle
     ((0, 1, 2, 5, 4, 3), "Failure", "false"),  # spans all n
     ((0, 1, 1), "Failure", "false"),  # not a cycle
 ])
