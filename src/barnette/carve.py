@@ -37,8 +37,9 @@ of dart ``3u + i`` is ``3v + j``), and its two faces are
 ``dart_face[e]`` and ``dart_face[twin[e]]``.  Roles are a ``bytearray``
 indexed by edge id, the side queues and the trail hold ids, faces are
 named by id and measured off ``face_start``, and a face's walk is the
-tuple of its edge ids, built the first time the face is used.  No
-edge-keyed index is built and no ``Face`` but the outer one is read.
+tuple of its edge ids, built each time it is needed and not kept: a
+carve walks each face at most once.  No edge-keyed index is built and no
+``Face`` but the outer one is read.
 Edges are ``(u, v)`` pairs only in trace events, failure reasons and the
 result's role views.
 
@@ -436,7 +437,6 @@ class ChamberState:
         # Each end of an outer path of the set-up -> the path's vertices
         # from that end; see _init_state.
         self._outer_paths: dict[int, tuple[int, ...]] = {}
-        self._walks: dict[int, tuple[int, ...]] = {}
 
     @property
     def trace(self) -> TraceView:
@@ -525,13 +525,10 @@ class ChamberState:
 
     def walk(self, fid: int) -> tuple[int, ...]:
         """The edge ids of face ``fid`` in traced dart order: each dart or
-        its twin, whichever is smaller."""
-        walk = self._walks.get(fid)
-        if walk is None:
-            start, twin = self._index.face_start, self._twin
-            darts = self._index.face_darts[start[fid]:start[fid + 1]]
-            walk = self._walks[fid] = tuple([d if d < twin[d] else twin[d] for d in darts])
-        return walk
+        its twin, whichever is smaller.  Built on each call, not kept."""
+        start, twin = self._index.face_start, self._twin
+        darts = self._index.face_darts[start[fid]:start[fid + 1]]
+        return tuple([d if d < twin[d] else twin[d] for d in darts])
 
     def face_borders_outer_ham(self, fid: int) -> bool:
         """The promotion test: does any edge of face ``fid`` lie on a face
@@ -890,9 +887,7 @@ def carve_double(
     return _carve(embedding, (e1, e2), left_walk)
 
 
-def select_entrance(
-    embedding: PlanarEmbedding, cuts: list | None = None
-) -> EntranceChoice:
+def select_entrance(embedding: PlanarEmbedding, cuts: list) -> EntranceChoice:
     """Outer edge admissible under the 3-cut rule.
 
     An outer edge is excluded when it lies strictly inside one side of a
@@ -907,7 +902,6 @@ def select_entrance(
     outer = embedding.outer_face
     if outer.length < 4:
         raise ValueError(f"outer cycle has length {outer.length}, need at least 4")
-    cuts = cuts or []
     members = Counter(e for cut in cuts for e in cut.edges)
     best_excl, best_edge = min((len(cuts) - members[e], e) for e in outer.edges)
     return EntranceChoice(

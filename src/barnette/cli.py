@@ -32,6 +32,7 @@ from .carve import (
 from .embedding import (
     Edge,
     PlanarEmbedding,
+    edge_key,
     enumerate_3_edge_cuts,
     parse_embedding,
     serialize_embedding,
@@ -109,7 +110,7 @@ def _parse_edge(text: str) -> Edge:
         u, v = (int(x) for x in text.split(","))
     except ValueError:
         raise SystemExit(f"error: expected an edge as 'u,v', got {text!r}")
-    return (u, v) if u < v else (v, u)
+    return edge_key(u, v)
 
 
 def _pick_entrance(emb: PlanarEmbedding, machine: bool, out) -> Edge:
@@ -394,7 +395,7 @@ def _cmd_corpus(args, out) -> int:
         g = corpus.build_named(args.name)
     except KeyError as exc:
         raise SystemExit(f"error: {exc}")
-    sys.stdout.write(serialize_embedding(g.embedding))
+    out.write(serialize_embedding(g.embedding))
     return 0
 
 
@@ -655,7 +656,7 @@ def _cmd_dot(args, out) -> int:
             emb, True, out
         )
         res = carve(emb, entrance)
-    sys.stdout.write(to_dot(emb, res))
+    out.write(to_dot(emb, res))
     return 0
 
 

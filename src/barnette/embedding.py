@@ -25,7 +25,7 @@ import re
 import struct
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, pairwise, product
@@ -61,24 +61,20 @@ def edge_key(u: int, v: int) -> Edge:
 
 
 class Face:
-    """One facial walk: a cyclic sequence of darts (directed edges).
+    """One facial walk of a map: a cyclic sequence of darts (directed edges).
 
-    ``Face(id, darts)`` builds a face from its darts.  The faces of a map
-    are shells over its dart arrays instead (see ``FaceSequence``): ``id``
-    and ``length`` are read off ``face_start`` when the shell is made, and
-    ``vertices`` and ``darts`` are each built on first read, then kept.
-    Equality, hash and repr are those of the pair ``(id, darts)``.  The
-    public attributes are read-only properties over private slots, and a
-    shell holds the map's rotations and dart arrays but nothing that
-    holds it.
+    A face is only ever a shell over its map's dart arrays, made by
+    ``FaceSequence``; ``Face`` has no constructor of its own, so
+    ``Face(0, darts)`` raises TypeError.  ``id`` and ``length`` are read
+    off ``face_start`` when the shell is made, and ``vertices`` and
+    ``darts`` are each built on first read, then kept.  Equality, hash
+    and repr are those of the pair ``(id, darts)``.  The public attributes
+    are read-only properties over private slots, and a shell holds the
+    map's rotations and dart arrays but nothing that holds it.
     """
 
     __slots__ = ("_id", "_length", "_index", "_rotations", "_darts", "_vertices")
     __match_args__ = ("id", "darts")
-
-    def __init__(self, id: int, darts: tuple[Dart, ...]):
-        self._id, self._length, self._darts = id, len(darts), darts
-        self._index = self._rotations = self._vertices = None
 
     id = property(attrgetter("_id"))
     length = property(attrgetter("_length"))
@@ -98,10 +94,7 @@ class Face:
         before it entered."""
         vs = self._vertices
         if vs is None:
-            # Only a face built from its darts has darts before vertices.
-            darts = self._darts
-            vs = self._walk_vertices() if darts is None else tuple([u for u, _ in darts])
-            self._vertices = vs
+            vs = self._vertices = self._walk_vertices()
         return vs
 
     def _walk_vertices(self) -> tuple[int, ...]:
@@ -138,9 +131,6 @@ class Face:
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(id={self._id!r}, darts={self.darts!r})"
-
-    def __reduce__(self):
-        return type(self), (self._id, self.darts)
 
 
 @dataclass(frozen=True)
@@ -179,8 +169,9 @@ class FaceSequence(Sequence):
     """The facial walks of a traced map, in traced order, read-only.  Face
     ``f`` is a shell over the dart arrays, made the first time it is read
     and then kept, so ``faces[f] is faces[f]``; it builds its darts and
-    vertices only when they are read.  ``len`` makes no shell, and a slice
-    is a tuple of shells.  A shell holds the rotations and the arrays,
+    vertices only when they are read.  ``len`` makes no shell.  Faces are
+    read by int index only: a slice raises TypeError, which the mixins of
+    ``Sequence`` never pass.  A shell holds the rotations and the arrays,
     never this sequence, so faces and map form no reference cycle."""
 
     def __init__(self, rotations: tuple[tuple[int, ...], ...], index: DartIndex):
@@ -191,12 +182,12 @@ class FaceSequence(Sequence):
     def __len__(self) -> int:
         return len(self._built)
 
-    def __getitem__(self, f: int | slice) -> Face | tuple[Face, ...]:
-        if isinstance(f, slice):
-            return tuple(map(self.__getitem__, range(len(self))[f]))
+    def __getitem__(self, f: int) -> Face:
         built = self._built
         face = built[f]
-        if face is None:
+        if face.__class__ is not Face:  # not made yet, or ``f`` is a slice
+            if f.__class__ is slice:
+                raise TypeError("faces are read by int index only")
             f %= len(built)
             start = self._index.face_start
             face = built[f] = _new_shell(Face)
@@ -215,24 +206,23 @@ class FaceSequence(Sequence):
         return tuple(self) == tuple(other)
 
 
-# Makes a face without ``Face.__init__``, which takes darts a shell lacks.
+# Makes a face shell, whose slots ``FaceSequence`` then writes: cheaper
+# than an ``__init__`` call per shell.
 _new_shell = object.__new__
 
 
-class EdgeSequence(Sequence):
+class EdgeView(Collection):
     """The edges ``(v, u)``, ``v < u``, ordered by ``v`` then ``u``, as a
-    read-only view that stores no pair.  Iteration makes each pair from
-    the rotations, ``in`` looks it up in ``rotations[v]``, and ``len`` is
-    the count the map was built with.  ``[i]`` finds the edge's smaller
-    end in an int32 column of edge counts per vertex, filled the first
-    time it is used; a slice is a tuple of pairs.  A reversed pair, a
-    non-edge or a non-pair is not ``in`` it.  Holds the rotations, never
-    the map."""
+    read-only collection that stores no pair.  Iteration makes each pair
+    from the rotations, ``in`` looks it up in ``rotations[v]``, and
+    ``len`` is the count the map was built with.  It is not a sequence:
+    it takes no index or slice.  A reversed pair, a non-edge or a non-pair
+    is not ``in`` it.  Holds the rotations, never the map."""
 
-    __slots__ = ("_rotations", "_len", "_first")
+    __slots__ = ("_rotations", "_len")
 
     def __init__(self, rotations: tuple[tuple[int, ...], ...], count: int):
-        self._rotations, self._len, self._first = rotations, count, None
+        self._rotations, self._len = rotations, count
 
     def __len__(self) -> int:
         return self._len
@@ -252,17 +242,6 @@ class EdgeSequence(Sequence):
         except (TypeError, IndexError):
             return False
 
-    def __getitem__(self, i: int | slice) -> Edge | tuple[Edge, ...]:
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(self._len)[i]))
-        i = range(self._len)[i]  # IndexError past either end
-        rots, first = self._rotations, self._first
-        if first is None:
-            ups = (sum(u > v for u in nbrs) for v, nbrs in enumerate(rots))
-            first = self._first = _int32s(list(accumulate(ups, initial=0)))
-        v = bisect_right(first, i) - 1
-        return v, sorted(u for u in rots[v] if u > v)[i - first[v]]
-
 
 class EdgeFaces(Mapping):
     """The two faces of each edge, ascending, keyed by the pairs of
@@ -274,7 +253,7 @@ class EdgeFaces(Mapping):
 
     __slots__ = ("_edges", "_rotations", "_index")
 
-    def __init__(self, edges: EdgeSequence, rotations: tuple[tuple[int, ...], ...],
+    def __init__(self, edges: EdgeView, rotations: tuple[tuple[int, ...], ...],
                  index: DartIndex):
         self._edges, self._rotations, self._index = edges, rotations, index
 
@@ -374,9 +353,9 @@ class PlanarEmbedding:
     # -- basic accessors -------------------------------------------------
 
     @cached_property
-    def edges(self) -> EdgeSequence:
-        """The edges ``(v, u)``, ``v < u``, by ``v`` then ``u``, as a view."""
-        return EdgeSequence(self.rotations, self.edge_count)
+    def edges(self) -> EdgeView:
+        """The edges ``(v, u)``, ``v < u``, by ``v`` then ``u``, as a collection."""
+        return EdgeView(self.rotations, self.edge_count)
 
     @property
     def edge_count(self) -> int:
@@ -384,12 +363,6 @@ class PlanarEmbedding:
 
     def degree(self, v: int) -> int:
         return len(self.rotations[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.rotations[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.rotations[u]
 
     def is_cubic(self) -> bool:
         """Whether every vertex has degree 3, as the constructor found."""

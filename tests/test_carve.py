@@ -133,6 +133,25 @@ def assert_cycle_counts(emb, res):
     assert len(h_o) == emb.outer_face.length - len(res.entrances)
 
 
+def walk_spy(walked: list):
+    """``ChamberState.walk``, appending each face id it is asked for to
+    ``walked``."""
+    walk = ChamberState.walk
+
+    def counting(state, fid):
+        walked.append(fid)
+        return walk(state, fid)
+
+    return counting
+
+
+def spy_on_walks(monkeypatch) -> list:
+    """Record the face id of every ``ChamberState.walk`` call."""
+    walked = []
+    monkeypatch.setattr(ChamberState, "walk", walk_spy(walked))
+    return walked
+
+
 def walk_cycle_reference(emb, codes):
     """The cycle walk as first written: the cycle neighbours of every
     vertex found by a scan of the role codes for the cycle roles, then the
@@ -214,6 +233,10 @@ class TestSelectEntrance:
         choice = select_entrance(cube, enumerate_3_edge_cuts(cube))
         assert choice.edge == (0, 1)
         assert not choice.forced and not choice.cut_member
+        # The cuts are required: without them the 3-cut rule had nothing to
+        # exclude, and the least outer edge came back as unforced.
+        with pytest.raises(TypeError):
+            select_entrance(cube)
 
     def test_prism_least_outer_edge(self, hex_prism):
         choice = select_entrance(hex_prism, enumerate_3_edge_cuts(hex_prism))
@@ -651,16 +674,17 @@ class TestRoleBytes:
             assert _ROLES.index(EdgeRole.UNASSIGNED) in res._codes
             assert len(swept) == len(res._codes)
 
-    def test_fail_fast_walks_only_touched_faces(self):
+    def test_fail_fast_walks_only_touched_faces(self, monkeypatch):
         # A leapfrog carve that fails within a few events builds the walks
         # of the outer face, the faces it entered and the one it failed on.
         emb = build_named("cube").embedding
         for _ in range(4):
             emb = truncate_embedding(dual_embedding(emb))
+        walked = spy_on_walks(monkeypatch)
         state = _init_state(emb, (min(emb.outer_edges),))
         reason = _run(state, False)
         assert reason is not None and len(state.trace) < 20
-        assert len(state._walks) <= len(state.trace) + 2 < len(emb.faces)
+        assert 0 < len(walked) <= len(state.trace) + 2 < len(emb.faces)
 
 
 class TestTraceView:
@@ -1235,7 +1259,8 @@ def golden_digests(corpus_graphs):
     trace digest, role digest, runs whose ``role_class`` answers differ
     from the ``roles`` map or built that map, (Hamiltonian runs, those
     whose cycle differs from the reference walk over their role codes),
-    (event kinds, failure reasons)))."""
+    (event kinds, failure reasons), (face walks built, runs that built a
+    face's walk twice))."""
     bases = [g.embedding for g in corpus_graphs.values()]
     bases += [generate_prism(k).embedding for k in range(3, 14)]
     leapfrog = build_named("cube").embedding
@@ -1246,36 +1271,43 @@ def golden_digests(corpus_graphs):
     runs = walked = 0
     not_forest, class_mismatch, walk_mismatch = [], [], []
     kinds, reasons = set(), set()
-    for base in bases:
-        for _, emb, res in carve_runs(base):
-            runs += 1
-            classes = {role: res.role_class(role) for role in EdgeRole}
-            built_map = "roles" in vars(res)
-            if res.status is not CarveStatus.HAMILTONIAN_CYCLE:
-                try:
-                    assert_path_forest(res)
-                except AssertionError:
-                    not_forest.append((emb, res.entrances))
-            else:
-                walked += 1
-                if res.cycle != walk_cycle_reference(emb, res.role_bytes):
-                    walk_mismatch.append((emb, res.entrances))
-            record = (
-                res.status.value,
-                res.cycle,
-                [ev.record() for ev in res.trace],
-                res.failure_reason,
-            )
-            trace_digest.update(repr(record).encode())
-            kinds.update(ev.kind for ev in res.trace)
-            if res.failure_reason is not None:
-                reasons.add(res.failure_reason)
-            role_digest.update(repr(sorted((e, r.value) for e, r in res.roles.items())).encode())
-            from_map = {role: {e for e, r in res.roles.items() if r is role} for role in EdgeRole}
-            if built_map or classes != from_map:
-                class_mismatch.append((emb, res.entrances))
+    faces_walked, walks, rewalked = [], 0, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ChamberState, "walk", walk_spy(faces_walked))
+        for base in bases:
+            for _, emb, res in carve_runs(base):
+                runs += 1
+                classes = {role: res.role_class(role) for role in EdgeRole}
+                built_map = "roles" in vars(res)
+                if res.status is not CarveStatus.HAMILTONIAN_CYCLE:
+                    try:
+                        assert_path_forest(res)
+                    except AssertionError:
+                        not_forest.append((emb, res.entrances))
+                else:
+                    walked += 1
+                    if res.cycle != walk_cycle_reference(emb, res.role_bytes):
+                        walk_mismatch.append((emb, res.entrances))
+                record = (
+                    res.status.value,
+                    res.cycle,
+                    [ev.record() for ev in res.trace],
+                    res.failure_reason,
+                )
+                trace_digest.update(repr(record).encode())
+                kinds.update(ev.kind for ev in res.trace)
+                if res.failure_reason is not None:
+                    reasons.add(res.failure_reason)
+                role_digest.update(repr(sorted((e, r.value) for e, r in res.roles.items())).encode())
+                from_map = {role: {e for e, r in res.roles.items() if r is role} for role in EdgeRole}
+                if built_map or classes != from_map:
+                    class_mismatch.append((emb, res.entrances))
+                walks += len(faces_walked)
+                if len(set(faces_walked)) != len(faces_walked):
+                    rewalked.append((emb, res.entrances))
+                faces_walked.clear()
     return (runs, not_forest, trace_digest.hexdigest(), role_digest.hexdigest(), class_mismatch,
-            (walked, walk_mismatch), (kinds, reasons))
+            (walked, walk_mismatch), (kinds, reasons), (walks, rewalked))
 
 
 def test_trace_digest_is_pinned(golden_digests):
@@ -1317,6 +1349,13 @@ FAILURE_REASON = re.compile(
         r"outer face \d+ is not a simple cycle",
     ]) + r"); longest cycle in role set: 0"
 )
+
+
+def test_no_face_is_walked_twice_in_a_golden_run(golden_digests):
+    # ChamberState.walk builds a face's walk on each call and keeps none:
+    # that costs nothing only while a carve asks for each face at most once.
+    runs, (walks, rewalked) = golden_digests[0], golden_digests[7]
+    assert walks > runs and rewalked == []
 
 
 def test_golden_runs_take_known_steps_and_fail_for_known_reasons(golden_digests):

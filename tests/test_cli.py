@@ -4,6 +4,7 @@ import argparse
 import gc
 import hashlib
 import importlib
+import io
 import math
 import random
 import re
@@ -405,6 +406,16 @@ class TestSubcommands:
         assert "style=dashed" in out        # doors
         assert 'color="black:invis:black"' in out  # entrance
         assert "// step" in out             # opening order annotations
+
+    def test_emit_and_dot_write_to_the_stream_they_are_given(self, capsys, rot_file):
+        # main hands every command sys.stdout; a command that wrote there
+        # itself would leave a caller's own stream empty.
+        for argv in (["corpus", "emit", "cube"], ["dot", "--carve", rot_file("cube")]):
+            code, via_main = run_cli(capsys, *argv)
+            args, buf = cli.build_parser().parse_args(argv), io.StringIO()
+            assert args.fn(args, buf) == code == 0
+            assert capsys.readouterr().out == ""
+            assert buf.getvalue() == via_main and via_main.startswith(("n 8\n", "graph G {\n"))
 
 
 @pytest.mark.parametrize("claimed, cycle, reported, verified", [

@@ -7,7 +7,7 @@ import random
 import re
 import tracemalloc
 import weakref
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping, Sequence
 from itertools import accumulate, pairwise
 from pathlib import Path
 
@@ -381,7 +381,7 @@ def test_edge_faces_is_a_view_keyed_by_edges(corpus_graphs):
 
 def test_edge_faces_refuses_what_is_not_an_edge(cube):
     view = cube.edge_faces
-    (v, u), non_edge = cube.edges[0], (0, 6)
+    (v, u), non_edge = next(iter(cube.edges)), (0, 6)
     assert non_edge not in cube.edges and u in cube.rotations[v]
     for key in ((u, v), non_edge, (0, 0), (-1, 0), (0, 8), (8, 9), 0, (0,), (0, 1, 2),
                 "01", None, (0.5, 1)):
@@ -419,30 +419,25 @@ def test_edges_is_a_view_in_the_old_order(corpus_graphs):
     for base in [*invariant_bases(corpus_graphs), generate_prism(100).embedding]:
         edges, want = base.edges, reference_edges(base)
         assert not isinstance(edges, tuple) and edges is base.edges
+        assert isinstance(edges, Collection) and not isinstance(edges, Sequence)
         assert len(edges) == base.edge_count == len(want)
         assert tuple(edges) == want
-        assert [edges[i] for i in range(len(want))] == list(want)
-        assert [edges[-i] for i in range(1, len(want) + 1)] == [want[-i] for i in range(1, len(want) + 1)]
-        for cut in (slice(None), slice(1, 7, 2), slice(None, None, -3), slice(-4, None), slice(5, 2)):
-            assert edges[cut] == want[cut]
-        for bad in (len(want), -len(want) - 1):
-            with pytest.raises(IndexError):
-                edges[bad]
         assert all(e in edges for e in want)
         assert base.with_outer_face(len(base.faces) - 1).edges is edges
 
 
 def test_edges_refuses_what_is_not_an_edge(cube):
     edges = cube.edges
-    (v, u), non_edge = edges[0], (0, 6)
+    (v, u), non_edge = next(iter(edges)), (0, 6)
     assert u in cube.rotations[v] and non_edge not in reference_edges(cube)
     for key in ((u, v), non_edge, (0, 0), (-1, 0), (0, 8), (8, 9), 0, (0,), (0, 1, 2),
                 "01", None, (0.5, 1), [v, u]):
         assert key not in edges
     with pytest.raises(TypeError):
         edges[0] = (v, u)
-    with pytest.raises(TypeError):
-        edges["0"]
+    for key in (0, "0", slice(None)):
+        with pytest.raises(TypeError):
+            edges[key]
 
 
 def test_edges_stores_nothing_per_edge():
@@ -455,13 +450,10 @@ def test_edges_stores_nothing_per_edge():
         assert sum(1 for _ in edges) == len(edges) == emb.edge_count
         assert all(e in edges for e in want)
         warmed, peak = tracemalloc.get_traced_memory()
-        edges[0]  # fills the per-vertex index
-        indexed = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     # A tuple of the pairs held 8 bytes an edge for its slots alone.
     assert warmed < 1024 and peak < 4096
-    assert indexed - warmed < 4 * (emb.vertex_count + 1) + 1024
 
 
 def test_leapfrog_step_peak_stays_near_its_result():
@@ -706,18 +698,8 @@ def test_faces_read_one_at_a_time_equal_the_traced_walks(corpus_graphs):
         assert iterated == one_by_one
     with pytest.raises(IndexError):
         path.faces[1]
-
-
-def test_face_slices_build_their_faces(corpus_graphs):
-    for base in invariant_bases(corpus_graphs):
-        faces = PlanarEmbedding(base.rotations).faces
-        count = len(faces)
-        for cut in (slice(0, 2), slice(None), slice(-3, None), slice(None, None, -2), slice(5, 2)):
-            picked = faces[cut]
-            assert type(picked) is tuple
-            assert picked == tuple(faces[f] for f in range(count)[cut])
-            assert all(face is faces[face.id] for face in picked)
-        assert faces[:] == tuple(faces)
+    with pytest.raises(TypeError, match="int index only"):
+        path.faces[0:1]
 
 
 def shell_bases(corpus_graphs):
@@ -729,25 +711,43 @@ def shell_bases(corpus_graphs):
     return list(map(parse_embedding, docs))
 
 
+def probe_face(shell, fid, darts):
+    """A shell of ``shell``'s map whose slots say ``(fid, darts)``: faces
+    have no public constructor, so the test writes the slots itself."""
+    probe = embedding._new_shell(embedding.Face)
+    probe._id, probe._length = fid, shell._length
+    probe._index, probe._rotations = shell._index, shell._rotations
+    probe._darts, probe._vertices = darts, tuple(u for u, _ in darts)
+    return probe
+
+
 def test_face_shells_equal_faces_built_from_their_darts(corpus_graphs):
-    bases = shell_bases(corpus_graphs)
+    bases, copies = shell_bases(corpus_graphs), shell_bases(corpus_graphs)
     assert len(bases) == len(corpus_graphs) + 9 + 1 and bases[-1].vertex_count == 216
-    for emb in bases:
+    for emb, copy in zip(bases, copies):
         expected = reference_faces(emb)
-        assert len(emb.faces) == len(expected)
+        assert len(emb.faces) == len(copy.faces) == len(expected)
         for f, darts in enumerate(expected):
-            shell, eager = emb.faces[f], embedding.Face(f, darts)
-            assert shell == eager and eager == shell and hash(shell) == hash(eager)
-            assert repr(shell) == repr(eager) == f"Face(id={f}, darts={darts!r})"
-            assert shell.vertices == eager.vertices == tuple(u for u, _ in darts)
-            assert shell.edges == eager.edges and shell.length == eager.length == len(darts)
-            assert shell.darts == darts and shell.id == eager.id == f
-            assert shell != embedding.Face(f + 1, darts) and shell != embedding.Face(f, darts[1:])
+            shell, other = emb.faces[f], copy.faces[f]
+            assert shell is not other
+            assert shell == other and other == shell and hash(shell) == hash(other)
+            assert repr(shell) == repr(other) == f"Face(id={f}, darts={darts!r})"
+            assert shell.vertices == other.vertices == tuple(u for u, _ in darts)
+            assert shell.edges == other.edges and shell.length == other.length == len(darts)
+            assert shell.darts == darts and shell.id == other.id == f
+            assert shell != copy.faces[f - 1] or len(expected) == 1
+            # equality reads both halves: the id alone and the darts alone differ
+            assert probe_face(shell, f, darts) == shell
+            assert shell != probe_face(shell, f + 1, darts)
+            assert shell != probe_face(shell, f, darts[1:])
             assert shell.__eq__(darts) is NotImplemented
-        assert pickle.loads(pickle.dumps(emb.faces[0])) == emb.faces[0]
         match emb.faces[-1]:  # positional patterns read __match_args__
             case embedding.Face(last, walk):
                 assert (last, walk) == (len(expected) - 1, expected[-1])
+        with pytest.raises(TypeError):  # a shell holds the map's memoryviews
+            pickle.dumps(emb.faces[0])
+    with pytest.raises(TypeError):  # faces are only read off a map
+        embedding.Face(0, expected[0])
 
 
 def test_reading_length_or_id_builds_no_darts(corpus_graphs, monkeypatch):
@@ -772,14 +772,14 @@ def test_reading_length_or_id_builds_no_darts(corpus_graphs, monkeypatch):
 
 
 def test_faces_are_read_only(cube):
-    shell, eager = cube.faces[0], embedding.Face(0, cube.faces[0].darts)
-    for face in (shell, eager):
+    shell, other = cube.faces[0], PlanarEmbedding(cube.rotations).faces[0]
+    for face in (shell, other):
         for name in ("id", "length", "darts", "vertices", "edges", "other"):
             with pytest.raises(AttributeError):
                 setattr(face, name, 1)
             with pytest.raises(AttributeError):
                 delattr(face, name)
-    assert shell == eager and shell.length == 4
+    assert shell == other and shell.darts == reference_faces(cube)[0] and shell.length == 4
 
 
 def test_faces_and_carves_leave_no_reference_cycle():

@@ -102,7 +102,7 @@ def wheel(k):
 def delete_edges(emb, rng, count):
     """The map without ``count`` seeded random edges; still a plane map."""
     rots = [list(r) for r in emb.rotations]
-    for u, v in rng.sample(emb.edges, count):
+    for u, v in rng.sample(list(emb.edges), count):
         rots[u].remove(v)
         rots[v].remove(u)
     return PlanarEmbedding(rots)

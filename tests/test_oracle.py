@@ -90,7 +90,7 @@ def verify_cycle_reference(embedding, vertices):
     ok = ok and all(0 <= v < embedding.vertex_count for v in seq)
     if ok:
         for i in range(k):
-            if not embedding.has_edge(seq[i], seq[(i + 1) % k]):
+            if seq[(i + 1) % k] not in embedding.rotations[seq[i]]:
                 ok = False
                 break
     return CycleCertificate(
@@ -121,8 +121,8 @@ class TestVerifyCycle:
 
     def test_open_path_is_not_a_cycle(self, cube):
         path = (0, 1, 5, 4, 7, 3, 2, 6)
-        assert all(cube.has_edge(a, b) for a, b in zip(path, path[1:]))
-        assert not cube.has_edge(path[-1], path[0])
+        assert all(b in cube.rotations[a] for a, b in zip(path, path[1:]))
+        assert path[0] not in cube.rotations[path[-1]]
         assert not verify_cycle(cube, path).is_cycle
 
     @settings(max_examples=200, deadline=None)
